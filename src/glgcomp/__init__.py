@@ -12,7 +12,7 @@ from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      SizeGuardExceeded, UnknownVertex, VertexCollision)
 from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
                          connected_components, digraph_from_json,
-                         digraph_relabel, digraph_to_dot, digraph_to_json,
+                         digraph_to_dot, digraph_to_json,
                          edge_clique_cover_number, graph_from_json,
                          graph_to_dot, graph_to_json, graph_union_isolated,
                          is_acyclic,
@@ -26,13 +26,12 @@ from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
                           incident_edge_clique, line_graph,
                           weighted_graph_from_json, weighted_graph_to_json)
 from .search import DEFAULT_BUDGET, SearchBudget, find_realization, fresh_labels
-from .realization import (GlgRealization, RealizationCertificate, TopTwo,
-                          compose_realization, cp_realization,
-                          glg_realization, line_graph_realization,
-                          normalize_realization,
+from .realization import (GlgRealization, RealizationCertificate,
+                          cp_realization, glg_realization,
+                          line_graph_realization, normalize_realization,
                           single_extra_edge_realization,
                           single_extra_unit_realization, verify_realization)
-from .oracle import competition_number, realization_search, top_two_search
+from .oracle import competition_number, realization_search
 from .analysis import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                        ConditionReport, Verdict, check_conditions, classify,
                        has_simplicial_or_isolated, pendant_reduce)

@@ -36,10 +36,6 @@ class CyclicDigraph(GlgError):
         self.cycle = tuple(cycle)
 
 
-# Alias used by the realization verifier.
-NotAcyclic = CyclicDigraph
-
-
 class CompetitionMismatch(GlgError):
     """A digraph's competition graph differs from the expected graph."""
 
@@ -80,13 +76,12 @@ class NotConnected(InvalidInput):
 class BudgetExceeded(GlgError):
     """The exact search ran out of budget before reaching a conclusion.
 
-    Carries the best bounds established so far (either may be None).
+    Carries the best lower bound established so far (or None).
     """
 
-    def __init__(self, message, lower_bound=None, upper_bound=None):
+    def __init__(self, message, lower_bound=None):
         super().__init__(message)
         self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
 
 
 class ConstructionFailed(GlgError):

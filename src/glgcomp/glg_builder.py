@@ -18,7 +18,8 @@ import itertools
 
 from .errors import (NonPositiveM, SchemaError, UnknownVertex,
                      VertexCollision)
-from .graph_core import Graph, normalize_edge, semi_join
+from .graph_core import (Graph, _require_list_of_strings, _require_pair_list,
+                         normalize_edge, semi_join)
 
 
 def edge_label(a, b):
@@ -146,18 +147,8 @@ def weighted_graph_from_json(obj):
     if obj.get("kind", "vertex_weighted_graph") != "vertex_weighted_graph":
         raise SchemaError("expected kind 'vertex_weighted_graph', got %r"
                           % obj.get("kind"))
-    vertices = obj.get("vertices")
-    if not isinstance(vertices, list) or not all(isinstance(x, str) for x in vertices):
-        raise SchemaError("field 'vertices' must be a list of strings")
-    raw_edges = obj.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise SchemaError("field 'edges' must be a list of vertex pairs")
-    edges = []
-    for item in raw_edges:
-        if (not isinstance(item, list)) or len(item) != 2 \
-                or not all(isinstance(x, str) for x in item):
-            raise SchemaError("field 'edges' contains a non-pair entry: %r" % (item,))
-        edges.append((item[0], item[1]))
+    vertices = _require_list_of_strings(obj, "vertices")
+    edges = _require_pair_list(obj, "edges") if "edges" in obj else []
     h = Graph(vertices, edges)
     raw_weights = obj.get("weights", {})
     if not isinstance(raw_weights, dict):

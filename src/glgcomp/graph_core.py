@@ -23,19 +23,25 @@ def normalize_edge(a, b):
     return (a, b) if a < b else (b, a)
 
 
+def _label_set(vertices):
+    """The vertex labels as a set, after checking they are distinct strings."""
+    vs = list(vertices)
+    for v in vs:
+        if not isinstance(v, str):
+            raise SchemaError("vertex labels must be strings, got %r" % (v,))
+    vset = set(vs)
+    if len(vset) != len(vs):
+        raise SchemaError("duplicate vertex labels")
+    return vset
+
+
 class Graph:
     """Simple undirected graph."""
 
     __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices, edges=()):
-        vs = list(vertices)
-        for v in vs:
-            if not isinstance(v, str):
-                raise SchemaError("vertex labels must be strings, got %r" % (v,))
-        if len(set(vs)) != len(vs):
-            raise SchemaError("duplicate vertex labels")
-        vset = set(vs)
+        vset = _label_set(vertices)
         es = set()
         for pair in edges:
             a, b = pair
@@ -45,7 +51,7 @@ class Graph:
             if e[1] not in vset:
                 raise UnknownVertex("edge endpoint %r is not a vertex" % (e[1],))
             es.add(e)
-        self.vertices = tuple(sorted(vs))
+        self.vertices = tuple(sorted(vset))
         self.edges = frozenset(es)
         adj = {v: set() for v in self.vertices}
         for a, b in self.edges:
@@ -94,13 +100,7 @@ class Digraph:
     __slots__ = ("vertices", "arcs", "_out", "_in")
 
     def __init__(self, vertices, arcs=()):
-        vs = list(vertices)
-        for v in vs:
-            if not isinstance(v, str):
-                raise SchemaError("vertex labels must be strings, got %r" % (v,))
-        if len(set(vs)) != len(vs):
-            raise SchemaError("duplicate vertex labels")
-        vset = set(vs)
+        vset = _label_set(vertices)
         arcset = set()
         for pair in arcs:
             t, h = pair
@@ -111,7 +111,7 @@ class Digraph:
             if h not in vset:
                 raise UnknownVertex("arc head %r is not a vertex" % (h,))
             arcset.add((t, h))
-        self.vertices = tuple(sorted(vs))
+        self.vertices = tuple(sorted(vset))
         self.arcs = frozenset(arcset)
         out = {v: set() for v in self.vertices}
         inn = {v: set() for v in self.vertices}
@@ -392,14 +392,38 @@ def edge_clique_cover_number(graph, guard=DEFAULT_SIZE_GUARD):
     return best[0]
 
 
+def _greedy_independent_set_size(graph):
+    """Size of a greedy independent set, smallest degree first.
+
+    No clique holds two independent vertices, so this is a lower bound on
+    the vertex clique cover number.
+    """
+    blocked = set()
+    size = 0
+    for v in sorted(graph.vertices, key=lambda w: (graph.degree(w), w)):
+        if v not in blocked:
+            size += 1
+            blocked.add(v)
+            blocked |= graph.neighbors(v)
+    return size
+
+
 def opsut_lower_bound(graph, guard=DEFAULT_SIZE_GUARD):
-    """min over vertices v of the vertex clique cover number of N(v)."""
+    """min over vertices v of the vertex clique cover number of N(v).
+
+    A neighborhood above the size guard contributes a greedy independent
+    set size instead, which is at most its clique cover number, so the
+    result is still a lower bound on the competition number.
+    """
     if not graph.vertices:
         raise EmptyGraph("opsut_lower_bound is undefined on the empty graph")
     best = None
     for v in graph.vertices:
         nbhd = graph.induced(graph.neighbors(v))
-        theta = vertex_clique_cover_number(nbhd, guard)
+        if len(nbhd.vertices) > guard:
+            theta = _greedy_independent_set_size(nbhd)
+        else:
+            theta = vertex_clique_cover_number(nbhd, guard)
         if best is None or theta < best:
             best = theta
         if best == 0:
@@ -429,20 +453,6 @@ def graph_union_isolated(graph, extra):
     """The graph plus the given labels as isolated vertices."""
     extra = list(extra)
     return Graph(list(graph.vertices) + extra, graph.edges)
-
-
-def digraph_relabel(digraph, mapping):
-    """Copy of the digraph with some vertices renamed.
-
-    `mapping` sends old labels to new ones; unmentioned vertices keep their
-    labels.  Collisions surface as duplicate-vertex schema errors.
-    """
-    for old in mapping:
-        if old not in digraph._out:
-            raise UnknownVertex("cannot rename %r: not a vertex" % (old,))
-    ren = lambda v: mapping.get(v, v)
-    return Digraph([ren(v) for v in digraph.vertices],
-                   [(ren(t), ren(h)) for t, h in digraph.arcs])
 
 
 # ---------------------------------------------------------------------------
@@ -509,35 +519,29 @@ def _dot_quote(label):
     return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def graph_to_dot(graph, name="G", node_attrs=None):
-    """Deterministic DOT text for an undirected graph."""
+def _to_dot(keyword, name, vertices, links, connector, node_attrs):
     node_attrs = node_attrs or {}
-    lines = ["graph %s {" % name]
-    for v in graph.vertices:
+    lines = ["%s %s {" % (keyword, name)]
+    for v in vertices:
         attrs = node_attrs.get(v)
         if attrs:
             body = ", ".join("%s=%s" % (k, attrs[k]) for k in sorted(attrs))
             lines.append("  %s [%s];" % (_dot_quote(v), body))
         else:
             lines.append("  %s;" % _dot_quote(v))
-    for a, b in sorted(graph.edges):
-        lines.append("  %s -- %s;" % (_dot_quote(a), _dot_quote(b)))
+    for a, b in sorted(links):
+        lines.append("  %s %s %s;" % (_dot_quote(a), connector, _dot_quote(b)))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def graph_to_dot(graph, name="G", node_attrs=None):
+    """Deterministic DOT text for an undirected graph."""
+    return _to_dot("graph", name, graph.vertices, graph.edges, "--",
+                   node_attrs)
 
 
 def digraph_to_dot(digraph, name="D", node_attrs=None):
     """Deterministic DOT text for a digraph."""
-    node_attrs = node_attrs or {}
-    lines = ["digraph %s {" % name]
-    for v in digraph.vertices:
-        attrs = node_attrs.get(v)
-        if attrs:
-            body = ", ".join("%s=%s" % (k, attrs[k]) for k in sorted(attrs))
-            lines.append("  %s [%s];" % (_dot_quote(v), body))
-        else:
-            lines.append("  %s;" % _dot_quote(v))
-    for t, h in sorted(digraph.arcs):
-        lines.append("  %s -> %s;" % (_dot_quote(t), _dot_quote(h)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot("digraph", name, digraph.vertices, digraph.arcs, "->",
+                   node_attrs)

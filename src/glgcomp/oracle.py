@@ -5,21 +5,19 @@ is reported as None (a proof of nonexistence); running out of budget raises
 BudgetExceeded and is never silently treated as evidence.
 """
 
-import itertools
-
 from .errors import BudgetExceeded
 from .graph_core import Digraph, opsut_lower_bound
-from .realization import TopTwo, verify_realization, _digraph_from_body
+from .realization import verify_realization, _digraph_from_body
 from .search import DEFAULT_BUDGET, find_realization, fresh_labels
 
 
-def _witness_digraph(graph, order, cliques, tail, extras=None):
-    extras = extras or fresh_labels(graph.vertices, len(tail))
+def _witness_digraph(graph, order, cliques, tail):
+    extras = fresh_labels(graph.vertices, len(tail))
     entries = list(zip(order, cliques)) + list(zip(extras, tail))
     return _digraph_from_body(entries), [label for label, _ in entries]
 
 
-def realization_search(graph, k, budget=None, first_pair=None):
+def realization_search(graph, k, budget=None):
     """Exact search for a digraph realizing graph plus k isolated extras.
 
     Returns a verified digraph, or None when none exists (a definitive
@@ -27,7 +25,7 @@ def realization_search(graph, k, budget=None, first_pair=None):
     runs out before the search is complete.
     """
     budget = budget or DEFAULT_BUDGET
-    got = find_realization(graph, k, first_pair=first_pair, budget=budget)
+    got = find_realization(graph, k, budget=budget)
     if got is None:
         return None
     order, cliques, tail = got
@@ -61,25 +59,3 @@ def competition_number(graph, budget=None):
         if digraph is not None:
             return k, digraph
         k += 1
-
-
-def top_two_search(graph, budget=None):
-    """All unordered vertex pairs that can lead an optimal realization.
-
-    Returns a dict mapping each qualifying frozenset pair to a TopTwo whose
-    witness certificate ordering starts with that pair.
-    """
-    budget = budget or DEFAULT_BUDGET
-    k, _ = competition_number(graph, budget)
-    found = {}
-    for u, v in itertools.combinations(graph.vertices, 2):
-        for pair in ((u, v), (v, u)):
-            got = find_realization(graph, k, first_pair=pair, budget=budget)
-            if got is None:
-                continue
-            order, cliques, tail = got
-            digraph, ordering = _witness_digraph(graph, order, cliques, tail)
-            cert = verify_realization(digraph, graph, k, ordering=ordering)
-            found[frozenset((u, v))] = TopTwo(pair, cert)
-            break
-    return found

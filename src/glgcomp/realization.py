@@ -8,16 +8,30 @@ entries in placement order, where the clique is the in-neighborhood assigned
 to that vertex and must lie among earlier entries.  Reading the cliques as
 in-neighborhoods yields an acyclic digraph whose competition graph is the
 union of those cliques' pairwise edges.
+
+The two-extra construction for a combined graph is one body: the line-graph
+entries, then the entries of each weighted vertex's cocktail-party block,
+then the two extras.  Each stage hands two cliques (P1, P2) on to the next;
+the line graph hands on the edge bundles at the ends of the pinned edge.  A
+block x1 y1 .. xm ym joined to the anchor clique A (the weighted vertex's
+edge bundle) places its vertices as follows:
+
+* m = 1: x <- P1, y <- P2; it hands on A+{x} and A+{y}.
+* m >= 2: x1 <- P1, x2 <- P2, x3..xm <- A; y1 <- A+X where X = {x1..xm},
+  and y_l <- A + (X - {x_(l-1)}) + {y_(l-1)} for l >= 2; it hands on A+Y
+  where Y = {y1..ym}, and A+{x1..x_(m-1)}+{y_m}.
+
+Every placed clique is a clique of the combined graph, and together they
+cover its edges; glg_realization verifies the finished body once.
 """
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge,
-                     PreconditionViolated, VertexCollision)
+                     PreconditionViolated)
 from .graph_core import (Digraph, acyclic_ordering, competition_graph,
-                         digraph_relabel, digraph_to_json, graph_to_json,
+                         digraph_to_json, graph_to_json,
                          graph_union_isolated, is_acyclic_ordering,
-                         is_connected, isolated_vertices, normalize_edge,
-                         require_clique, semi_join, Graph)
+                         is_connected, normalize_edge, Graph)
 from .glg_builder import (check_weights, cocktail_label, cocktail_party,
                           edge_label, generalized_line_graph,
                           incident_edge_clique, line_graph)
@@ -27,21 +41,17 @@ from .search import find_realization, fresh_labels
 class RealizationCertificate:
     """A checked witness that C(D) equals a base graph plus isolated extras."""
 
-    __slots__ = ("digraph", "base", "k", "added", "ordering", "recomputed",
-                 "relabeling")
+    __slots__ = ("digraph", "base", "k", "added", "ordering")
 
-    def __init__(self, digraph, base, k, added, ordering, recomputed,
-                 relabeling=None):
+    def __init__(self, digraph, base, k, added, ordering):
         self.digraph = digraph
         self.base = base
         self.k = k
         self.added = tuple(added)
         self.ordering = tuple(ordering)
-        self.recomputed = recomputed
-        self.relabeling = dict(relabeling or {})
 
     def to_json(self):
-        doc = {
+        return {
             "kind": "realization_certificate",
             "digraph": digraph_to_json(self.digraph),
             "base_graph": graph_to_json(self.base),
@@ -49,22 +59,9 @@ class RealizationCertificate:
             "added": list(self.added),
             "ordering": list(self.ordering),
         }
-        if self.relabeling:
-            doc["relabeling"] = dict(sorted(self.relabeling.items()))
-        return doc
 
 
-class TopTwo:
-    """A vertex pair that can lead an optimal realization's ordering."""
-
-    __slots__ = ("pair", "witness")
-
-    def __init__(self, pair, witness):
-        self.pair = tuple(pair)
-        self.witness = witness
-
-
-def verify_realization(digraph, base, k, ordering=None, relabeling=None):
+def verify_realization(digraph, base, k, ordering=None):
     """Check that digraph is acyclic and C(digraph) = base plus k isolated.
 
     Returns a RealizationCertificate; raises CyclicDigraph with a cycle
@@ -85,22 +82,21 @@ def verify_realization(digraph, base, k, ordering=None, relabeling=None):
         ordering = tuple(ordering)
         if not is_acyclic_ordering(digraph, ordering):
             raise InvalidInput("supplied ordering is not an acyclic ordering")
-    recomputed = competition_graph(digraph)
+    actual = competition_graph(digraph)
     expected = graph_union_isolated(base, added)
-    missing = expected.edges - recomputed.edges
-    extra = recomputed.edges - expected.edges
+    missing = expected.edges - actual.edges
+    extra = actual.edges - expected.edges
     if missing or extra:
         raise CompetitionMismatch(
             "competition graph differs from target: %d missing, %d extra edges"
             % (len(missing), len(extra)), missing, extra)
-    return RealizationCertificate(digraph, base, k, added, ordering,
-                                  recomputed, relabeling)
+    return RealizationCertificate(digraph, base, k, added, ordering)
 
 
-def _checked(digraph, base, k, what, ordering=None, relabeling=None):
+def _checked(digraph, base, k, what, ordering=None):
     """Self-verification for construction outputs: fail closed."""
     try:
-        return verify_realization(digraph, base, k, ordering, relabeling)
+        return verify_realization(digraph, base, k, ordering)
     except GlgError as exc:
         raise ConstructionFailed("%s produced an invalid witness: %s"
                                  % (what, exc)) from exc
@@ -144,103 +140,6 @@ def _digraph_from_body(entries):
         for x in sorted(clique):
             arcs.append((x, label))
     return Digraph(vertices, arcs)
-
-
-def compose_realization(dprime, base, clique, block, toptwo=None):
-    """Extend a realization of `base` across a full join onto `block`.
-
-    dprime must realize base plus exactly two extra vertices, and those two
-    extras must be (labeled as) vertices of the block.  The result realizes
-    semi_join(base, clique, block) plus fresh extras:
-
-    * block without edges: each block vertex w is fed by clique plus one
-      designated predecessor, using two new trailing extras; requires at
-      least two block vertices, and any extra pair is acceptable.
-    * block without isolated vertices: requires a TopTwo of the block whose
-      witness has empty in-neighborhoods on the pair and no arcs leaving its
-      own extras; the witness's arcs are unioned in, plus arcs from the
-      clique to every block-side vertex except the pair.
-
-    Returns (digraph, added) where added names the new extra vertices.
-    """
-    clique = frozenset(clique)
-    require_clique(base, clique, "join clique")
-    try:
-        verify_realization(dprime, base, 2)
-    except GlgError as exc:
-        raise PreconditionViolated(
-            "first argument must realize the base graph with two extras: %s"
-            % exc) from exc
-    extras = set(dprime.vertices) - set(base.vertices)
-    if not extras <= set(block.vertices):
-        raise PreconditionViolated(
-            "the two extras must be labeled as block vertices, got %r"
-            % sorted(extras))
-    overlap = set(dprime.vertices) & set(block.vertices)
-    if overlap != extras:
-        raise VertexCollision(
-            "base and block share vertices: %r" % sorted(overlap - extras))
-
-    if not block.edges:
-        if len(block.vertices) < 2:
-            raise PreconditionViolated("edgeless block needs at least two vertices")
-        pair = sorted(extras)
-        seq = pair + sorted(set(block.vertices) - extras)
-        new = fresh_labels(set(dprime.vertices) | set(block.vertices), 2)
-        seq = seq + new
-        arcs = set(dprime.arcs)
-        m = len(block.vertices)
-        for i in range(m):
-            head = seq[i + 2]
-            for x in sorted(clique | {seq[i]}):
-                arcs.add((x, head))
-        vertices = list(dprime.vertices) + seq[2:]
-        added = tuple(new)
-        k_res = 2
-    else:
-        if isolated_vertices(block):
-            raise PreconditionViolated(
-                "block must have no edges or no isolated vertices")
-        if toptwo is None:
-            raise PreconditionViolated(
-                "a block with edges needs a top-two witness")
-        u1, u2 = toptwo.pair
-        if {u1, u2} != extras:
-            raise PreconditionViolated(
-                "extras %r do not match the top-two pair %r"
-                % (sorted(extras), sorted((u1, u2))))
-        wit = toptwo.witness
-        try:
-            verify_realization(wit.digraph, block, wit.k)
-        except GlgError as exc:
-            raise PreconditionViolated("top-two witness is invalid: %s" % exc) from exc
-        for p in (u1, u2):
-            if wit.digraph.in_neighbors(p):
-                raise PreconditionViolated(
-                    "top-two vertex %r must have an empty in-neighborhood" % (p,))
-        for z in wit.added:
-            if wit.digraph.out_neighbors(z):
-                raise PreconditionViolated(
-                    "witness extra %r must have no outgoing arcs" % (z,))
-        shared = set(dprime.vertices) & set(wit.digraph.vertices)
-        if shared != extras:
-            raise VertexCollision(
-                "witness labels collide with the base realization: %r"
-                % sorted(shared - extras))
-        arcs = set(dprime.arcs) | set(wit.digraph.arcs)
-        for x in sorted(clique):
-            for w in wit.digraph.vertices:
-                if w not in extras:
-                    arcs.add((x, w))
-        vertices = list(dprime.vertices) + [w for w in wit.digraph.vertices
-                                            if w not in extras]
-        added = tuple(wit.added)
-        k_res = wit.k
-
-    result = Digraph(vertices, arcs)
-    joined = semi_join(base, sorted(clique), block)
-    _checked(result, joined, k_res, "realization composition")
-    return result, added
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +211,25 @@ def _line_body(h, e):
     return body, {s: grown, o: incident_edge_clique(h, o)}
 
 
+def _pinned_edge(h, e):
+    """The base edge whose endpoint bundles get pinned: e, or the smallest."""
+    if not h.edges:
+        raise PreconditionViolated("the base graph needs at least one edge")
+    if e is None:
+        return min(h.edges)
+    e = normalize_edge(*e)
+    if e not in h.edges:
+        raise NotAnEdge("%r is not an edge of the base graph" % (e,))
+    return e
+
+
 def line_graph_realization(h, e=None):
     """Realize line_graph(h) plus two extras z1, z2 whose in-neighborhoods
     are the edge bundles at the endpoints of e (smallest edge by default).
 
     Returns (digraph, z1, z2) with z1 for the smaller endpoint of e.
     """
-    if not h.edges:
-        raise PreconditionViolated("the base graph needs at least one edge")
-    if e is None:
-        e = min(h.edges)
-    else:
-        e = normalize_edge(*e)
-        if e not in h.edges:
-            raise NotAnEdge("%r is not an edge of the base graph" % (e,))
+    e = _pinned_edge(h, e)
     lg, _ = line_graph(h)
     body, pending = _line_body(h, e)
     u, v = e
@@ -336,55 +240,56 @@ def line_graph_realization(h, e=None):
 
 
 # ---------------------------------------------------------------------------
-# Cocktail-party realization
+# Cocktail-party blocks and the combined-graph realization with two extras
 # ---------------------------------------------------------------------------
 
-def cp_realization(m, namer=None, avoid=()):
+def _block_entries(xs, ys, anchors, lead):
+    """Body entries for one cocktail-party block joined to `anchors`.
+
+    xs and ys are the block's partner pairs by level, and lead = (P1, P2)
+    the two cliques handed on by the previous stage (see the module
+    docstring).  Returns (entries, handed) where handed is the pair of
+    cliques this block hands on.
+    """
+    a = frozenset(anchors)
+    p1, p2 = lead
+    if len(xs) == 1:
+        x, y = xs[0], ys[0]
+        return [(x, p1), (y, p2)], (a | {x}, a | {y})
+    xset = frozenset(xs)
+    entries = [(xs[0], p1), (xs[1], p2)] + [(x, a) for x in xs[2:]]
+    entries.append((ys[0], a | xset))
+    for l in range(1, len(xs)):
+        entries.append((ys[l], a | (xset - {xs[l - 1]}) | {ys[l - 1]}))
+    return entries, (a | frozenset(ys), a | frozenset(xs[:-1]) | {ys[-1]})
+
+
+def cp_realization(m, namer=None):
     """Realize the cocktail-party graph on 2m vertices with two extras.
 
-    Returns (digraph, toptwo).  For m >= 2 the ordering starts x1, x2 with
-    empty in-neighborhoods and the witness is the realization itself (its
-    two extras are optimal: the competition number of the block is two).
-    For m = 1 the block is edgeless, the digraph is arcless, and the
-    witness is the zero-extra realization on the pair itself.
+    The block's entries with an empty anchor and an empty lead pair, then
+    the two extras; returns the verified digraph.
     """
     g, pairs = cocktail_party(m, namer)
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    z1, z2 = fresh_labels(set(g.vertices) | set(avoid), 2)
-    if m == 1:
-        entries = [(xs[0], frozenset()), (ys[0], frozenset()),
-                   (z1, frozenset()), (z2, frozenset())]
-        d = _digraph_from_body(entries)
-        _checked(d, g, 2, "cocktail-party realization",
-                 ordering=[lbl for lbl, _ in entries])
-        wd = Digraph(g.vertices, [])
-        witness = verify_realization(wd, g, 0, ordering=(xs[0], ys[0]))
-        return d, TopTwo((xs[0], ys[0]), witness)
-    entries = [(x, frozenset()) for x in xs]
-    entries.append((ys[0], frozenset(xs)))
-    for l in range(1, m):
-        mixed = frozenset(x for i, x in enumerate(xs) if i != l - 1) | {ys[l - 1]}
-        entries.append((ys[l], mixed))
-    entries.append((z1, frozenset(ys)))
-    entries.append((z2, frozenset(xs[:-1]) | {ys[-1]}))
+    empty = frozenset()
+    entries, (c1, c2) = _block_entries([p[0] for p in pairs],
+                                       [p[1] for p in pairs],
+                                       empty, (empty, empty))
+    z1, z2 = fresh_labels(g.vertices, 2)
+    entries += [(z1, c1), (z2, c2)]
     d = _digraph_from_body(entries)
-    cert = _checked(d, g, 2, "cocktail-party realization",
-                    ordering=[lbl for lbl, _ in entries])
-    return d, TopTwo((xs[0], xs[1]), cert)
+    _checked(d, g, 2, "cocktail-party realization",
+             ordering=[lbl for lbl, _ in entries])
+    return d
 
-
-# ---------------------------------------------------------------------------
-# Combined-graph realization with two extras
-# ---------------------------------------------------------------------------
 
 class GlgRealization:
     """Result of the two-extra construction for a combined graph.
 
     pinned maps each endpoint of the chosen base edge to the digraph vertex
     whose in-neighborhood is exactly that endpoint's incident edge bundle.
-    When some weight is positive those two vertices are real (they were
-    pasted onto the first block); the extra pair is then `added`.
+    When some weight is positive those two vertices are real (the first
+    block's leading pair); otherwise they are the extra pair `added`.
     """
 
     __slots__ = ("digraph", "combined", "edge", "pinned", "added",
@@ -402,54 +307,32 @@ class GlgRealization:
 def glg_realization(h, weights=None, e=None):
     """Realize the combined graph of (h, weights) with two extra vertices.
 
-    The two vertices pinned to the chosen edge's endpoint bundles keep
-    those in-neighborhoods throughout; with all weights zero they are the
-    extras themselves, otherwise the first block's leading pair.
+    One body: the line-graph entries, each weighted vertex's block entries
+    in vertex order, then the two extras; verified once.  The two vertices
+    pinned to the chosen edge's endpoint bundles are the extras when all
+    weights are zero, otherwise the first block's leading pair.
     """
     weights = check_weights(h, weights or {})
     combined = generalized_line_graph(h, weights)
-    if not h.edges:
-        raise PreconditionViolated("the base graph needs at least one edge")
-    if e is None:
-        e = min(h.edges)
-    else:
-        e = normalize_edge(*e)
-        if e not in h.edges:
-            raise NotAnEdge("%r is not an edge of the base graph" % (e,))
+    e = _pinned_edge(h, e)
     u, v = e
-    lg, _ = line_graph(h)
-    taken = set(combined.graph.vertices)
-    z1, z2 = fresh_labels(taken, 2)
-    taken |= {z1, z2}
-    body, pending = _line_body(h, e)
-    d = _digraph_from_body(body + [(z1, pending[u]), (z2, pending[v])])
-    current = lg
-    pair = (z1, z2)
-    pinned = {u: z1, v: z2}
-    relabeling = {}
+    entries, pending = _line_body(h, e)
+    # The two entries right after the line body take the edge bundles.
+    pin_at = len(entries)
+    lead = (pending[u], pending[v])
     for bv in (x for x in h.vertices if weights[x] > 0):
-        m = weights[bv]
-        namer = lambda level, side, bv=bv: cocktail_label(bv, level, side)
-        block, bpairs = cocktail_party(m, namer)
-        xs = [p[0] for p in bpairs]
-        ys = [p[1] for p in bpairs]
-        lead = (xs[0], xs[1]) if m >= 2 else (xs[0], ys[0])
-        mapping = {pair[0]: lead[0], pair[1]: lead[1]}
-        relabeling.update(mapping)
-        d = digraph_relabel(d, mapping)
-        pinned = {end: mapping.get(lbl, lbl) for end, lbl in pinned.items()}
-        anchors = combined.incident_labels(bv)
-        if m == 1:
-            d, added = compose_realization(d, current, anchors, block)
-        else:
-            _, toptwo = cp_realization(m, namer, avoid=taken)
-            d, added = compose_realization(d, current, anchors, block, toptwo)
-        taken |= set(added)
-        current = semi_join(current, sorted(anchors), block)
-        pair = added
+        pairs = combined.cocktail_pairs[bv]
+        block, lead = _block_entries([p[0] for p in pairs],
+                                     [p[1] for p in pairs],
+                                     combined.incident_labels(bv), lead)
+        entries += block
+    z1, z2 = fresh_labels(combined.graph.vertices, 2)
+    entries += [(z1, lead[0]), (z2, lead[1])]
+    d = _digraph_from_body(entries)
     cert = _checked(d, combined.graph, 2, "combined-graph realization",
-                    relabeling=relabeling)
-    return GlgRealization(d, combined, e, pinned, pair, cert)
+                    ordering=[lbl for lbl, _ in entries])
+    pinned = {u: entries[pin_at][0], v: entries[pin_at + 1][0]}
+    return GlgRealization(d, combined, e, pinned, (z1, z2), cert)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_03_cocktail_party_blocks(report):
         g, _ = cocktail_party(m)
         assert competition_number(g)[0] == 2
     for m in range(1, 6):
-        d, _ = cp_realization(m)
+        d = cp_realization(m)
         g, _ = cocktail_party(m)
         verify_realization(d, g, 2)
     report(3, "cocktail-party blocks need two extras and realize with two",

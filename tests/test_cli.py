@@ -19,6 +19,17 @@ def write(tmp_path, name, doc):
 
 
 @pytest.fixture
+def heavy_leaf(tmp_path):
+    # A star whose leaf "a" carries an 18-vertex block: the neighborhood of
+    # e:a-c has 20 vertices, above the exact clique-cover size guard.
+    return write(tmp_path, "heavy.json",
+                 {"kind": "vertex_weighted_graph",
+                  "vertices": ["a", "b", "c", "d"],
+                  "edges": [["a", "c"], ["b", "c"], ["c", "d"]],
+                  "weights": {"a": 9}})
+
+
+@pytest.fixture
 def star_instance(fixtures_dir):
     return os.path.join(fixtures_dir, "star_leaf2.json")
 
@@ -76,6 +87,16 @@ class TestRealize:
         assert doc["k"] == 2
         assert "shape=box" in open(dot).read()
 
+    def test_two_extra_certificate_fields(self, capsys, fixtures_dir):
+        src = os.path.join(fixtures_dir, "path4_w12.json")
+        code, out, _ = run(capsys, "realize", "two", src)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"kind", "digraph", "base_graph", "k", "added",
+                            "ordering"}
+        assert sorted(doc["ordering"]) == doc["digraph"]["vertices"]
+        assert doc["ordering"][-2:] == doc["added"]
+
     def test_one_units_rejects_heavy_weights(self, capsys, star_instance):
         code, _, err = run(capsys, "realize", "one-units", star_instance)
         assert code == 3 and "hypothesis" in err
@@ -112,6 +133,11 @@ class TestCompnum:
         src = os.path.join(fixtures_dir, "c4.json")
         code, _, err = run(capsys, "compnum", src, "--max-vertices", "4")
         assert code == 5 and "budget" in err.lower()
+
+    def test_large_neighborhood_reports_a_lower_bound(self, capsys,
+                                                      heavy_leaf):
+        code, _, err = run(capsys, "compnum", heavy_leaf)
+        assert code == 5 and "lower bound 1" in err
 
 
 class TestVerify:
@@ -162,6 +188,11 @@ class TestClassify:
                      "weights": {}})
         code, _, err = run(capsys, "classify", src)
         assert code == 3
+
+    def test_large_neighborhood_is_undetermined(self, capsys, heavy_leaf):
+        code, out, _ = run(capsys, "classify", heavy_leaf, "--json")
+        assert code == 0
+        assert json.loads(out)["k_value"] == "at-most-two-undetermined"
 
 
 class TestInputErrors:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, NotAClique,
                      SchemaError, SizeGuardExceeded, UnknownVertex,
                      acyclic_ordering, competition_graph, connected_components,
-                     digraph_from_json, digraph_relabel, digraph_to_dot,
+                     digraph_from_json, digraph_to_dot,
                      digraph_to_json, edge_clique_cover_number,
                      graph_from_json, graph_to_dot, graph_to_json,
                      graph_union_isolated, is_acyclic, is_acyclic_ordering,
@@ -77,12 +77,6 @@ class TestDigraphBasics:
             Digraph(["a"], [("a", "a")])
         with pytest.raises(UnknownVertex):
             Digraph(["a"], [("a", "b")])
-
-    def test_relabel(self):
-        d = Digraph(["a", "b"], [("a", "b")])
-        r = digraph_relabel(d, {"a": "x"})
-        assert set(r.vertices) == {"x", "b"}
-        assert r.arcs == frozenset({("x", "b")})
 
 
 class TestCompetitionGraph:

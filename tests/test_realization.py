@@ -3,12 +3,11 @@ import itertools
 import pytest
 
 from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
-                     InvalidInput, NotAnEdge, PreconditionViolated, TopTwo,
-                     VertexCollision, acyclic_ordering, cocktail_party,
-                     competition_graph, compose_realization, cp_realization,
-                     generalized_line_graph, glg_realization,
+                     InvalidInput, NotAnEdge, PreconditionViolated,
+                     acyclic_ordering, cocktail_party, competition_graph,
+                     cp_realization, generalized_line_graph, glg_realization,
                      graph_union_isolated, incident_edge_clique, line_graph,
-                     line_graph_realization, normalize_realization, semi_join,
+                     line_graph_realization, normalize_realization,
                      single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
 from corpus import connected_graphs, cycle_graph
@@ -103,60 +102,6 @@ class TestNormalizeRealization:
             verify_realization(norm, g, k)
 
 
-class TestComposeRealization:
-    def _base_with_two_extras(self, names):
-        # realize a single edge a-b with extras named as requested
-        base = Graph(["a", "b"], [("a", "b")])
-        z1, z2 = names
-        d = Digraph(["a", "b", z1, z2], [("a", z1), ("b", z1)])
-        return d, base
-
-    def test_edgeless_block(self):
-        block, _ = cocktail_party(1, namer=lambda l, s: "w%s" % s)
-        d, base = self._base_with_two_extras(("wx", "wy"))
-        result, added = compose_realization(d, base, ["a"], block)
-        joined = semi_join(base, ["a"], block)
-        verify_realization(result, joined, 2)
-        assert len(added) == 2 and set(added) <= set(result.vertices)
-
-    def test_block_with_edges_uses_the_top_two_witness(self):
-        block, pairs = cocktail_party(2, namer=lambda l, s: "%s%d" % (s, l))
-        dblock, toptwo = cp_realization(2, namer=lambda l, s: "%s%d" % (s, l))
-        d, base = self._base_with_two_extras(toptwo.pair)
-        result, added = compose_realization(d, base, ["a", "b"], block,
-                                            toptwo)
-        joined = semi_join(base, ["a", "b"], block)
-        verify_realization(result, joined, 2)
-
-    def test_rejects_unlabeled_extras(self):
-        block, _ = cocktail_party(1, namer=lambda l, s: "w%s" % s)
-        d, base = self._base_with_two_extras(("z1", "z2"))
-        with pytest.raises(PreconditionViolated):
-            compose_realization(d, base, ["a"], block)
-
-    def test_rejects_vertex_collision(self):
-        block = Graph(["a", "wx", "wy"], [])
-        d, base = self._base_with_two_extras(("wx", "wy"))
-        with pytest.raises(VertexCollision):
-            compose_realization(d, base, ["a"], block)
-
-    def test_block_with_edges_requires_witness(self):
-        block, _ = cocktail_party(2, namer=lambda l, s: "%s%d" % (s, l))
-        d, base = self._base_with_two_extras(("x1", "x2"))
-        with pytest.raises(PreconditionViolated):
-            compose_realization(d, base, ["a"], block)
-
-    def test_rejects_witness_with_nonempty_pair_in_neighborhood(self):
-        block, _ = cocktail_party(2, namer=lambda l, s: "%s%d" % (s, l))
-        d, base = self._base_with_two_extras(("x1", "y1"))
-        # y1's in-neighborhood is nonempty in the standard block witness
-        dblock, _ = cp_realization(2, namer=lambda l, s: "%s%d" % (s, l))
-        wit = verify_realization(dblock, block, 2)
-        bad = TopTwo(("x1", "y1"), wit)
-        with pytest.raises(PreconditionViolated):
-            compose_realization(d, base, ["a"], block, bad)
-
-
 class TestLineGraphRealization:
     def test_single_edge_base_case(self):
         h = Graph(["u", "v"], [("u", "v")])
@@ -196,30 +141,17 @@ class TestLineGraphRealization:
 class TestCpRealization:
     def test_small_blocks_verify(self):
         for m in range(1, 6):
-            d, toptwo = cp_realization(m)
+            d = cp_realization(m)
             g, pairs = cocktail_party(m)
             extras = set(d.vertices) - set(g.vertices)
             verify_realization(d, g, len(extras))
             assert len(extras) == 2
-
-    def test_top_two_leads_the_ordering(self):
-        d, toptwo = cp_realization(3)
-        for v in toptwo.pair:
-            assert d.in_neighbors(v) == frozenset()
-        wit = toptwo.witness
-        assert wit.base == cocktail_party(3)[0]
-        for z in wit.added:
-            assert wit.digraph.out_neighbors(z) == frozenset()
-
-    def test_single_pair_block_has_zero_extra_witness(self):
-        d, toptwo = cp_realization(1)
-        assert toptwo.witness.k == 0
-        assert d.arcs == frozenset()
-
-    def test_avoid_steers_fresh_names(self):
-        d, _ = cp_realization(1, avoid={"z1", "z2"})
-        extras = set(d.vertices) - {"q:1:x", "q:1:y"}
-        assert extras.isdisjoint({"z1", "z2"})
+            # The leading pair starts empty and the extras feed nothing.
+            lead = pairs[0] if m == 1 else (pairs[0][0], pairs[1][0])
+            for v in lead:
+                assert d.in_neighbors(v) == frozenset()
+            for z in extras:
+                assert d.out_neighbors(z) == frozenset()
 
 
 class TestGlgRealization:
@@ -264,6 +196,23 @@ class TestGlgRealization:
         assert r.edge == ("p2", "p3")
         with pytest.raises(NotAnEdge):
             glg_realization(h, {}, e=("p0", "p3"))
+
+    def test_heavy_weights_isolated_block_and_a_chosen_edge(self):
+        # Blocks in vertex order: m = 3, 1, 4, 1, 6 on the path, then m = 2
+        # on the isolated vertex "i", whose anchor clique is empty.
+        h = Graph(["a", "b", "c", "d", "e", "i"],
+                  [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+        weights = {"a": 3, "b": 1, "c": 4, "d": 1, "e": 6, "i": 2}
+        r = glg_realization(h, weights, e=("c", "d"))
+        combined = generalized_line_graph(h, weights)
+        cert = verify_realization(r.digraph, combined.graph, 2)
+        assert set(cert.added) == set(r.added)
+        assert set(r.added).isdisjoint(combined.graph.vertices)
+        assert r.edge == ("c", "d")
+        assert r.pinned == {"c": "q:a:1:x", "d": "q:a:2:x"}
+        for endpoint in r.edge:
+            assert r.digraph.in_neighbors(r.pinned[endpoint]) == \
+                combined.incident_labels(endpoint)
 
 
 class TestSingleExtraUnits:

@@ -3,10 +3,9 @@ import pytest
 from glgcomp import (BudgetExceeded, Digraph, Graph, NotAClique, SearchBudget,
                      cocktail_party, competition_graph, competition_number,
                      find_realization, fresh_labels, graph_union_isolated,
-                     opsut_lower_bound, realization_search, top_two_search,
+                     opsut_lower_bound, realization_search,
                      verify_realization)
-from corpus import (complete_bipartite, connected_chordal_graphs,
-                    connected_graphs, cycle_graph)
+from corpus import complete_bipartite, connected_graphs, cycle_graph
 
 
 def path(n):
@@ -121,26 +120,3 @@ class TestCompetitionNumber:
             competition_number(cycle_graph(4), tight)
         assert exc.value.lower_bound is not None
         assert exc.value.lower_bound >= 2
-
-
-class TestTopTwoSearch:
-    def test_edgeless_graph_every_pair_works(self):
-        g = Graph(["a", "b", "c"], [])
-        pairs = top_two_search(g)
-        assert set(pairs) == {frozenset(p) for p in
-                              (("a", "b"), ("a", "c"), ("b", "c"))}
-
-    def test_witnesses_are_valid_and_start_empty(self):
-        g = cycle_graph(4)
-        pairs = top_two_search(g)
-        assert pairs
-        for pair, toptwo in pairs.items():
-            assert frozenset(toptwo.pair) == pair
-            wit = toptwo.witness
-            verify_realization(wit.digraph, g, wit.k)
-            for v in toptwo.pair:
-                assert wit.digraph.in_neighbors(v) == frozenset()
-
-    def test_chordal_corpus_has_a_top_pair(self):
-        for g in connected_chordal_graphs(5):
-            assert top_two_search(g)
