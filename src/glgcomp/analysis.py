@@ -144,12 +144,11 @@ def classify(h, weights=None, budget=None):
     if not is_connected(h):
         raise HypothesisNotMet("the base graph must be connected")
     budget = budget or DEFAULT_BUDGET
-    combined = generalized_line_graph(h, weights)
-    target = combined.graph
 
     evidence = []
     certificates = {}
     two = glg_realization(h, weights)
+    target = two.combined.graph
     certificates["two_extra"] = two.certificate
     evidence.append(("two-extra witness: competition number is at most two",
                      "two-extra-construction"))

@@ -8,12 +8,19 @@ Reading the cliques as in-neighborhoods yields an acyclic digraph whose
 competition graph is G plus k isolated vertices.
 
 The search works on bitmasks and memoizes dominance: for a fixed set of
-placed vertices, only Pareto-maximal covered-edge sets are explored.
+placed vertices, only Pareto-maximal covered-edge sets are explored.  Each
+call also keeps two caches of its own: the independent-edge lower bound per
+uncovered-edge mask, and the candidate cliques per placed-vertex mask, each
+stored with the edges it covers.  The path holds clique masks; they are
+decoded to vertex sets once, when a witness is returned.  The caches change
+only the cost of a node: the nodes expanded, their order and the witness
+returned are those of the uncached search.  The memo and the caches belong
+to one call and are released when it returns, raises or runs out of budget.
 """
 
 import itertools
 
-from .errors import BudgetExceeded, NotAClique, UnknownVertex
+from .errors import BudgetExceeded, NotAClique
 from .graph_core import is_clique, maximal_cliques
 
 
@@ -45,11 +52,9 @@ def fresh_labels(taken, count, stem="z"):
     return out
 
 
-def find_realization(graph, k, first_pair=None, added_cliques=None, budget=None):
+def find_realization(graph, k, added_cliques=None, budget=None):
     """Search for a realization of `graph` with k extra vertices.
 
-    first_pair: optional pair of vertices forced to the first two positions
-        with empty cliques (so they have empty in-neighborhoods).
     added_cliques: optional sequence of exactly the cliques assigned to the
         extra vertices; when given, k is taken from its length and the
         search only orders the real vertices.
@@ -60,9 +65,11 @@ def find_realization(graph, k, first_pair=None, added_cliques=None, budget=None)
     exists; raises BudgetExceeded when the node budget runs out.
     """
     budget = budget or DEFAULT_BUDGET
+    max_nodes = budget.max_nodes
     vs = graph.vertices
     n = len(vs)
-    vbit = {v: 1 << i for i, v in enumerate(vs)}
+    bits = [1 << i for i in range(n)]
+    vbit = dict(zip(vs, bits))
     edges = sorted(graph.edges)
     ebit = {e: 1 << i for i, e in enumerate(edges)}
     target = (1 << len(edges)) - 1
@@ -75,13 +82,14 @@ def find_realization(graph, k, first_pair=None, added_cliques=None, budget=None)
                 raise NotAClique("fixed extra clique %r is not a clique" % (sorted(c),))
         k = len(fixed_cover)
 
-    cliques = maximal_cliques(graph)
-    clique_masks = []
-    for c in cliques:
+    def vertex_mask(vertices):
         m = 0
-        for v in c:
+        for v in vertices:
             m |= vbit[v]
-        clique_masks.append(m)
+        return m
+
+    def members(vmask):
+        return frozenset(v for v, b in zip(vs, bits) if b & vmask)
 
     def pairs_mask(vmask):
         mask = 0
@@ -95,8 +103,11 @@ def find_realization(graph, k, first_pair=None, added_cliques=None, budget=None)
     def cover_of(vmask):
         got = pairs_cache.get(vmask)
         if got is None:
-            got = pairs_cache[vmask]= pairs_mask(vmask)
+            got = pairs_cache[vmask] = pairs_mask(vmask)
         return got
+
+    clique_masks = [vertex_mask(c) for c in maximal_cliques(graph)]
+    clique_covers = [(cm, cover_of(cm)) for cm in clique_masks]
 
     # Pairwise "can share a clique" relation between edges, for lower bounds.
     compatible = [0] * len(edges)
@@ -108,127 +119,123 @@ def find_realization(graph, k, first_pair=None, added_cliques=None, budget=None)
                 compatible[i] |= 1 << j
                 compatible[j] |= 1 << i
 
+    lb_cache = {}
+
     def independent_edges_lb(uncovered):
         """Greedy count of uncovered edges no two of which fit in one clique."""
-        count = 0
-        forbidden = 0
-        m = uncovered
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if not (low & forbidden):
+        count = lb_cache.get(uncovered)
+        if count is None:
+            count = 0
+            m = uncovered
+            while m:
+                low = m & -m
                 count += 1
-                forbidden |= low | compatible[i]
-            m &= m - 1
+                m &= ~(low | compatible[low.bit_length() - 1])
+            lb_cache[uncovered] = count
         return count
 
-    start_placed = 0
-    start_path = []
-    if first_pair is not None:
-        u, v = first_pair
-        if u == v:
-            raise UnknownVertex("forced pair must be two distinct vertices")
-        for w in (u, v):
-            if not graph.has_vertex(w):
-                raise UnknownVertex("forced vertex %r is not in the graph" % (w,))
-        start_placed = vbit[u] | vbit[v]
-        start_path = [(u, frozenset()), (v, frozenset())]
+    cand_cache = {}
+
+    def clique_candidates(placed):
+        """Maximal traces of the cliques on the placed vertices, each with
+        the edges it covers."""
+        got = cand_cache.get(placed)
+        if got is None:
+            inters = set()
+            for cm in clique_masks:
+                inters.add(cm & placed)
+            inters.discard(0)
+            maximal = [m for m in inters
+                       if not any(m != o and m & ~o == 0 for o in inters)]
+            got = cand_cache[placed] = [(m, cover_of(m))
+                                        for m in maximal or [0]]
+        return got
 
     start_covered = 0
     if fixed_cover is not None:
         for c in fixed_cover:
-            m = 0
-            for v in c:
-                m |= vbit[v]
-            start_covered |= cover_of(m)
+            start_covered |= cover_of(vertex_mask(c))
 
     full = (1 << n) - 1
+    slots = k if fixed_cover is None else 0
     memo = {}
-    nodes = [0]
-
-    def bump():
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExceeded(
-                "realization search exceeded %d nodes" % budget.max_nodes)
-
-    def dominated(placed, covered):
-        for c in memo.get(placed, ()):
-            if covered & ~c == 0:
-                return True
-        return False
-
-    def record(placed, covered):
-        lst = memo.setdefault(placed, [])
-        lst[:] = [c for c in lst if c & ~covered]
-        lst.append(covered)
+    nodes = 0
+    path = []
 
     def final_cover(uncovered, slots):
         """Cover the remaining edges with at most `slots` maximal cliques."""
+        nonlocal nodes
         if not uncovered:
             return []
         if slots <= 0 or independent_edges_lb(uncovered) > slots:
             return None
-        bump()
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceeded(
+                "realization search exceeded %d nodes" % max_nodes)
         low = uncovered & -uncovered
-        e = edges[low.bit_length() - 1]
-        emask = ebit[e]
-        for cm in clique_masks:
-            if cover_of(cm) & emask:
-                rest = final_cover(uncovered & ~cover_of(cm), slots - 1)
+        for cm, cover in clique_covers:
+            if cover & low:
+                rest = final_cover(uncovered & ~cover, slots - 1)
                 if rest is not None:
-                    members = frozenset(v for v in vs if vbit[v] & cm)
-                    return [members] + rest
+                    return [cm] + rest
         return None
 
-    def clique_candidates(placed):
-        inters = set()
-        for cm in clique_masks:
-            inters.add(cm & placed)
-        inters.discard(0)
-        maximal = [m for m in inters
-                   if not any(m != o and m & ~o == 0 for o in inters)]
-        return maximal or [0]
-
-    def dfs(placed, covered, path):
-        bump()
+    def dfs(placed, covered):
+        """Extend `path`; on success leave the witness on it and return the
+        extras' clique masks (or fixed cliques)."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceeded(
+                "realization search exceeded %d nodes" % max_nodes)
+        uncovered = target & ~covered
         if placed == full:
             if fixed_cover is not None:
-                if covered == target:
-                    return list(path), list(fixed_cover)
+                return list(fixed_cover) if covered == target else None
+            if independent_edges_lb(uncovered) > k:
                 return None
-            slack = independent_edges_lb(target & ~covered)
-            if slack > k:
-                return None
-            tail = final_cover(target & ~covered, k)
+            tail = final_cover(uncovered, k)
             if tail is None:
                 return None
-            tail += [frozenset()] * (k - len(tail))
-            return list(path), tail
-        slots = k if fixed_cover is None else 0
-        unplaced_count = n - bin(placed).count("1")
-        if independent_edges_lb(target & ~covered) > unplaced_count + slots:
+            return tail + [0] * (k - len(tail))
+        if independent_edges_lb(uncovered) > n - len(path) + slots:
             return None
-        if dominated(placed, covered):
-            return None
-        record(placed, covered)
+        # Dominance: skip when an earlier visit of this placed set covered
+        # a superset; otherwise keep only the Pareto-maximal covered sets.
+        kept = memo.get(placed)
+        if kept is None:
+            memo[placed] = [covered]
+        else:
+            for c in kept:
+                if covered & ~c == 0:
+                    return None
+            kept[:] = [c for c in kept if c & ~covered]
+            kept.append(covered)
         cands = clique_candidates(placed)
-        for v in vs:
-            if vbit[v] & placed:
+        for i, bit in enumerate(bits):
+            if bit & placed:
                 continue
-            for cm in cands:
-                members = frozenset(w for w in vs if vbit[w] & cm)
-                path.append((v, members))
-                got = dfs(placed | vbit[v], covered | cover_of(cm), path)
+            nxt = placed | bit
+            for cm, cover in cands:
+                path.append((i, cm))
+                got = dfs(nxt, covered | cover)
                 if got is not None:
                     return got
                 path.pop()
         return None
 
-    got = dfs(start_placed, start_covered, start_path)
-    if got is None:
+    try:
+        tail = dfs(0, start_covered)
+    finally:
+        # dfs and final_cover reach themselves through their closure cells;
+        # emptying the cells breaks that cycle, so the memo and the caches
+        # are freed now rather than at the next cyclic garbage collection.
+        dfs = final_cover = None
+    if tail is None:
         return None
-    path, tail = got
-    order = tuple(v for v, _ in path)
-    body = tuple(c for _, c in path)
+    if fixed_cover is None:
+        tail = [members(cm) for cm in tail]
+    order = tuple(vs[i] for i, _ in path)
+    body = tuple(members(cm) for _, cm in path)
     return order, body, tuple(tail)

@@ -1,10 +1,13 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from glgcomp import (BudgetExceeded, Digraph, Graph, NotAClique, SearchBudget,
                      cocktail_party, competition_graph, competition_number,
-                     find_realization, fresh_labels, graph_union_isolated,
-                     opsut_lower_bound, realization_search,
-                     verify_realization)
+                     find_realization, fresh_labels, generalized_line_graph,
+                     graph_union_isolated, opsut_lower_bound,
+                     realization_search, verify_realization)
 from corpus import complete_bipartite, connected_graphs, cycle_graph
 
 
@@ -65,18 +68,32 @@ class TestFindRealization:
         bundles = [{"c0", "c1"}, {"c1", "c2"}, {"c2", "c3"}, {"c0", "c3"}]
         assert find_realization(g, 0, added_cliques=bundles) is not None
 
-    def test_first_pair_is_respected(self):
-        g = complete(3)
-        found = find_realization(g, 2, first_pair=("k1", "k2"))
-        assert found is not None
-        order = found[0]
-        assert set(order[:2]) == {"k1", "k2"}
-        assert found[1][0] == frozenset() and found[1][1] == frozenset()
-
     def test_budget_exhaustion_is_distinguished_from_refutation(self):
         tight = SearchBudget(max_nodes=3)
         with pytest.raises(BudgetExceeded):
             find_realization(cycle_graph(6), 2, budget=tight)
+
+    def test_memory_is_released_on_return(self):
+        # A k = 1 refutation from the ACCEPTANCE 08 sweep: about 114,000
+        # nodes, with 3,741 covered sets in the dominance memo.  With the
+        # cyclic collector off, whatever the search still holds after it
+        # returns or runs out of budget shows in the traced memory.
+        target = generalized_line_graph(cycle_graph(4), {"c1": 1, "c3": 2}).graph
+        for budget in (None, SearchBudget(max_nodes=50_000)):
+            gc.disable()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                try:
+                    outcome = find_realization(target, 1, budget=budget)
+                except BudgetExceeded as exc:
+                    outcome = type(exc)
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert outcome is (None if budget is None else BudgetExceeded)
+            assert after - before < 64 * 1024
 
 
 class TestRealizationSearch:
