@@ -11,15 +11,12 @@ from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      NotConnected, PreconditionViolated, SchemaError,
                      SizeGuardExceeded, UnknownVertex, VertexCollision)
 from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
-                         connected_components, digraph_from_json,
-                         digraph_to_dot, digraph_to_json,
-                         edge_clique_cover_number, graph_from_json,
-                         graph_to_dot, graph_to_json, graph_union_isolated,
-                         is_acyclic,
-                         is_acyclic_ordering, is_clique, is_connected,
-                         isolated_vertices, maximal_cliques, normalize_edge,
-                         opsut_lower_bound, require_clique, semi_join,
-                         simplicial_vertices,
+                         digraph_from_json, digraph_to_dot, digraph_to_json,
+                         graph_from_json, graph_to_dot, graph_to_json,
+                         graph_union_isolated, is_acyclic_ordering, is_clique,
+                         is_connected, isolated_vertices, maximal_cliques,
+                         normalize_edge, opsut_lower_bound, require_clique,
+                         semi_join, simplicial_vertices,
                          vertex_clique_cover_number)
 from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
                           cocktail_party, edge_label, generalized_line_graph,
@@ -28,7 +25,6 @@ from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
 from .search import DEFAULT_BUDGET, SearchBudget, find_realization, fresh_labels
 from .realization import (GlgRealization, RealizationCertificate,
                           cp_realization, glg_realization,
-                          line_graph_realization, normalize_realization,
                           single_extra_edge_realization,
                           single_extra_unit_realization, verify_realization)
 from .oracle import competition_number, realization_search

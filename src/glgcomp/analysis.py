@@ -9,11 +9,10 @@ bounded by the two-extra witness.
 
 from .errors import BudgetExceeded, ConstructionFailed, HypothesisNotMet, NotConnected
 from .glg_builder import check_weights, generalized_line_graph
-from .graph_core import (graph_to_json, is_connected, isolated_vertices,
-                         simplicial_vertices)
+from .graph_core import is_connected, isolated_vertices, simplicial_vertices
 from .oracle import competition_number
 from .realization import (glg_realization, single_extra_edge_realization,
-                          single_extra_unit_realization, verify_realization)
+                          single_extra_unit_realization)
 from .search import DEFAULT_BUDGET
 
 EXACTLY_ZERO = "exactly-zero"
@@ -156,13 +155,13 @@ def classify(h, weights=None, budget=None):
 
     def oracle_verdict():
         try:
-            k, digraph = competition_number(target, budget)
+            k, cert = competition_number(target, budget)
         except BudgetExceeded as exc:
             evidence.append(
                 ("exact search exhausted its budget (lower bound %s)"
                  % exc.lower_bound, "oracle"))
             return Verdict(UNDETERMINED, evidence, certificates)
-        certificates["oracle_witness"] = verify_realization(digraph, target, k)
+        certificates["oracle_witness"] = cert
         evidence.append(("exhaustive search settled the value at %d" % k,
                          "oracle"))
         return Verdict({0: EXACTLY_ZERO, 1: EXACTLY_ONE,
@@ -181,8 +180,7 @@ def classify(h, weights=None, budget=None):
 
     report = check_conditions(h, weights)
     if report.all_weights_unit:
-        witness = single_extra_unit_realization(h, weights)
-        certificates["single_extra"] = verify_realization(witness, target, 1)
+        certificates["single_extra"] = single_extra_unit_realization(h, weights)
         evidence.append(("single-extra witness: competition number is at "
                          "most one", "single-extra-construction"))
         evidence.append(
@@ -191,11 +189,11 @@ def classify(h, weights=None, budget=None):
         return Verdict(EXACTLY_ONE, evidence, certificates)
     if report.unit_weight_edge is not None:
         try:
-            witness = single_extra_edge_realization(h, weights)
+            cert = single_extra_edge_realization(h, weights)
         except (BudgetExceeded, ConstructionFailed):
-            witness = None
-        if witness is not None:
-            certificates["single_extra"] = verify_realization(witness, target, 1)
+            cert = None
+        if cert is not None:
+            certificates["single_extra"] = cert
             evidence.append(("single-extra witness: competition number is at "
                              "most one", "single-extra-construction"))
             evidence.append(

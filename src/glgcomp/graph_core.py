@@ -175,12 +175,18 @@ def _find_cycle(digraph):
         color[v] = 2
         return None
 
-    for v in digraph.vertices:
-        if color[v] == 0:
-            found = visit(v)
-            if found:
-                return tuple(found)
-    return None
+    try:
+        for v in digraph.vertices:
+            if color[v] == 0:
+                found = visit(v)
+                if found:
+                    return tuple(found)
+        return None
+    finally:
+        # visit reaches itself through its closure cell; emptying the cell
+        # frees it, and the state it holds, now rather than at the next
+        # cyclic garbage collection.
+        visit = None
 
 
 def acyclic_ordering(digraph, delay=frozenset()):
@@ -215,14 +221,6 @@ def is_acyclic_ordering(digraph, ordering):
         return False
     pos = {v: i for i, v in enumerate(ordering)}
     return all(pos[t] < pos[h] for t, h in digraph.arcs)
-
-
-def is_acyclic(digraph):
-    try:
-        acyclic_ordering(digraph)
-        return True
-    except CyclicDigraph:
-        return False
 
 
 def is_clique(graph, subset):
@@ -271,26 +269,6 @@ def is_connected(graph):
     return len(seen) == len(graph.vertices)
 
 
-def connected_components(graph):
-    """Vertex sets of the connected components, as sorted tuples, sorted."""
-    seen = set()
-    comps = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in graph.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
-
-
 def maximal_cliques(graph):
     """All maximal cliques (Bron-Kerbosch with pivoting), deterministically sorted."""
     adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
@@ -306,7 +284,10 @@ def maximal_cliques(graph):
             p = p - {v}
             x = x | {v}
 
-    expand(set(), set(graph.vertices), set())
+    try:
+        expand(set(), set(graph.vertices), set())
+    finally:
+        expand = None  # break expand's reference to itself, as in _find_cycle
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
@@ -357,39 +338,15 @@ def vertex_clique_cover_number(graph, guard=DEFAULT_SIZE_GUARD):
                     del colors[v]
             return False
 
-        return place(0)
+        try:
+            return place(0)
+        finally:
+            place = None  # break place's reference to itself, as in _find_cycle
 
     for k in range(1, upper):
         if colorable(k):
             return k
     return upper
-
-
-def edge_clique_cover_number(graph, guard=DEFAULT_SIZE_GUARD):
-    """Exact minimum number of cliques needed to cover all edges."""
-    _guard(graph, guard, "edge clique cover")
-    edges = sorted(graph.edges)
-    if not edges:
-        return 0
-    cliques = maximal_cliques(graph)
-    cliques = [c for c in cliques if len(c) >= 2]
-    pairs = [frozenset(itertools.combinations(sorted(c), 2)) for c in cliques]
-    target = set(edges)
-    best = [len(edges)]  # covering each edge by itself always works
-
-    def search(uncovered, used):
-        if used >= best[0]:
-            return
-        if not uncovered:
-            best[0] = used
-            return
-        e = min(uncovered)
-        for covered in pairs:
-            if e in covered:
-                search(uncovered - covered, used + 1)
-
-    search(frozenset(target), 0)
-    return best[0]
 
 
 def _greedy_independent_set_size(graph):

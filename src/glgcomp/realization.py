@@ -1,13 +1,14 @@
 """Constructions that realize graphs as competition graphs of acyclic digraphs.
 
-Every public construction re-verifies its own output before returning, so a
-flaw in a scheme surfaces as ConstructionFailed rather than a bad witness.
-
-The central internal representation is a "body": a list of (vertex, clique)
-entries in placement order, where the clique is the in-neighborhood assigned
-to that vertex and must lie among earlier entries.  Reading the cliques as
-in-neighborhoods yields an acyclic digraph whose competition graph is the
-union of those cliques' pairwise edges.
+Every witness, built here or found by search, is a "body": a list of
+(vertex, clique) entries in placement order, where the clique is the
+in-neighborhood assigned to that vertex and must lie among earlier entries,
+followed by a tail of cliques for the extra vertices.  Reading the cliques
+as in-neighborhoods yields an acyclic digraph whose competition graph is the
+union of those cliques' pairwise edges.  _certify names the extras, builds
+that digraph and verifies it once, with the body order as its acyclic
+ordering; every construction returns its certificate, so a flaw in a scheme
+surfaces as ConstructionFailed rather than a bad witness.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -22,7 +23,7 @@ edge bundle) places its vertices as follows:
   where Y = {y1..ym}, and A+{x1..x_(m-1)}+{y_m}.
 
 Every placed clique is a clique of the combined graph, and together they
-cover its edges; glg_realization verifies the finished body once.
+cover its edges.
 """
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
@@ -93,53 +94,24 @@ def verify_realization(digraph, base, k, ordering=None):
     return RealizationCertificate(digraph, base, k, added, ordering)
 
 
-def _checked(digraph, base, k, what, ordering=None):
-    """Self-verification for construction outputs: fail closed."""
+def _certify(entries, tail, base, what):
+    """The certificate of a body: its (vertex, clique) entries in order,
+    then one extra per clique of `tail`, named by fresh_labels.
+
+    The digraph is built and verified once, with the body order as its
+    ordering; any failure is a flaw in the construction (`what`), raised
+    as ConstructionFailed.
+    """
+    extras = fresh_labels(base.vertices, len(tail))
+    entries = list(entries) + list(zip(extras, tail))
+    order = [label for label, _ in entries]
+    arcs = [(x, label) for label, clique in entries for x in sorted(clique)]
     try:
-        return verify_realization(digraph, base, k, ordering)
+        return verify_realization(Digraph(order, arcs), base, len(tail),
+                                  order)
     except GlgError as exc:
         raise ConstructionFailed("%s produced an invalid witness: %s"
                                  % (what, exc)) from exc
-
-
-def normalize_realization(digraph, base, k):
-    """Rewrite a valid realization into a canonical shape.
-
-    The output still realizes base plus k isolated extras, admits an
-    ordering with every base vertex before every extra vertex, and its
-    first two ordered vertices have empty in-neighborhoods.  No arcs are
-    added, only deleted.
-    """
-    if len(base.vertices) < 2:
-        raise PreconditionViolated("normalization needs at least two base vertices")
-    try:
-        cert = verify_realization(digraph, base, k)
-    except GlgError as exc:
-        raise InvalidInput("input is not a valid realization: %s" % exc) from exc
-    added = set(cert.added)
-    # Extras are isolated in the competition graph, so their outgoing arcs
-    # contribute nothing and can be dropped; afterwards they can go last.
-    arcs = {(t, h) for t, h in digraph.arcs if t not in added}
-    trimmed = Digraph(digraph.vertices, arcs)
-    order = acyclic_ordering(trimmed, delay=added)
-    if len(order) >= 2:
-        v1, v2 = order[0], order[1]
-        # A singleton in-neighborhood induces no competition edge.
-        if trimmed.in_neighbors(v2) == frozenset([v1]):
-            arcs.discard((v1, v2))
-            trimmed = Digraph(digraph.vertices, arcs)
-    _checked(trimmed, base, k, "realization normalization")
-    return trimmed
-
-
-def _digraph_from_body(entries):
-    """Build the digraph whose in-neighborhoods follow the body entries."""
-    vertices = [label for label, _ in entries]
-    arcs = []
-    for label, clique in entries:
-        for x in sorted(clique):
-            arcs.append((x, label))
-    return Digraph(vertices, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +137,8 @@ def _line_body_by_search(h, e):
         raise ConstructionFailed(
             "no line-graph realization with the required extra pair exists "
             "for edge %r" % (e,))
-    order, cliques, tail = got
-    return list(zip(order, cliques)), {u: tail[0], v: tail[1]}
+    body, tail = got
+    return list(body), {u: tail[0], v: tail[1]}
 
 
 def _line_body(h, e):
@@ -223,22 +195,6 @@ def _pinned_edge(h, e):
     return e
 
 
-def line_graph_realization(h, e=None):
-    """Realize line_graph(h) plus two extras z1, z2 whose in-neighborhoods
-    are the edge bundles at the endpoints of e (smallest edge by default).
-
-    Returns (digraph, z1, z2) with z1 for the smaller endpoint of e.
-    """
-    e = _pinned_edge(h, e)
-    lg, _ = line_graph(h)
-    body, pending = _line_body(h, e)
-    u, v = e
-    z1, z2 = fresh_labels(lg.vertices, 2)
-    d = _digraph_from_body(body + [(z1, pending[u]), (z2, pending[v])])
-    _checked(d, lg, 2, "line-graph realization")
-    return d, z1, z2
-
-
 # ---------------------------------------------------------------------------
 # Cocktail-party blocks and the combined-graph realization with two extras
 # ---------------------------------------------------------------------------
@@ -268,19 +224,14 @@ def cp_realization(m, namer=None):
     """Realize the cocktail-party graph on 2m vertices with two extras.
 
     The block's entries with an empty anchor and an empty lead pair, then
-    the two extras; returns the verified digraph.
+    the two extras; returns the RealizationCertificate.
     """
     g, pairs = cocktail_party(m, namer)
     empty = frozenset()
-    entries, (c1, c2) = _block_entries([p[0] for p in pairs],
-                                       [p[1] for p in pairs],
-                                       empty, (empty, empty))
-    z1, z2 = fresh_labels(g.vertices, 2)
-    entries += [(z1, c1), (z2, c2)]
-    d = _digraph_from_body(entries)
-    _checked(d, g, 2, "cocktail-party realization",
-             ordering=[lbl for lbl, _ in entries])
-    return d
+    entries, handed = _block_entries([p[0] for p in pairs],
+                                     [p[1] for p in pairs],
+                                     empty, (empty, empty))
+    return _certify(entries, handed, g, "cocktail-party realization")
 
 
 class GlgRealization:
@@ -290,17 +241,18 @@ class GlgRealization:
     whose in-neighborhood is exactly that endpoint's incident edge bundle.
     When some weight is positive those two vertices are real (the first
     block's leading pair); otherwise they are the extra pair `added`.
+    digraph and added are those of the certificate.
     """
 
     __slots__ = ("digraph", "combined", "edge", "pinned", "added",
                  "certificate")
 
-    def __init__(self, digraph, combined, edge, pinned, added, certificate):
-        self.digraph = digraph
+    def __init__(self, certificate, combined, edge, pinned):
+        self.digraph = certificate.digraph
         self.combined = combined
         self.edge = edge
         self.pinned = dict(pinned)
-        self.added = tuple(added)
+        self.added = certificate.added
         self.certificate = certificate
 
 
@@ -308,9 +260,10 @@ def glg_realization(h, weights=None, e=None):
     """Realize the combined graph of (h, weights) with two extra vertices.
 
     One body: the line-graph entries, each weighted vertex's block entries
-    in vertex order, then the two extras; verified once.  The two vertices
+    in vertex order, then the two extras; certified once.  The two vertices
     pinned to the chosen edge's endpoint bundles are the extras when all
-    weights are zero, otherwise the first block's leading pair.
+    weights are zero, otherwise the first block's leading pair.  With all
+    weights zero this realizes the line graph of h.
     """
     weights = check_weights(h, weights or {})
     combined = generalized_line_graph(h, weights)
@@ -326,13 +279,10 @@ def glg_realization(h, weights=None, e=None):
                                      [p[1] for p in pairs],
                                      combined.incident_labels(bv), lead)
         entries += block
-    z1, z2 = fresh_labels(combined.graph.vertices, 2)
-    entries += [(z1, lead[0]), (z2, lead[1])]
-    d = _digraph_from_body(entries)
-    cert = _checked(d, combined.graph, 2, "combined-graph realization",
-                    ordering=[lbl for lbl, _ in entries])
-    pinned = {u: entries[pin_at][0], v: entries[pin_at + 1][0]}
-    return GlgRealization(d, combined, e, pinned, (z1, z2), cert)
+    cert = _certify(entries, lead, combined.graph,
+                    "combined-graph realization")
+    pinned = {u: cert.ordering[pin_at], v: cert.ordering[pin_at + 1]}
+    return GlgRealization(cert, combined, e, pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +296,7 @@ def single_extra_unit_realization(h, weights=None):
     The weighted vertices' blocks are threaded into one descending chain
     behind the line-graph realization, each block vertex covering the
     previous one's join edges, with the single extra closing the chain.
+    Returns the RealizationCertificate.
     """
     weights = check_weights(h, weights or {})
     support = [x for x in h.vertices if weights[x]]
@@ -369,17 +320,14 @@ def single_extra_unit_realization(h, weights=None):
     if pending[u1] != bundles[0]:
         raise ConstructionFailed("internal bundle mismatch at the first "
                                  "weighted vertex")
-    z = fresh_labels(combined.graph.vertices, 1)[0]
     entries = list(body)
     entries.append((qy[t - 1], pending[other]))
     entries.append((qx[t - 1], bundles[t - 1] | {qy[t - 1]}))
     for i in range(t - 1, 0, -1):
         entries.append((qy[i - 1], bundles[i] | {qx[i]}))
         entries.append((qx[i - 1], bundles[i - 1] | {qy[i - 1]}))
-    entries.append((z, pending[u1] | {qx[0]}))
-    d = _digraph_from_body(entries)
-    _checked(d, combined.graph, 1, "single-extra realization (unit weights)")
-    return d
+    return _certify(entries, [pending[u1] | {qx[0]}], combined.graph,
+                    "single-extra realization (unit weights)")
 
 
 def single_extra_edge_realization(h, weights=None):
@@ -389,7 +337,8 @@ def single_extra_edge_realization(h, weights=None):
     When the two endpoints are the only weighted vertices the witness is
     built by a direct chain through their two blocks.  Otherwise the direct
     chain does not apply and an exact bounded search supplies the witness
-    (failure to find one is reported honestly).
+    (failure to find one is reported honestly).  Returns the
+    RealizationCertificate.
     """
     weights = check_weights(h, weights or {})
     if not h.edges:
@@ -414,26 +363,18 @@ def single_extra_edge_realization(h, weights=None):
                                      "weighted edge")
         qxu, qyu = cocktail_label(u, 1, "x"), cocktail_label(u, 1, "y")
         qxv, qyv = cocktail_label(v, 1, "x"), cocktail_label(v, 1, "y")
-        z = fresh_labels(combined.graph.vertices, 1)[0]
         entries = list(body) + [
             (qxu, frozenset()),
             (qyu, ku | {qxu}),
             (qxv, ku | {qyu}),
             (qyv, kv | {qxv}),
-            (z, kv | {qyv}),
         ]
-        d = _digraph_from_body(entries)
-        _checked(d, combined.graph, 1,
-                 "single-extra realization (weighted edge)")
-        return d
+        return _certify(entries, [kv | {qyv}], combined.graph,
+                        "single-extra realization (weighted edge)")
     # Other vertices carry weight too; certify with one extra by exact search.
     got = find_realization(combined.graph, 1)
     if got is None:
         raise ConstructionFailed(
             "exhaustive search found no single-extra realization for this "
             "instance; the weighted-edge condition did not suffice here")
-    order, cliques, tail = got
-    z = fresh_labels(combined.graph.vertices, 1)[0]
-    d = _digraph_from_body(list(zip(order, cliques)) + [(z, tail[0])])
-    _checked(d, combined.graph, 1, "single-extra realization (search)")
-    return d
+    return _certify(*got, combined.graph, "single-extra realization (search)")

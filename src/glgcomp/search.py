@@ -5,7 +5,9 @@ vertices of G plus k trailing extra vertices, together with one clique of G
 per position, such that each position's clique lies entirely among the
 earlier G-vertices and every edge of G appears inside at least one clique.
 Reading the cliques as in-neighborhoods yields an acyclic digraph whose
-competition graph is G plus k isolated vertices.
+competition graph is G plus k isolated vertices.  The search returns it in
+the shape every construction uses: a body of (vertex, clique) entries for
+the vertices of G in placement order, and a tail of the k extras' cliques.
 
 The search works on bitmasks and memoizes dominance: for a fixed set of
 placed vertices, only Pareto-maximal covered-edge sets are explored.  Each
@@ -59,10 +61,10 @@ def find_realization(graph, k, added_cliques=None, budget=None):
         extra vertices; when given, k is taken from its length and the
         search only orders the real vertices.
 
-    Returns (order, cliques, added_cover) on success, where order and
-    cliques describe the real vertices in placement order and added_cover
-    gives the k extra in-neighborhoods; returns None when no realization
-    exists; raises BudgetExceeded when the node budget runs out.
+    Returns (body, tail) on success, where body is a tuple of
+    (vertex, clique) entries for the real vertices in placement order and
+    tail gives the k extra in-neighborhoods; returns None when no
+    realization exists; raises BudgetExceeded when the node budget runs out.
     """
     budget = budget or DEFAULT_BUDGET
     max_nodes = budget.max_nodes
@@ -236,6 +238,5 @@ def find_realization(graph, k, added_cliques=None, budget=None):
         return None
     if fixed_cover is None:
         tail = [members(cm) for cm in tail]
-    order = tuple(vs[i] for i, _ in path)
-    body = tuple(members(cm) for _, cm in path)
-    return order, body, tuple(tail)
+    body = tuple((vs[i], members(cm)) for i, cm in path)
+    return body, tuple(tail)

@@ -111,7 +111,7 @@ def test_03_cocktail_party_blocks(report):
         g, _ = cocktail_party(m)
         assert competition_number(g)[0] == 2
     for m in range(1, 6):
-        d = cp_realization(m)
+        d = cp_realization(m).digraph
         g, _ = cocktail_party(m)
         verify_realization(d, g, 2)
     report(3, "cocktail-party blocks need two extras and realize with two",
@@ -168,7 +168,7 @@ def test_07_single_extra_sweep(report):
         for mask in range(1, 1 << len(verts)):
             weights = {v: 1 for i, v in enumerate(verts) if mask >> i & 1}
             target = generalized_line_graph(h, weights).graph
-            d = single_extra_unit_realization(h, weights)
+            d = single_extra_unit_realization(h, weights).digraph
             verify_realization(d, target, 1)
             built += 1
             if len(target.vertices) + 1 <= ORACLE_VERTEX_CAP:
@@ -182,7 +182,7 @@ def test_07_single_extra_sweep(report):
             target = generalized_line_graph(h, weights).graph
             if len(target.vertices) + 1 > ORACLE_VERTEX_CAP:
                 continue
-            d = single_extra_edge_realization(h, weights)
+            d = single_extra_edge_realization(h, weights).digraph
             verify_realization(d, target, 1)
             assert competition_number(target)[0] == 1
             built += 1

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+import glgcomp.realization
 from glgcomp import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                      Graph, HypothesisNotMet, NotConnected, SearchBudget,
                      check_conditions, classify, competition_number,
@@ -109,6 +112,27 @@ class TestClassify:
         cert = verdict.certificates[names[0]]
         assert cert.k <= 2
         verify_realization(cert.digraph, cert.base, cert.k)
+
+    def test_each_witness_is_verified_once(self, monkeypatch):
+        # Count verify_realization calls under every name a glgcomp module
+        # holds it by.
+        original = glgcomp.realization.verify_realization
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "glgcomp" and \
+                    getattr(module, "verify_realization", None) is original:
+                monkeypatch.setattr(module, "verify_realization", counting)
+        h = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        for weights in ({"a": 1, "c": 1}, {}):
+            del calls[:]
+            verdict = classify(h, weights)
+            assert verdict.k_value == EXACTLY_ONE
+            assert len(calls) == len(verdict.certificates) == 2
 
     def test_line_graph_of_an_edge_is_zero(self):
         verdict = classify(Graph(["u", "v"], [("u", "v")]))

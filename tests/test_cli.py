@@ -87,15 +87,25 @@ class TestRealize:
         assert doc["k"] == 2
         assert "shape=box" in open(dot).read()
 
-    def test_two_extra_certificate_fields(self, capsys, fixtures_dir):
-        src = os.path.join(fixtures_dir, "path4_w12.json")
-        code, out, _ = run(capsys, "realize", "two", src)
-        assert code == 0
-        doc = json.loads(out)
-        assert set(doc) == {"kind", "digraph", "base_graph", "k", "added",
-                            "ordering"}
-        assert sorted(doc["ordering"]) == doc["digraph"]["vertices"]
-        assert doc["ordering"][-2:] == doc["added"]
+    def test_two_extra_certificate_fields(self, capsys, tmp_path,
+                                          fixtures_dir):
+        # Every certificate the CLI writes, k = 1 and the oracle's included;
+        # a loop rather than parametrize keeps this test's id.
+        cases = [(("realize", "two"), "path4_w12.json", "-o", 2),
+                 (("realize", "one-units"), "edge_units.json", "-o", 1),
+                 (("realize", "one-pair"), "edge_units.json", "-o", 1),
+                 (("compnum",), "c4.json", "--witness", 2)]
+        out = str(tmp_path / "cert.json")
+        for command, fixture, flag, k in cases:
+            src = os.path.join(fixtures_dir, fixture)
+            code, _, _ = run(capsys, *command, src, flag, out)
+            assert code == 0
+            doc = json.loads(open(out).read())
+            assert set(doc) == {"kind", "digraph", "base_graph", "k",
+                                "added", "ordering"}
+            assert doc["k"] == k
+            assert sorted(doc["ordering"]) == doc["digraph"]["vertices"]
+            assert doc["ordering"][-k:] == doc["added"]
 
     def test_one_units_rejects_heavy_weights(self, capsys, star_instance):
         code, _, err = run(capsys, "realize", "one-units", star_instance)

@@ -7,7 +7,6 @@ from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      acyclic_ordering, cocktail_party, competition_graph,
                      cp_realization, generalized_line_graph, glg_realization,
                      graph_union_isolated, incident_edge_clique, line_graph,
-                     line_graph_realization, normalize_realization,
                      single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
 from corpus import connected_graphs, cycle_graph
@@ -70,36 +69,11 @@ class TestVerifyRealization:
         assert doc["base_graph"]["kind"] == "graph"
 
 
-class TestNormalizeRealization:
-    def test_strips_extra_out_arcs_and_orders_extras_last(self):
-        base = Graph(["a", "b", "c"], [("a", "b")])
-        d = Digraph(["a", "b", "c", "z"],
-                    [("a", "z"), ("b", "z"), ("z", "c")])
-        norm = normalize_realization(d, base, 1)
-        cert = verify_realization(norm, base, 1)
-        assert ("z", "c") not in norm.arcs
-        order = acyclic_ordering(norm, delay=frozenset(cert.added))
-        assert order[-1] == "z"
-        v1, v2 = order[0], order[1]
-        assert norm.in_neighbors(v1) == frozenset()
-        assert norm.in_neighbors(v2) == frozenset()
-        assert norm.arcs <= d.arcs
-
-    def test_needs_two_base_vertices_and_a_valid_input(self):
-        with pytest.raises(PreconditionViolated):
-            normalize_realization(Digraph(["a"], []), Graph(["a"], []), 0)
-        base = Graph(["a", "b"], [("a", "b")])
-        with pytest.raises(InvalidInput):
-            normalize_realization(Digraph(["a", "b"], []), base, 0)
-
-    def test_idempotent_shape_on_search_witnesses(self):
-        from glgcomp import realization_search
-        for g in connected_graphs(4, min_edges=1):
-            k = 1
-            d = realization_search(g, k) or realization_search(g, 2)
-            k = len(d.vertices) - len(g.vertices)
-            norm = normalize_realization(d, g, k)
-            verify_realization(norm, g, k)
+def line_graph_realization(h, e=None):
+    """glg_realization with all weights zero, which realizes the line graph
+    of h, as (digraph, z1, z2) with z1 pinned to the smaller endpoint."""
+    r = glg_realization(h, {}, e)
+    return r.digraph, r.pinned[r.edge[0]], r.pinned[r.edge[1]]
 
 
 class TestLineGraphRealization:
@@ -141,7 +115,7 @@ class TestLineGraphRealization:
 class TestCpRealization:
     def test_small_blocks_verify(self):
         for m in range(1, 6):
-            d = cp_realization(m)
+            d = cp_realization(m).digraph
             g, pairs = cocktail_party(m)
             extras = set(d.vertices) - set(g.vertices)
             verify_realization(d, g, len(extras))
@@ -155,14 +129,6 @@ class TestCpRealization:
 
 
 class TestGlgRealization:
-    def test_zero_weights_matches_line_graph_realization(self):
-        h = path(4)
-        r = glg_realization(h)
-        d, z1, z2 = line_graph_realization(h)
-        assert r.digraph == d
-        assert r.pinned == {"p0": z1, "p1": z2}
-        assert set(r.added) == {z1, z2}
-
     def test_pinned_vertices_keep_their_bundles(self):
         h = path(4)
         weights = {"p2": 2, "p3": 1}
@@ -219,13 +185,13 @@ class TestSingleExtraUnits:
     def test_all_unit_weights_verify(self):
         h = path(3)
         weights = {v: 1 for v in h.vertices}
-        d = single_extra_unit_realization(h, weights)
+        d = single_extra_unit_realization(h, weights).digraph
         target = generalized_line_graph(h, weights).graph
         verify_realization(d, target, 1)
 
     def test_partial_support_is_fine(self):
         h = star(3)
-        d = single_extra_unit_realization(h, {"v2": 1})
+        d = single_extra_unit_realization(h, {"v2": 1}).digraph
         target = generalized_line_graph(h, {"v2": 1}).graph
         verify_realization(d, target, 1)
 
@@ -246,13 +212,13 @@ class TestSingleExtraEdge:
     def test_unit_edge_with_heavier_weights_elsewhere(self):
         h = path(3)
         weights = {"p0": 1, "p1": 1, "p2": 2}
-        d = single_extra_edge_realization(h, weights)
+        d = single_extra_edge_realization(h, weights).digraph
         target = generalized_line_graph(h, weights).graph
         verify_realization(d, target, 1)
 
     def test_pure_unit_edge(self):
         h = Graph(["u", "v"], [("u", "v")])
-        d = single_extra_edge_realization(h, {"u": 1, "v": 1})
+        d = single_extra_edge_realization(h, {"u": 1, "v": 1}).digraph
         target = generalized_line_graph(h, {"u": 1, "v": 1}).graph
         verify_realization(d, target, 1)
 

@@ -48,13 +48,11 @@ class TestFindRealization:
                 found = find_realization(g, k)
                 if found is None:
                     continue
-                order, cliques, added_cover = find_realization(g, k)
+                body, tail = found
                 extras = fresh_labels(g.vertices, k)
-                whole = list(order) + extras
-                cliques = list(cliques) + list(added_cover)
-                arcs = [(u, whole[i]) for i in range(len(whole))
-                        for u in (cliques[i] if i < len(cliques) else ())]
-                d = Digraph(whole, arcs)
+                entries = list(body) + list(zip(extras, tail))
+                arcs = [(u, v) for v, clique in entries for u in clique]
+                d = Digraph([v for v, _ in entries], arcs)
                 verify_realization(d, g, k)
                 break
 
@@ -98,9 +96,9 @@ class TestFindRealization:
 
 class TestRealizationSearch:
     def test_witness_is_verified(self):
-        d = realization_search(path(3), 1)
-        assert d is not None
-        cert = verify_realization(d, path(3), 1)
+        found = realization_search(path(3), 1)
+        assert found is not None
+        cert = verify_realization(found.digraph, path(3), 1)
         assert cert.k == 1
 
     def test_refutation_returns_none(self):
@@ -126,7 +124,8 @@ class TestCompetitionNumber:
 
     def test_witness_always_verifies(self):
         for g in connected_graphs(5):
-            k, d = competition_number(g)
+            k, witness = competition_number(g)
+            d = witness.digraph
             cert = verify_realization(d, g, k)
             assert competition_graph(d) == graph_union_isolated(g, cert.added)
             assert opsut_lower_bound(g) <= k if g.vertices else True
