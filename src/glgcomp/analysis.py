@@ -2,17 +2,17 @@
 
 The classifier decides k for a weighted base instance using, in order:
 the exact line-graph dichotomy when all weights are zero, the single-extra
-constructions when their hypotheses hold, a pendant-vertex reduction that
+construction when no weight exceeds one, a budgeted one-extra search when
+some edge has weight one at both ends, a pendant-vertex reduction that
 certifies k = 2, the exact oracle, and finally an honest "undetermined"
 bounded by the two-extra witness.
 """
 
-from .errors import BudgetExceeded, ConstructionFailed, HypothesisNotMet, NotConnected
+from .errors import BudgetExceeded, HypothesisNotMet, NotConnected
 from .glg_builder import check_weights, generalized_line_graph
 from .graph_core import is_connected, isolated_vertices, simplicial_vertices
-from .oracle import competition_number
-from .realization import (glg_realization, single_extra_edge_realization,
-                          single_extra_unit_realization)
+from .oracle import competition_number, realization_search
+from .realization import glg_realization, single_extra_unit_realization
 from .search import DEFAULT_BUDGET
 
 EXACTLY_ZERO = "exactly-zero"
@@ -188,9 +188,11 @@ def classify(h, weights=None, budget=None):
              "extra is needed", "lower-bound"))
         return Verdict(EXACTLY_ONE, evidence, certificates)
     if report.unit_weight_edge is not None:
+        # Some weight exceeds one here, so the weighted-edge construction's
+        # direct chain never applies; search for one extra within budget.
         try:
-            cert = single_extra_edge_realization(h, weights)
-        except (BudgetExceeded, ConstructionFailed):
+            cert = realization_search(target, 1, budget)
+        except BudgetExceeded:
             cert = None
         if cert is not None:
             certificates["single_extra"] = cert

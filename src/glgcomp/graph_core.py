@@ -155,62 +155,33 @@ def competition_graph(digraph):
     return Graph(digraph.vertices, edges)
 
 
-def _find_cycle(digraph):
-    """Return some directed cycle of the digraph as a vertex tuple."""
-    color = {v: 0 for v in digraph.vertices}  # 0 new, 1 active, 2 done
-    stack = []
-
-    def visit(v):
-        color[v] = 1
-        stack.append(v)
-        for w in sorted(digraph.out_neighbors(v)):
-            if color[w] == 1:
-                i = stack.index(w)
-                return stack[i:] + [w]
-            if color[w] == 0:
-                found = visit(w)
-                if found:
-                    return found
-        stack.pop()
-        color[v] = 2
-        return None
-
-    try:
-        for v in digraph.vertices:
-            if color[v] == 0:
-                found = visit(v)
-                if found:
-                    return tuple(found)
-        return None
-    finally:
-        # visit reaches itself through its closure cell; emptying the cell
-        # frees it, and the state it holds, now rather than at the next
-        # cyclic garbage collection.
-        visit = None
-
-
-def acyclic_ordering(digraph, delay=frozenset()):
+def acyclic_ordering(digraph):
     """A topological ordering, lexicographically smallest among valid ones.
 
-    Vertices in `delay` are scheduled only once no other vertex is available,
-    which pushes them toward the end of the ordering.  Raises CyclicDigraph
-    (with a cycle witness) when no ordering exists.
+    Raises CyclicDigraph (with a cycle witness) when no ordering exists.
     """
-    delay = frozenset(delay)
     indeg = {v: len(digraph.in_neighbors(v)) for v in digraph.vertices}
-    ready = [(v in delay, v) for v in digraph.vertices if indeg[v] == 0]
+    ready = [v for v in digraph.vertices if indeg[v] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
-        _, v = heapq.heappop(ready)
+        v = heapq.heappop(ready)
         order.append(v)
         for w in sorted(digraph.out_neighbors(v)):
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, (w in delay, w))
+                heapq.heappush(ready, w)
     if len(order) != len(digraph.vertices):
-        cycle = _find_cycle(digraph)
-        raise CyclicDigraph("digraph is not acyclic", cycle or ())
+        # Every vertex left over keeps a left-over in-neighbor, so walking
+        # back through them must repeat a vertex; the walk between the two
+        # visits, reversed, is a cycle.
+        left = set(digraph.vertices) - set(order)
+        walk, v = {}, min(left)  # vertex -> its place on the walk
+        while v not in walk:
+            walk[v] = len(walk)
+            v = min(digraph.in_neighbors(v) & left)
+        cycle = list(walk)[walk[v]:] + [v]
+        raise CyclicDigraph("digraph is not acyclic", reversed(cycle))
     return tuple(order)
 
 
@@ -287,7 +258,10 @@ def maximal_cliques(graph):
     try:
         expand(set(), set(graph.vertices), set())
     finally:
-        expand = None  # break expand's reference to itself, as in _find_cycle
+        # expand reaches itself through its closure cell; emptying the cell
+        # frees it, and the state it holds, now rather than at the next
+        # cyclic garbage collection.
+        expand = None
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
@@ -341,7 +315,7 @@ def vertex_clique_cover_number(graph, guard=DEFAULT_SIZE_GUARD):
         try:
             return place(0)
         finally:
-            place = None  # break place's reference to itself, as in _find_cycle
+            place = None  # break the self-reference, as in maximal_cliques
 
     for k in range(1, upper):
         if colorable(k):

@@ -24,7 +24,21 @@ edge bundle) places its vertices as follows:
 
 Every placed clique is a clique of the combined graph, and together they
 cover its edges.
+
+The line-graph entries follow a star schedule.  The star S_w (the edge
+bundle of a base vertex w of degree two or more) needs a position after
+all of its edges; for the pinned edge e = uv, S_u and S_v are handed on.
+Other components' edges come first, then those of e's component, each by
+decreasing BFS distance of the nearer endpoint (from u and v, or from the
+ends of the component's largest edge), ties by edge, and e last.  Each
+position takes the oldest star whose last edge came before it.  On e's
+component no star is left waiting: a vertex off e has its last edge toward
+e, and that edge is no other such vertex's last.  Other components can
+leave stars waiting (a triangle releases two at once); then exact search
+with S_u and S_v fixed takes over.
 """
+
+import collections
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge,
@@ -32,7 +46,7 @@ from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
 from .graph_core import (Digraph, acyclic_ordering, competition_graph,
                          digraph_to_json, graph_to_json,
                          graph_union_isolated, is_acyclic_ordering,
-                         is_connected, normalize_edge, Graph)
+                         is_connected, normalize_edge)
 from .glg_builder import (check_weights, cocktail_label, cocktail_party,
                           edge_label, generalized_line_graph,
                           incident_edge_clique, line_graph)
@@ -118,69 +132,54 @@ def _certify(entries, tail, base, what):
 # Line-graph realization (two extras with pinned in-neighborhoods)
 # ---------------------------------------------------------------------------
 
-def _active_connected(h):
-    """Connectivity of the subgraph spanned by the non-isolated vertices."""
-    live = [v for v in h.vertices if h.neighbors(v)]
-    if len(live) == len(h.vertices):
-        return is_connected(h)
-    return is_connected(h.induced(live))
-
-
 def _line_body_by_search(h, e):
     """Exact-search fallback: realize line_graph(h) with the extra pair's
     in-neighborhoods fixed to the edge bundles at the endpoints of e."""
     lg, _ = line_graph(h)
-    u, v = e
-    bundles = [incident_edge_clique(h, u), incident_edge_clique(h, v)]
+    bundles = [incident_edge_clique(h, x) for x in e]
     got = find_realization(lg, 2, added_cliques=bundles)
     if got is None:
         raise ConstructionFailed(
             "no line-graph realization with the required extra pair exists "
             "for edge %r" % (e,))
-    body, tail = got
-    return list(body), {u: tail[0], v: tail[1]}
+    return list(got[0])
 
 
 def _line_body(h, e):
-    """Realize line_graph(h) as a body plus two pending extra cliques.
+    """Realize line_graph(h) as a body after which two extras can take the
+    edge bundles at the endpoints of e.
 
-    Returns (body, pending) where pending maps each endpoint of e to the
-    clique (that endpoint's incident edge bundle) destined for an extra
-    vertex placed after the body.
-
-    Recursive scheme: remove e, realize the rest anchored at an edge e'
-    sharing an endpoint s with e.  The recursion's pending clique for the
-    non-shared endpoint of e' becomes the in-neighborhood of the vertex for
-    e itself; the pending clique for s absorbs e and stays pending; the
-    other endpoint of e gets a fresh pending bundle.
+    The star schedule of the module docstring, in one pass; it falls back
+    to _line_body_by_search only when edges outside e's component leave a
+    star waiting.
     """
-    label_e = edge_label(*e)
-    if len(h.edges) == 1:
-        u, v = e
-        bundle = frozenset([label_e])
-        return [(label_e, frozenset())], {u: bundle, v: bundle}
-    if not _active_connected(h):
+    dist, part = {}, {}
+    for i, root in enumerate([e] + sorted(h.edges, reverse=True)):
+        if root[0] in dist:
+            continue
+        frontier = list(root)
+        for x in frontier:
+            dist[x], part[x] = 0, (root == e, i)
+        for x in frontier:  # grows while it is read: a BFS queue
+            for y in h.neighbors(x):
+                if y not in dist:
+                    dist[y], part[y] = dist[x] + 1, part[x]
+                    frontier.append(y)
+    order = sorted(h.edges - {e}, key=lambda f: (
+        part[f[0]], -min(dist[f[0]], dist[f[1]]), f))
+    order.append(e)
+    last = {x: i for i, f in enumerate(order) for x in f}
+    released = collections.deque()
+    body = []
+    for i, f in enumerate(order):
+        body.append((edge_label(*f),
+                     released.popleft() if released else frozenset()))
+        for w in f:
+            if last[w] == i and w not in e and h.degree(w) >= 2:
+                released.append(incident_edge_clique(h, w))
+    if released:
         return _line_body_by_search(h, e)
-    u, v = e
-    adjacent = sorted(f for f in h.edges if f != e and set(f) & {u, v})
-    eprime = adjacent[0]
-    s = (set(eprime) & {u, v}).pop()
-    o = v if s == u else u
-    w = eprime[0] if eprime[1] == s else eprime[1]
-    h2 = Graph(h.vertices, h.edges - {e})
-    try:
-        body, pending = _line_body(h2, eprime)
-    except ConstructionFailed:
-        # Removing e may strand e' on a bridge whose pinned pair can no
-        # longer feed the rest; the richer edge set at this level always
-        # admits a pinned realization, so search for one directly.
-        return _line_body_by_search(h, e)
-    body = body + [(label_e, pending[w])]
-    grown = pending[s] | {label_e}
-    if grown != incident_edge_clique(h, s):
-        raise ConstructionFailed(
-            "internal bundle mismatch at %r while realizing a line graph" % (s,))
-    return body, {s: grown, o: incident_edge_clique(h, o)}
+    return body
 
 
 def _pinned_edge(h, e):
@@ -269,10 +268,10 @@ def glg_realization(h, weights=None, e=None):
     combined = generalized_line_graph(h, weights)
     e = _pinned_edge(h, e)
     u, v = e
-    entries, pending = _line_body(h, e)
+    entries = _line_body(h, e)
     # The two entries right after the line body take the edge bundles.
     pin_at = len(entries)
-    lead = (pending[u], pending[v])
+    lead = (combined.incident_labels(u), combined.incident_labels(v))
     for bv in (x for x in h.vertices if weights[x] > 0):
         pairs = combined.cocktail_pairs[bv]
         block, lead = _block_entries([p[0] for p in pairs],
@@ -313,20 +312,16 @@ def single_extra_unit_realization(h, weights=None):
     u1 = support[0]
     e = min(normalize_edge(u1, w) for w in h.neighbors(u1))
     other = e[0] if e[1] == u1 else e[1]
-    body, pending = _line_body(h, e)
+    entries = _line_body(h, e)
     qx = [cocktail_label(s, 1, "x") for s in support]
     qy = [cocktail_label(s, 1, "y") for s in support]
     bundles = [combined.incident_labels(s) for s in support]
-    if pending[u1] != bundles[0]:
-        raise ConstructionFailed("internal bundle mismatch at the first "
-                                 "weighted vertex")
-    entries = list(body)
-    entries.append((qy[t - 1], pending[other]))
+    entries.append((qy[t - 1], combined.incident_labels(other)))
     entries.append((qx[t - 1], bundles[t - 1] | {qy[t - 1]}))
     for i in range(t - 1, 0, -1):
         entries.append((qy[i - 1], bundles[i] | {qx[i]}))
         entries.append((qx[i - 1], bundles[i - 1] | {qy[i - 1]}))
-    return _certify(entries, [pending[u1] | {qx[0]}], combined.graph,
+    return _certify(entries, [bundles[0] | {qx[0]}], combined.graph,
                     "single-extra realization (unit weights)")
 
 
@@ -355,15 +350,11 @@ def single_extra_edge_realization(h, weights=None):
     e = candidates[0]
     u, v = e
     if support == sorted((u, v)):
-        body, pending = _line_body(h, e)
         ku = combined.incident_labels(u)
         kv = combined.incident_labels(v)
-        if pending[u] != ku or pending[v] != kv:
-            raise ConstructionFailed("internal bundle mismatch at the "
-                                     "weighted edge")
         qxu, qyu = cocktail_label(u, 1, "x"), cocktail_label(u, 1, "y")
         qxv, qyv = cocktail_label(v, 1, "x"), cocktail_label(v, 1, "y")
-        entries = list(body) + [
+        entries = _line_body(h, e) + [
             (qxu, frozenset()),
             (qyu, ku | {qxu}),
             (qxv, ku | {qyu}),

@@ -63,6 +63,19 @@ def cycle_graph(n):
     return Graph(verts, edges)
 
 
+def grid(n):
+    """The n x n grid graph; vertex gII_JJ sits in row II, column JJ."""
+    def name(i, j):
+        return "g%02d_%02d" % (i, j)
+
+    verts = [name(i, j) for i in range(n) for j in range(n)]
+    edges = [(name(i, j), name(i + 1, j))
+             for i in range(n - 1) for j in range(n)]
+    edges += [(name(i, j), name(i, j + 1))
+              for i in range(n) for j in range(n - 1)]
+    return Graph(verts, edges)
+
+
 def complete_bipartite(a, b):
     left = ["a%d" % i for i in range(a)]
     right = ["b%d" % i for i in range(b)]

@@ -185,6 +185,15 @@ class TestClassify:
         cert = verdict.certificates["two_extra"]
         verify_realization(cert.digraph, cert.base, 2)
 
+    def test_unit_weight_edge_search_keeps_the_budget(self):
+        # Weight two on d leaves the unit edge a-b to a one-extra search on
+        # 13 vertices, which a 10-node budget cannot finish.
+        h = Graph(list("abcde"), zip("abcd", "bcde"))
+        verdict = classify(h, {"a": 1, "b": 1, "d": 2},
+                           SearchBudget(max_nodes=10))
+        assert verdict.k_value == UNDETERMINED
+        assert "single_extra" not in verdict.certificates
+
     def test_bigger_budget_resolves_it(self):
         roomy = SearchBudget(max_total_vertices=14, max_nodes=5_000_000)
         verdict = classify(star(4), {"v2": 4}, budget=roomy)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from glgcomp.cli import main
+from corpus import grid
 
 
 def run(capsys, *argv):
@@ -107,6 +108,16 @@ class TestRealize:
             assert sorted(doc["ordering"]) == doc["digraph"]["vertices"]
             assert doc["ordering"][-k:] == doc["added"]
 
+    def test_two_extra_on_a_large_grid(self, capsys, tmp_path):
+        h = grid(24)
+        src = write(tmp_path, "grid.json",
+                    {"kind": "vertex_weighted_graph",
+                     "vertices": list(h.vertices),
+                     "edges": [list(e) for e in sorted(h.edges)]})
+        code, out, _ = run(capsys, "realize", "two", src)
+        assert code == 0
+        assert json.loads(out)["k"] == 2
+
     def test_one_units_rejects_heavy_weights(self, capsys, star_instance):
         code, _, err = run(capsys, "realize", "one-units", star_instance)
         assert code == 3 and "hypothesis" in err
@@ -173,6 +184,19 @@ class TestVerify:
         run(capsys, "build", "glg", star_instance, "-o", target)
         code, _, _ = run(capsys, "verify", star_digraph, target, "--k", "2")
         assert code == 1
+
+    def test_long_directed_cycle_is_invalid(self, capsys, tmp_path):
+        # Deeper than the recursion limit; its competition graph is edgeless.
+        verts = ["c%04d" % i for i in range(1500)]
+        arcs = [[a, b] for a, b in zip(verts, verts[1:] + verts[:1])]
+        digraph = write(tmp_path, "cycle.json", {"kind": "digraph",
+                                                 "vertices": verts,
+                                                 "arcs": arcs})
+        target = write(tmp_path, "empty.json", {"kind": "graph",
+                                                "vertices": verts,
+                                                "edges": []})
+        code, _, err = run(capsys, "verify", digraph, target, "--k", "0")
+        assert code == 1 and "INVALID:" in err
 
 
 class TestClassify:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import glgcomp.realization
 from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      InvalidInput, NotAnEdge, PreconditionViolated,
                      acyclic_ordering, cocktail_party, competition_graph,
@@ -9,7 +10,7 @@ from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      graph_union_isolated, incident_edge_clique, line_graph,
                      single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
-from corpus import connected_graphs, cycle_graph
+from corpus import connected_graphs, cycle_graph, grid
 
 
 def path(n):
@@ -88,7 +89,13 @@ class TestLineGraphRealization:
         assert d.in_neighbors(z1) == incident_edge_clique(h, "p0")
         assert d.in_neighbors(z2) == incident_edge_clique(h, "p1")
 
-    def test_every_edge_of_every_small_graph(self):
+    def test_every_edge_of_every_small_graph(self, monkeypatch):
+        # On a connected base the star schedule never needs the search.
+        def no_search(*args, **kwargs):
+            raise AssertionError("a connected base reached exact search")
+
+        monkeypatch.setattr(glgcomp.realization, "find_realization",
+                            no_search)
         for h in connected_graphs(5, min_edges=1, max_edges=6):
             lg, _ = line_graph(h)
             for e in sorted(h.edges):
@@ -97,6 +104,15 @@ class TestLineGraphRealization:
                 assert set(cert.added) == {z1, z2}
                 assert d.in_neighbors(z1) == incident_edge_clique(h, e[0])
                 assert d.in_neighbors(z2) == incident_edge_clique(h, e[1])
+
+    def test_large_grid_pins_both_bundles(self):
+        # 1,104 base edges: far deeper than any recursion over edges could go.
+        h = grid(24)
+        e = ("g00_00", "g00_01")
+        r = glg_realization(h, {}, e)
+        for endpoint in e:
+            assert r.digraph.in_neighbors(r.pinned[endpoint]) == \
+                incident_edge_clique(h, endpoint)
 
     def test_rejects_non_edges_and_empty_graphs(self):
         with pytest.raises(NotAnEdge):
