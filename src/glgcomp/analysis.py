@@ -4,14 +4,17 @@ The classifier decides k for a weighted base instance using, in order:
 the exact line-graph dichotomy when all weights are zero, the single-extra
 construction when no weight exceeds one, a budgeted one-extra search when
 some edge has weight one at both ends, a pendant-vertex reduction that
-certifies k = 2, the exact oracle, and finally an honest "undetermined"
-bounded by the two-extra witness.
+certifies k = 2, and the exact oracle.  The two-extra witness bounds k by
+two and a connected graph with an edge needs one extra, so the oracle is a
+single one-extra search: a witness gives k = 1, a refutation k = 2.  Only
+an exhausted node budget, or a graph too large for the search's vertex
+cap, ends in an honest "undetermined".
 """
 
 from .errors import BudgetExceeded, HypothesisNotMet, NotConnected
 from .glg_builder import check_weights, generalized_line_graph
 from .graph_core import is_connected, isolated_vertices, simplicial_vertices
-from .oracle import competition_number, realization_search
+from .oracle import realization_search
 from .realization import glg_realization, single_extra_unit_realization
 from .search import DEFAULT_BUDGET
 
@@ -154,19 +157,30 @@ def classify(h, weights=None, budget=None):
     positive = any(weights[v] for v in h.vertices)
 
     def oracle_verdict():
-        try:
-            k, cert = competition_number(target, budget)
-        except BudgetExceeded as exc:
-            evidence.append(
-                ("exact search exhausted its budget (lower bound %s)"
-                 % exc.lower_bound, "oracle"))
+        # The two-extra witness caps k at two, and a target with an edge has
+        # no isolated vertex (it is connected), so k >= 1: one search at the
+        # least value settles it.  Only L(K2) = K1 has no edge, and k = 0.
+        k = 1 if target.edges else 0
+        if k > budget.max_k or \
+                len(target.vertices) + k > budget.max_total_vertices:
+            evidence.append(("%d vertices and %d extra exceed the search "
+                             "budget" % (len(target.vertices), k), "oracle"))
             return Verdict(UNDETERMINED, evidence, certificates)
+        try:
+            cert = realization_search(target, k, budget)
+        except BudgetExceeded:
+            evidence.append(("exact search exhausted its budget (lower bound "
+                             "%d)" % k, "oracle"))
+            return Verdict(UNDETERMINED, evidence, certificates)
+        if cert is None:
+            evidence.append(("exhaustive search refuted one extra, so the "
+                             "value is two", "oracle"))
+            return Verdict(EXACTLY_TWO, evidence, certificates)
         certificates["oracle_witness"] = cert
         evidence.append(("exhaustive search settled the value at %d" % k,
                          "oracle"))
-        return Verdict({0: EXACTLY_ZERO, 1: EXACTLY_ONE,
-                        2: EXACTLY_TWO}.get(k, "exactly-%d" % k),
-                       evidence, certificates)
+        return Verdict(EXACTLY_ONE if k else EXACTLY_ZERO, evidence,
+                       certificates)
 
     if not positive:
         # Pure line graph: value is two exactly when no simplicial vertex

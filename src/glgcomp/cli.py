@@ -19,7 +19,7 @@ from .graph_core import (digraph_from_json, digraph_to_dot, graph_from_json,
 from .oracle import competition_number
 from .realization import (glg_realization, single_extra_edge_realization,
                           single_extra_unit_realization, verify_realization)
-from .search import SearchBudget
+from .search import DEFAULT_BUDGET, SearchBudget
 
 
 def _load(path):
@@ -79,10 +79,11 @@ def _budget(args):
 
 
 def _add_budget_args(sub):
-    sub.add_argument("--max-k", type=int, default=4)
-    sub.add_argument("--max-vertices", type=int, default=11,
+    sub.add_argument("--max-k", type=int, default=DEFAULT_BUDGET.max_k)
+    sub.add_argument("--max-vertices", type=int,
+                     default=DEFAULT_BUDGET.max_total_vertices,
                      help="cap on base vertices plus extras in exact search")
-    sub.add_argument("--max-nodes", type=int, default=2_000_000)
+    sub.add_argument("--max-nodes", type=int, default=DEFAULT_BUDGET.max_nodes)
 
 
 def _added_node_attrs(added):

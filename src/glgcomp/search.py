@@ -9,15 +9,39 @@ competition graph is G plus k isolated vertices.  The search returns it in
 the shape every construction uses: a body of (vertex, clique) entries for
 the vertices of G in placement order, and a tail of the k extras' cliques.
 
-The search works on bitmasks and memoizes dominance: for a fixed set of
-placed vertices, only Pareto-maximal covered-edge sets are explored.  Each
-call also keeps two caches of its own: the independent-edge lower bound per
-uncovered-edge mask, and the candidate cliques per placed-vertex mask, each
-stored with the edges it covers.  The path holds clique masks; they are
-decoded to vertex sets once, when a witness is returned.  The caches change
-only the cost of a node: the nodes expanded, their order and the witness
-returned are those of the uncached search.  The memo and the caches belong
-to one call and are released when it returns, raises or runs out of budget.
+The search builds the ordering from the back (Opsut 1982).  An edge at
+v_j can lie only in the cliques of positions after v_j, so the last
+G-vertex needs its edges covered by the extras, and in general a vertex
+can be placed just before the vertices already placed only once all its
+edges are covered.  The search first fixes the extras' cliques: each
+combination of min(k, m) of the m maximal cliques with an edge, or the
+given `added_cliques`.  Then it repeatedly takes one ready vertex (every
+incident edge covered), the lowest in `graph.vertices`, places it before
+the vertices taken so far and branches on its clique.  The body is the
+taken sequence reversed.
+
+The search is complete.  Write R for the vertices not yet taken and
+E for the ready ones.
+* A ready vertex v can be taken next.  Given any completion that takes v
+  later, take v first with the clique it had there, and drop v from the
+  cliques of the vertices it overtakes, which now sit before it; v's edges
+  are covered already, so every vertex stays ready when it is taken and
+  the covered set after v is the same.
+* v's clique may be a maximal trace M & (R - E), M a maximal clique of G.
+  Members of E add only covered edges, and a larger clique inside R - {v}
+  covers a superset, which can only help the rest.
+* Dominance: for a fixed taken set, the future depends only on the
+  covered set, and covering more never hurts.  A memo keeps the
+  Pareto-maximal covered sets of the states explored from each taken set,
+  shared across the extras' combinations, and skips any state covered by
+  one of them.
+A node is one state (taken set, covered set) entered by the search,
+including the states it then finds stuck (no ready vertex) or dominated;
+`max_nodes` caps their count, and a witness on n vertices takes at least
+n + 1 of them.  Each call caches the candidate cliques per free-vertex
+mask, each stored with the edges it covers.  The memo and the caches
+belong to one call and are released when it returns, raises or runs out
+of budget.
 """
 
 import itertools
@@ -31,7 +55,7 @@ class SearchBudget:
 
     __slots__ = ("max_total_vertices", "max_k", "max_nodes")
 
-    def __init__(self, max_total_vertices=11, max_k=4, max_nodes=2_000_000):
+    def __init__(self, max_total_vertices=13, max_k=4, max_nodes=2_000_000):
         self.max_total_vertices = max_total_vertices
         self.max_k = max_k
         self.max_nodes = max_nodes
@@ -74,15 +98,16 @@ def find_realization(graph, k, added_cliques=None, budget=None):
     vbit = dict(zip(vs, bits))
     edges = sorted(graph.edges)
     ebit = {e: 1 << i for i, e in enumerate(edges)}
-    target = (1 << len(edges)) - 1
+    incident = [0] * n
+    for (a, b), eb in ebit.items():
+        incident[vbit[a].bit_length() - 1] |= eb
+        incident[vbit[b].bit_length() - 1] |= eb
 
-    fixed_cover = None
     if added_cliques is not None:
-        fixed_cover = [frozenset(c) for c in added_cliques]
-        for c in fixed_cover:
+        for c in added_cliques:
             if not is_clique(graph, c):
                 raise NotAClique("fixed extra clique %r is not a clique" % (sorted(c),))
-        k = len(fixed_cover)
+        k = len(added_cliques)
 
     def vertex_mask(vertices):
         m = 0
@@ -93,150 +118,106 @@ def find_realization(graph, k, added_cliques=None, budget=None):
     def members(vmask):
         return frozenset(v for v, b in zip(vs, bits) if b & vmask)
 
-    def pairs_mask(vmask):
+    def cover_of(vmask):
         mask = 0
-        members = [v for v in vs if vbit[v] & vmask]
-        for a, b in itertools.combinations(members, 2):
+        inside = [v for v in vs if vbit[v] & vmask]
+        for a, b in itertools.combinations(inside, 2):
             mask |= ebit[(a, b)]
         return mask
 
-    pairs_cache = {}
-
-    def cover_of(vmask):
-        got = pairs_cache.get(vmask)
-        if got is None:
-            got = pairs_cache[vmask] = pairs_mask(vmask)
-        return got
-
     clique_masks = [vertex_mask(c) for c in maximal_cliques(graph)]
-    clique_covers = [(cm, cover_of(cm)) for cm in clique_masks]
-
-    # Pairwise "can share a clique" relation between edges, for lower bounds.
-    compatible = [0] * len(edges)
-    for i, e in enumerate(edges):
-        for j in range(i + 1, len(edges)):
-            f = edges[j]
-            quad = set(e) | set(f)
-            if is_clique(graph, quad):
-                compatible[i] |= 1 << j
-                compatible[j] |= 1 << i
-
-    lb_cache = {}
-
-    def independent_edges_lb(uncovered):
-        """Greedy count of uncovered edges no two of which fit in one clique."""
-        count = lb_cache.get(uncovered)
-        if count is None:
-            count = 0
-            m = uncovered
-            while m:
-                low = m & -m
-                count += 1
-                m &= ~(low | compatible[low.bit_length() - 1])
-            lb_cache[uncovered] = count
-        return count
 
     cand_cache = {}
 
-    def clique_candidates(placed):
-        """Maximal traces of the cliques on the placed vertices, each with
-        the edges it covers."""
-        got = cand_cache.get(placed)
+    def clique_candidates(free):
+        """Maximal traces of the cliques on the free vertices that hold an
+        edge, each with the edges it covers; the empty clique if none."""
+        got = cand_cache.get(free)
         if got is None:
-            inters = set()
-            for cm in clique_masks:
-                inters.add(cm & placed)
-            inters.discard(0)
-            maximal = [m for m in inters
-                       if not any(m != o and m & ~o == 0 for o in inters)]
-            got = cand_cache[placed] = [(m, cover_of(m))
-                                        for m in maximal or [0]]
+            inters = {cm & free for cm in clique_masks}
+            maximal = [m for m in inters if m & (m - 1) and
+                       not any(m != o and m & ~o == 0 for o in inters)]
+            got = cand_cache[free] = [(m, cover_of(m)) for m in maximal] \
+                or [(0, 0)]
         return got
 
-    start_covered = 0
-    if fixed_cover is not None:
-        for c in fixed_cover:
-            start_covered |= cover_of(vertex_mask(c))
+    if added_cliques is not None:
+        fixed = tuple(frozenset(c) for c in added_cliques)
+        tails = [(fixed, _union(cover_of(vertex_mask(c)) for c in fixed))]
+    else:
+        # Extras sit after every G-vertex, so each takes a whole maximal
+        # clique, and two of them never share one.  Combinations covering
+        # more come first, so the memo skips those they dominate.
+        useful = [(cm, cover_of(cm)) for cm in clique_masks if cm & (cm - 1)]
+        tails = [(combo, _union(cover for _, cover in combo))
+                 for combo in itertools.combinations(useful,
+                                                     min(k, len(useful)))]
+        tails.sort(key=lambda t: -t[1].bit_count())
 
     full = (1 << n) - 1
-    slots = k if fixed_cover is None else 0
     memo = {}
     nodes = 0
     path = []
 
-    def final_cover(uncovered, slots):
-        """Cover the remaining edges with at most `slots` maximal cliques."""
-        nonlocal nodes
-        if not uncovered:
-            return []
-        if slots <= 0 or independent_edges_lb(uncovered) > slots:
-            return None
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceeded(
-                "realization search exceeded %d nodes" % max_nodes)
-        low = uncovered & -uncovered
-        for cm, cover in clique_covers:
-            if cover & low:
-                rest = final_cover(uncovered & ~cover, slots - 1)
-                if rest is not None:
-                    return [cm] + rest
-        return None
-
-    def dfs(placed, covered):
-        """Extend `path`; on success leave the witness on it and return the
-        extras' clique masks (or fixed cliques)."""
+    def dfs(taken, covered):
+        """Extend `path` backwards from the taken vertices; on success leave
+        the witness on it and return True."""
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(
                 "realization search exceeded %d nodes" % max_nodes)
-        uncovered = target & ~covered
-        if placed == full:
-            if fixed_cover is not None:
-                return list(fixed_cover) if covered == target else None
-            if independent_edges_lb(uncovered) > k:
-                return None
-            tail = final_cover(uncovered, k)
-            if tail is None:
-                return None
-            return tail + [0] * (k - len(tail))
-        if independent_edges_lb(uncovered) > n - len(path) + slots:
-            return None
-        # Dominance: skip when an earlier visit of this placed set covered
+        if taken == full:
+            return True
+        free = full & ~taken
+        ready = 0
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if incident[low.bit_length() - 1] & ~covered == 0:
+                ready |= low
+        if not ready:
+            return False
+        # Dominance: skip when an earlier visit of this taken set covered
         # a superset; otherwise keep only the Pareto-maximal covered sets.
-        kept = memo.get(placed)
+        kept = memo.get(taken)
         if kept is None:
-            memo[placed] = [covered]
+            memo[taken] = [covered]
         else:
             for c in kept:
                 if covered & ~c == 0:
-                    return None
+                    return False
             kept[:] = [c for c in kept if c & ~covered]
             kept.append(covered)
-        cands = clique_candidates(placed)
-        for i, bit in enumerate(bits):
-            if bit & placed:
-                continue
-            nxt = placed | bit
-            for cm, cover in cands:
-                path.append((i, cm))
-                got = dfs(nxt, covered | cover)
-                if got is not None:
-                    return got
-                path.pop()
-        return None
+        low = ready & -ready
+        i = low.bit_length() - 1
+        taken |= low
+        for cm, cover in clique_candidates(free & ~ready):
+            path.append((i, cm))
+            if dfs(taken, covered | cover):
+                return True
+            path.pop()
+        return False
 
     try:
-        tail = dfs(0, start_covered)
-    finally:
-        # dfs and final_cover reach themselves through their closure cells;
-        # emptying the cells breaks that cycle, so the memo and the caches
-        # are freed now rather than at the next cyclic garbage collection.
-        dfs = final_cover = None
-    if tail is None:
+        for tail, covered in tails:
+            if dfs(0, covered):
+                body = tuple((vs[i], members(cm)) for i, cm in reversed(path))
+                if added_cliques is None:
+                    tail = [members(cm) for cm, _ in tail]
+                    tail += [frozenset()] * (k - len(tail))
+                return body, tuple(tail)
         return None
-    if fixed_cover is None:
-        tail = [members(cm) for cm in tail]
-    body = tuple((vs[i], members(cm)) for i, cm in path)
-    return body, tuple(tail)
+    finally:
+        # dfs reaches itself through its closure cell; emptying the cell
+        # breaks that cycle, so the memo and the caches are freed now rather
+        # than at the next cyclic garbage collection.
+        dfs = None
+
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out

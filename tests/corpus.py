@@ -87,3 +87,37 @@ def weight_maps(vertices, max_weight=2, max_total=4):
     for combo in itertools.product(range(max_weight + 1), repeat=len(vertices)):
         if sum(combo) <= max_total:
             yield {v: w for v, w in zip(vertices, combo) if w}
+
+
+def random_triangle_free(rng, n, extra):
+    """A connected triangle-free graph on t0..t(n-1): a random tree plus up
+    to `extra` further edges whose ends share no neighbour."""
+    verts = ["t%d" % i for i in range(n)]
+    adj = {v: set() for v in verts}
+    for i in range(1, n):
+        a, b = verts[rng.randrange(i)], verts[i]
+        adj[a].add(b)
+        adj[b].add(a)
+    pairs = list(itertools.combinations(verts, 2))
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        if extra and b not in adj[a] and not adj[a] & adj[b]:
+            adj[a].add(b)
+            adj[b].add(a)
+            extra -= 1
+    return Graph(verts, [(a, b) for a in verts for b in adj[a] if a < b])
+
+
+def random_chordal(rng, n):
+    """A connected chordal graph on c0..c(n-1): each new vertex joins a
+    nonempty part of a clique built so far (a perfect elimination order,
+    read backwards)."""
+    verts = ["c%d" % i for i in range(n)]
+    cliques = [{verts[0]}]
+    edges = []
+    for v in verts[1:]:
+        pool = sorted(rng.choice(cliques))
+        joined = rng.sample(pool, rng.randint(1, len(pool)))
+        edges += [(u, v) for u in joined]
+        cliques.append(set(joined) | {v})
+    return Graph(verts, edges)

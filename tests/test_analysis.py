@@ -178,7 +178,8 @@ class TestClassify:
         assert "oracle_witness" in verdict.certificates
 
     def test_honest_undetermined_when_over_budget(self):
-        verdict = classify(star(4), {"v2": 4})
+        # 14 combined vertices: above the default cap of 13 with no extra.
+        verdict = classify(star(4), {"v2": 5})
         assert verdict.k_value == UNDETERMINED
         assert any(src == "oracle" for _, src in verdict.evidence)
         # the two-extra witness still bounds the value from above

@@ -1,6 +1,8 @@
 import gc
+import random
 import tracemalloc
 
+import networkx as nx
 import pytest
 
 from glgcomp import (BudgetExceeded, Digraph, Graph, NotAClique, SearchBudget,
@@ -8,7 +10,8 @@ from glgcomp import (BudgetExceeded, Digraph, Graph, NotAClique, SearchBudget,
                      find_realization, fresh_labels, generalized_line_graph,
                      graph_union_isolated, opsut_lower_bound,
                      realization_search, verify_realization)
-from corpus import complete_bipartite, connected_graphs, cycle_graph
+from corpus import (complete_bipartite, connected_graphs, cycle_graph,
+                    random_chordal, random_triangle_free)
 
 
 def path(n):
@@ -72,12 +75,13 @@ class TestFindRealization:
             find_realization(cycle_graph(6), 2, budget=tight)
 
     def test_memory_is_released_on_return(self):
-        # A k = 1 refutation from the ACCEPTANCE 08 sweep: about 114,000
-        # nodes, with 3,741 covered sets in the dominance memo.  With the
-        # cyclic collector off, whatever the search still holds after it
-        # returns or runs out of budget shows in the traced memory.
+        # A k = 1 refutation from the ACCEPTANCE 08 sweep: 54 nodes, with
+        # 42 covered sets in the dominance memo, so a 20-node budget runs
+        # out.  With the cyclic collector off, whatever the search still
+        # holds after it returns or runs out of budget shows in the traced
+        # memory.
         target = generalized_line_graph(cycle_graph(4), {"c1": 1, "c3": 2}).graph
-        for budget in (None, SearchBudget(max_nodes=50_000)):
+        for budget in (None, SearchBudget(max_nodes=20)):
             gc.disable()
             tracemalloc.start()
             try:
@@ -92,6 +96,33 @@ class TestFindRealization:
                 gc.enable()
             assert outcome is (None if budget is None else BudgetExceeded)
             assert after - before < 64 * 1024
+
+
+class TestClosedForms:
+    # Closed forms on 9-14 vertices, beyond the naive oracle's reach: a
+    # connected triangle-free graph has k = |E| - |V| + 2, and a connected
+    # chordal graph with an edge has k = 1 (Roberts 1978).  The search must
+    # find a witness at k, which realization_search verifies, and refute
+    # k - 1.
+    def check(self, g, k):
+        assert realization_search(g, k).k == k, (g, k)
+        assert realization_search(g, k - 1) is None, (g, k - 1)
+
+    def test_triangle_free(self):
+        rng = random.Random(601)
+        for _ in range(60):
+            g = random_triangle_free(rng, rng.randint(9, 14), rng.randint(0, 2))
+            nxg = nx.Graph(list(g.edges))
+            assert nx.is_connected(nxg) and not any(nx.triangles(nxg).values())
+            self.check(g, len(g.edges) - len(g.vertices) + 2)
+
+    def test_chordal(self):
+        rng = random.Random(602)
+        for _ in range(60):
+            g = random_chordal(rng, rng.randint(9, 14))
+            nxg = nx.Graph(list(g.edges))
+            assert nx.is_connected(nxg) and nx.is_chordal(nxg)
+            self.check(g, 1)
 
 
 class TestRealizationSearch:
