@@ -99,15 +99,14 @@ def check_weights(h, weights):
 
 
 class CombinedGraph:
-    """A built line graph with cocktail-party blocks, plus its label maps."""
+    """A built line graph with cocktail-party blocks, its base graph and
+    each base vertex's cocktail-party pairs."""
 
-    __slots__ = ("graph", "base", "weights", "edge_labels", "cocktail_pairs")
+    __slots__ = ("graph", "base", "cocktail_pairs")
 
-    def __init__(self, graph, base, weights, edge_labels, cocktail_pairs):
+    def __init__(self, graph, base, cocktail_pairs):
         self.graph = graph
         self.base = base
-        self.weights = weights
-        self.edge_labels = edge_labels       # base edge -> line-graph label
         self.cocktail_pairs = cocktail_pairs  # base vertex -> list of (x, y)
 
     def incident_labels(self, v):
@@ -117,7 +116,7 @@ class CombinedGraph:
 def generalized_line_graph(h, weights):
     """Build the combined graph for base graph h and the given vertex weights."""
     weights = check_weights(h, weights)
-    graph, labels = line_graph(h)
+    graph, _ = line_graph(h)
     cocktail_pairs = {}
     for v in h.vertices:
         m = weights[v]
@@ -128,7 +127,7 @@ def generalized_line_graph(h, weights):
         cocktail_pairs[v] = pairs
         anchors = sorted(incident_edge_clique(h, v))
         graph = semi_join(graph, anchors, block)
-    return CombinedGraph(graph, h, weights, dict(labels), cocktail_pairs)
+    return CombinedGraph(graph, h, cocktail_pairs)
 
 
 def weighted_graph_to_json(h, weights):

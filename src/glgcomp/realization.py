@@ -25,17 +25,26 @@ edge bundle) places its vertices as follows:
 Every placed clique is a clique of the combined graph, and together they
 cover its edges.
 
-The line-graph entries follow a star schedule.  The star S_w (the edge
-bundle of a base vertex w of degree two or more) needs a position after
-all of its edges; for the pinned edge e = uv, S_u and S_v are handed on.
-Other components' edges come first, then those of e's component, each by
-decreasing BFS distance of the nearer endpoint (from u and v, or from the
-ends of the component's largest edge), ties by edge, and e last.  Each
-position takes the oldest star whose last edge came before it.  On e's
-component no star is left waiting: a vertex off e has its last edge toward
-e, and that edge is no other such vertex's last.  Other components can
-leave stars waiting (a triangle releases two at once); then exact search
-with S_u and S_v fixed takes over.
+The line-graph entries chain one star schedule per component of the base.
+The star S_w, the edge bundle of a base vertex w of degree two or more,
+needs a position after all of its edges.  A schedule rooted at an edge
+f = xy lists its component's edges by decreasing BFS distance of the
+nearer endpoint from x and y, ties by edge, f last, and releases each star
+but S_x and S_y at the position of its last edge.  A vertex off f has its
+last edge toward f, and that edge is no other such vertex's last, so a
+position releases at most one star, and the first and f's release none.
+
+The pinned edge e = uv roots its component; S_u and S_v are handed on to
+the next stage.  Another component is rooted at its smallest edge f = xy
+whose line-graph vertex is simplicial (x or y pendant, or both of degree
+two with a common neighbour) and hands on the clique S_x+S_y unless that
+is {f}; with no such edge it is rooted at its largest and hands on S_x and
+S_y.  Components go by the number of cliques they hand on, most first,
+e's last, and each position takes the oldest clique waiting.  So at most
+two wait when a component begins, and one with two or more edges takes
+them at its first two positions and ends with only its own handed cliques
+waiting.  Cliques are left over only when e is a lone edge and two wait
+for its one position; then the construction refuses.
 """
 
 import collections
@@ -49,7 +58,7 @@ from .graph_core import (Digraph, acyclic_ordering, competition_graph,
                          is_connected, normalize_edge)
 from .glg_builder import (check_weights, cocktail_label, cocktail_party,
                           edge_label, generalized_line_graph,
-                          incident_edge_clique, line_graph)
+                          incident_edge_clique)
 from .search import find_realization, fresh_labels
 
 
@@ -132,62 +141,85 @@ def _certify(entries, tail, base, what):
 # Line-graph realization (two extras with pinned in-neighborhoods)
 # ---------------------------------------------------------------------------
 
-def _line_body_by_search(h, e):
-    """Exact-search fallback: realize line_graph(h) with the extra pair's
-    in-neighborhoods fixed to the edge bundles at the endpoints of e."""
-    lg, _ = line_graph(h)
-    bundles = [incident_edge_clique(h, x) for x in e]
-    got = find_realization(lg, 2, added_cliques=bundles)
-    if got is None:
-        raise ConstructionFailed(
-            "no line-graph realization with the required extra pair exists "
-            "for edge %r" % (e,))
-    return list(got[0])
+def _schedule(h, root):
+    """The star schedule rooted at an edge: (edges, released), its
+    component's edges in order and the stars each position releases."""
+    dist = dict.fromkeys(root, 0)
+    frontier = list(root)
+    for x in frontier:  # grows while it is read: a BFS queue
+        for y in h.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                frontier.append(y)
+    edges = {(x, y) for x in dist for y in h.neighbors(x) if x < y} - {root}
+    edges = sorted(edges, key=lambda f: (-min(dist[f[0]], dist[f[1]]), f))
+    edges.append(root)
+    last = {x: i for i, f in enumerate(edges) for x in f}
+    released = [[incident_edge_clique(h, w) for w in f
+                 if last[w] == i and w not in root and h.degree(w) >= 2]
+                for i, f in enumerate(edges)]
+    return edges, released
+
+
+def _simplicial_edge(h, edges):
+    """The smallest of edges whose line-graph vertex is simplicial: an end
+    is pendant, or both ends have degree two and a common neighbour."""
+    for x, y in sorted(edges):
+        dx, dy = h.degree(x), h.degree(y)
+        if min(dx, dy) == 1 or (dx == dy == 2 and
+                                h.neighbors(x) & h.neighbors(y)):
+            return x, y
+    return None
 
 
 def _line_body(h, e):
     """Realize line_graph(h) as a body after which two extras can take the
     edge bundles at the endpoints of e.
 
-    The star schedule of the module docstring, in one pass; it falls back
-    to _line_body_by_search only when edges outside e's component leave a
-    star waiting.
+    The chain of star schedules of the module docstring, in one pass.
     """
-    dist, part = {}, {}
-    for i, root in enumerate([e] + sorted(h.edges, reverse=True)):
-        if root[0] in dist:
+    own, own_released = _schedule(h, e)
+    seen = {x for f in own for x in f}
+    chain = []
+    for f in sorted(h.edges, reverse=True):
+        if f[0] in seen:
             continue
-        frontier = list(root)
-        for x in frontier:
-            dist[x], part[x] = 0, (root == e, i)
-        for x in frontier:  # grows while it is read: a BFS queue
-            for y in h.neighbors(x):
-                if y not in dist:
-                    dist[y], part[y] = dist[x] + 1, part[x]
-                    frontier.append(y)
-    order = sorted(h.edges - {e}, key=lambda f: (
-        part[f[0]], -min(dist[f[0]], dist[f[1]]), f))
-    order.append(e)
-    last = {x: i for i, f in enumerate(order) for x in f}
-    released = collections.deque()
+        edges, released = _schedule(h, f)
+        seen.update(x for g in edges for x in g)
+        root = _simplicial_edge(h, edges)
+        if root is None:
+            handed = [incident_edge_clique(h, x) for x in f]
+        else:
+            edges, released = _schedule(h, root)
+            clique = incident_edge_clique(h, root[0]) | \
+                incident_edge_clique(h, root[1])
+            handed = [clique] if len(clique) > 1 else []
+        chain.append((edges, released, handed))
+    chain.sort(key=lambda part: -len(part[2]))
+    chain.append((own, own_released, []))
+    waiting = collections.deque()
     body = []
-    for i, f in enumerate(order):
-        body.append((edge_label(*f),
-                     released.popleft() if released else frozenset()))
-        for w in f:
-            if last[w] == i and w not in e and h.degree(w) >= 2:
-                released.append(incident_edge_clique(h, w))
-    if released:
-        return _line_body_by_search(h, e)
+    for edges, released, handed in chain:
+        for f, stars in zip(edges, released):
+            body.append((edge_label(*f),
+                         waiting.popleft() if waiting else frozenset()))
+            waiting.extend(stars)
+        waiting.extend(handed)
+    if waiting:
+        raise ConstructionFailed(
+            "edge %r is a component of its own, and the other components "
+            "hand on more cliques than its one position can take" % (e,))
     return body
 
 
 def _pinned_edge(h, e):
-    """The base edge whose endpoint bundles get pinned: e, or the smallest."""
+    """The base edge whose endpoint bundles get pinned: e, or else the
+    smallest edge that is not a component of its own, if there is one."""
     if not h.edges:
         raise PreconditionViolated("the base graph needs at least one edge")
     if e is None:
-        return min(h.edges)
+        return min(h.edges, key=lambda f: (
+            h.degree(f[0]) == h.degree(f[1]) == 1, f))
     e = normalize_edge(*e)
     if e not in h.edges:
         raise NotAnEdge("%r is not an edge of the base graph" % (e,))
@@ -329,40 +361,22 @@ def single_extra_edge_realization(h, weights=None):
     """Realize the combined graph with ONE extra vertex when some edge has
     weight one on both of its endpoints; h must be connected.
 
-    When the two endpoints are the only weighted vertices the witness is
-    built by a direct chain through their two blocks.  Otherwise the direct
-    chain does not apply and an exact bounded search supplies the witness
-    (failure to find one is reported honestly).  Returns the
-    RealizationCertificate.
+    When no weight exceeds one, single_extra_unit_realization builds the
+    witness.  Otherwise an exact bounded search supplies it (failure to find
+    one is reported honestly).  Returns the RealizationCertificate.
     """
     weights = check_weights(h, weights or {})
     if not h.edges:
         raise HypothesisNotMet("the base graph needs at least one edge")
     if not is_connected(h):
         raise HypothesisNotMet("the base graph must be connected")
-    candidates = sorted(f for f in h.edges
-                        if weights[f[0]] == 1 and weights[f[1]] == 1)
-    if not candidates:
+    if not any(weights[f[0]] == weights[f[1]] == 1 for f in h.edges):
         raise HypothesisNotMet(
             "no edge has weight one on both of its endpoints")
+    if max(weights.values()) <= 1:
+        return single_extra_unit_realization(h, weights)
     combined = generalized_line_graph(h, weights)
-    support = [x for x in h.vertices if weights[x]]
-    e = candidates[0]
-    u, v = e
-    if support == sorted((u, v)):
-        ku = combined.incident_labels(u)
-        kv = combined.incident_labels(v)
-        qxu, qyu = cocktail_label(u, 1, "x"), cocktail_label(u, 1, "y")
-        qxv, qyv = cocktail_label(v, 1, "x"), cocktail_label(v, 1, "y")
-        entries = _line_body(h, e) + [
-            (qxu, frozenset()),
-            (qyu, ku | {qxu}),
-            (qxv, ku | {qyu}),
-            (qyv, kv | {qxv}),
-        ]
-        return _certify(entries, [kv | {qyv}], combined.graph,
-                        "single-extra realization (weighted edge)")
-    # Other vertices carry weight too; certify with one extra by exact search.
+    # Some weight exceeds one; certify with one extra by exact search.
     got = find_realization(combined.graph, 1)
     if got is None:
         raise ConstructionFailed(

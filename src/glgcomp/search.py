@@ -14,8 +14,8 @@ v_j can lie only in the cliques of positions after v_j, so the last
 G-vertex needs its edges covered by the extras, and in general a vertex
 can be placed just before the vertices already placed only once all its
 edges are covered.  The search first fixes the extras' cliques: each
-combination of min(k, m) of the m maximal cliques with an edge, or the
-given `added_cliques`.  Then it repeatedly takes one ready vertex (every
+combination of min(k, m) of the m maximal cliques with an edge.  Then it
+repeatedly takes one ready vertex (every
 incident edge covered), the lowest in `graph.vertices`, places it before
 the vertices taken so far and branches on its clique.  The body is the
 taken sequence reversed.
@@ -46,8 +46,8 @@ of budget.
 
 import itertools
 
-from .errors import BudgetExceeded, NotAClique
-from .graph_core import is_clique, maximal_cliques
+from .errors import BudgetExceeded
+from .graph_core import maximal_cliques
 
 
 class SearchBudget:
@@ -78,12 +78,8 @@ def fresh_labels(taken, count, stem="z"):
     return out
 
 
-def find_realization(graph, k, added_cliques=None, budget=None):
+def find_realization(graph, k, budget=None):
     """Search for a realization of `graph` with k extra vertices.
-
-    added_cliques: optional sequence of exactly the cliques assigned to the
-        extra vertices; when given, k is taken from its length and the
-        search only orders the real vertices.
 
     Returns (body, tail) on success, where body is a tuple of
     (vertex, clique) entries for the real vertices in placement order and
@@ -102,12 +98,6 @@ def find_realization(graph, k, added_cliques=None, budget=None):
     for (a, b), eb in ebit.items():
         incident[vbit[a].bit_length() - 1] |= eb
         incident[vbit[b].bit_length() - 1] |= eb
-
-    if added_cliques is not None:
-        for c in added_cliques:
-            if not is_clique(graph, c):
-                raise NotAClique("fixed extra clique %r is not a clique" % (sorted(c),))
-        k = len(added_cliques)
 
     def vertex_mask(vertices):
         m = 0
@@ -141,18 +131,13 @@ def find_realization(graph, k, added_cliques=None, budget=None):
                 or [(0, 0)]
         return got
 
-    if added_cliques is not None:
-        fixed = tuple(frozenset(c) for c in added_cliques)
-        tails = [(fixed, _union(cover_of(vertex_mask(c)) for c in fixed))]
-    else:
-        # Extras sit after every G-vertex, so each takes a whole maximal
-        # clique, and two of them never share one.  Combinations covering
-        # more come first, so the memo skips those they dominate.
-        useful = [(cm, cover_of(cm)) for cm in clique_masks if cm & (cm - 1)]
-        tails = [(combo, _union(cover for _, cover in combo))
-                 for combo in itertools.combinations(useful,
-                                                     min(k, len(useful)))]
-        tails.sort(key=lambda t: -t[1].bit_count())
+    # Extras sit after every G-vertex, so each takes a whole maximal
+    # clique, and two of them never share one.  Combinations covering more
+    # come first, so the memo skips those they dominate.
+    useful = [(cm, cover_of(cm)) for cm in clique_masks if cm & (cm - 1)]
+    tails = [(combo, _union(cover for _, cover in combo))
+             for combo in itertools.combinations(useful, min(k, len(useful)))]
+    tails.sort(key=lambda t: -t[1].bit_count())
 
     full = (1 << n) - 1
     memo = {}
@@ -204,9 +189,8 @@ def find_realization(graph, k, added_cliques=None, budget=None):
         for tail, covered in tails:
             if dfs(0, covered):
                 body = tuple((vs[i], members(cm)) for i, cm in reversed(path))
-                if added_cliques is None:
-                    tail = [members(cm) for cm, _ in tail]
-                    tail += [frozenset()] * (k - len(tail))
+                tail = [members(cm) for cm, _ in tail]
+                tail += [frozenset()] * (k - len(tail))
                 return body, tuple(tail)
         return None
     finally:

@@ -118,6 +118,22 @@ class TestRealize:
         assert code == 0
         assert json.loads(out)["k"] == 2
 
+    def test_two_extra_default_edge_on_a_disconnected_base(self, capsys,
+                                                           tmp_path):
+        # K4 plus a lone edge a-b: pinned at a-b, the K4's two cliques have
+        # one position to go to, so the default edge must lie in the K4.
+        k4 = ["v0", "v1", "v2", "v3"]
+        src = write(tmp_path, "k4k2.json",
+                    {"kind": "vertex_weighted_graph",
+                     "vertices": k4 + ["a", "b"],
+                     "edges": [[x, y] for x in k4 for y in k4 if x < y]
+                     + [["a", "b"]]})
+        code, out, _ = run(capsys, "realize", "two", src)
+        assert code == 0
+        assert json.loads(out)["k"] == 2
+        code, _, err = run(capsys, "realize", "two", src, "--edge", "a,b")
+        assert code == 4 and "component of its own" in err
+
     def test_one_units_rejects_heavy_weights(self, capsys, star_instance):
         code, _, err = run(capsys, "realize", "one-units", star_instance)
         assert code == 3 and "hypothesis" in err

@@ -3,14 +3,15 @@ import itertools
 import pytest
 
 import glgcomp.realization
-from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
-                     InvalidInput, NotAnEdge, PreconditionViolated,
-                     acyclic_ordering, cocktail_party, competition_graph,
-                     cp_realization, generalized_line_graph, glg_realization,
-                     graph_union_isolated, incident_edge_clique, line_graph,
-                     single_extra_edge_realization,
+from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
+                     HypothesisNotMet, InvalidInput, NotAnEdge,
+                     PreconditionViolated, acyclic_ordering, cocktail_party,
+                     competition_graph, cp_realization, find_realization,
+                     generalized_line_graph, glg_realization,
+                     graph_union_isolated, incident_edge_clique,
+                     is_connected, line_graph, single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
-from corpus import connected_graphs, cycle_graph, grid
+from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
 
 
 def path(n):
@@ -126,6 +127,43 @@ class TestLineGraphRealization:
         d, z1, z2 = line_graph_realization(h, ("a", "b"))
         verify_realization(d, lg, 2)
         assert d.in_neighbors(z1) == incident_edge_clique(h, "a")
+
+    def test_components_that_hand_on_more_go_first(self):
+        # The 4-cycle hands on two cliques and the edge x0-x1 none; in that
+        # order, x0-x1 and the pinned lone edge a-b take one each.
+        h = Graph(["a", "b", "c0", "c1", "c2", "c3", "x0", "x1"],
+                  [("a", "b"), ("c0", "c1"), ("c1", "c2"), ("c2", "c3"),
+                   ("c0", "c3"), ("x0", "x1")])
+        d, _, _ = line_graph_realization(h, ("a", "b"))
+        verify_realization(d, line_graph(h)[0], 2)
+
+    def test_every_edge_of_every_small_disconnected_graph(self, monkeypatch):
+        # 1,678 (base, edge) pairs.  Pinned extras on a lone edge e take
+        # {e} and cover nothing, so a refused pair must have no realization
+        # of the line graph without extras; the search that checks this is
+        # not the one patched out of the construction.
+        def no_search(*args, **kwargs):
+            raise AssertionError("the line-graph chain reached exact search")
+
+        monkeypatch.setattr(glgcomp.realization, "find_realization",
+                            no_search)
+        refused = 0
+        for h in atlas_graphs(7):
+            if not h.edges or is_connected(h):
+                continue
+            lg, _ = line_graph(h)
+            for e in sorted(h.edges):
+                try:
+                    d, z1, z2 = line_graph_realization(h, e)
+                except ConstructionFailed:
+                    refused += 1
+                    assert h.degree(e[0]) == h.degree(e[1]) == 1
+                    assert find_realization(lg, 0) is None
+                    continue
+                verify_realization(d, lg, 2)
+                assert d.in_neighbors(z1) == incident_edge_clique(h, e[0])
+                assert d.in_neighbors(z2) == incident_edge_clique(h, e[1])
+        assert refused == 16
 
 
 class TestCpRealization:

@@ -5,7 +5,7 @@ import tracemalloc
 import networkx as nx
 import pytest
 
-from glgcomp import (BudgetExceeded, Digraph, Graph, NotAClique, SearchBudget,
+from glgcomp import (BudgetExceeded, Digraph, Graph, SearchBudget,
                      cocktail_party, competition_graph, competition_number,
                      find_realization, fresh_labels, generalized_line_graph,
                      graph_union_isolated, opsut_lower_bound,
@@ -58,16 +58,6 @@ class TestFindRealization:
                 d = Digraph([v for v, _ in entries], arcs)
                 verify_realization(d, g, k)
                 break
-
-    def test_added_cliques_must_be_cliques(self):
-        g = cycle_graph(4)
-        with pytest.raises(NotAClique):
-            find_realization(g, 0, added_cliques=[{"c0", "c2"}])
-
-    def test_fixed_added_cliques_cover_for_free(self):
-        g = cycle_graph(4)
-        bundles = [{"c0", "c1"}, {"c1", "c2"}, {"c2", "c3"}, {"c0", "c3"}]
-        assert find_realization(g, 0, added_cliques=bundles) is not None
 
     def test_budget_exhaustion_is_distinguished_from_refutation(self):
         tight = SearchBudget(max_nodes=3)
