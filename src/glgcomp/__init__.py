@@ -13,11 +13,10 @@ from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
 from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
                          digraph_from_json, digraph_to_dot, digraph_to_json,
                          graph_from_json, graph_to_dot, graph_to_json,
-                         graph_union_isolated, is_acyclic_ordering, is_clique,
-                         is_connected, isolated_vertices, maximal_cliques,
-                         normalize_edge, opsut_lower_bound, require_clique,
-                         semi_join, simplicial_vertices,
-                         vertex_clique_cover_number)
+                         is_acyclic_ordering, is_clique, is_connected,
+                         isolated_vertices, maximal_cliques, normalize_edge,
+                         opsut_lower_bound, require_clique, semi_join,
+                         simplicial_vertices, vertex_clique_cover_number)
 from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
                           cocktail_party, edge_label, generalized_line_graph,
                           incident_edge_clique, line_graph,

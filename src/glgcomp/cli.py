@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,7 +64,8 @@ def _write_text(text, path):
 
 
 def _write_json(doc, path):
-    _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
+    # Without indent, json.dumps runs the C encoder: one line, keys sorted.
+    _write_text(json.dumps(doc, sort_keys=True) + "\n", path)
 
 
 def _parse_edge(text):
@@ -181,6 +183,7 @@ def cmd_classify(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="glgcomp",

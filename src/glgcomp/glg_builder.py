@@ -12,6 +12,13 @@ Vertex naming:
 
 Label maps are carried alongside the graphs so nothing ever needs to parse
 a label back apart.
+
+generalized_line_graph builds the combined graph in one pass: it collects
+the line-graph edges, each block's cocktail-party edges and the block's
+join to its anchor's edge bundle into one edge list and constructs the
+Graph once.  That graph equals the line graph semi-joined with one block
+per weighted vertex in turn (graph_core.semi_join), which stays the
+reference definition.
 """
 
 import itertools
@@ -19,7 +26,7 @@ import itertools
 from .errors import (NonPositiveM, SchemaError, UnknownVertex,
                      VertexCollision)
 from .graph_core import (Graph, _require_list_of_strings, _require_pair_list,
-                         normalize_edge, semi_join)
+                         normalize_edge)
 
 
 def edge_label(a, b):
@@ -39,15 +46,31 @@ def line_graph(h):
     Returns (graph, labels) where labels maps each edge of h (as a sorted
     tuple) to its vertex label in the line graph.
     """
+    labels = _edge_labels(h)
+    edges = _clique_edges(_bundles(h, labels).values())
+    return Graph(labels.values(), edges), labels
+
+
+def _edge_labels(h):
+    """Each edge of h (a sorted tuple) -> its line-graph vertex label."""
     labels = {e: edge_label(*e) for e in h.edges}
     if len(set(labels.values())) != len(labels):
         raise VertexCollision("edge labels collide; rename base vertices")
-    edges = set()
-    for v in h.vertices:
-        incident = sorted(labels[normalize_edge(v, w)] for w in h.neighbors(v))
-        for p, q in itertools.combinations(incident, 2):
-            edges.add((p, q))
-    return Graph(sorted(labels.values()), edges), labels
+    return labels
+
+
+def _bundles(h, labels):
+    """Each vertex of h -> the labels of its incident edges."""
+    bundles = {v: [] for v in h.vertices}
+    for e, label in labels.items():
+        bundles[e[0]].append(label)
+        bundles[e[1]].append(label)
+    return {v: frozenset(b) for v, b in bundles.items()}
+
+
+def _clique_edges(cliques):
+    """Every pair within each clique."""
+    return [pair for c in cliques for pair in itertools.combinations(c, 2)]
 
 
 def incident_edge_clique(h, v):
@@ -74,13 +97,15 @@ def cocktail_party(m, namer=None):
     vertices = [v for pair in pairs for v in pair]
     if len(set(vertices)) != len(vertices):
         raise VertexCollision("cocktail-party labels collide")
-    partner = {}
-    for x, y in pairs:
-        partner[x] = y
-        partner[y] = x
-    edges = [(a, b) for a, b in itertools.combinations(sorted(vertices), 2)
-             if partner[a] != b]
-    return Graph(vertices, edges), pairs
+    return Graph(vertices, _block_edges(pairs)), pairs
+
+
+def _block_edges(pairs):
+    """The cocktail-party edges on these partner pairs: every pair of
+    their vertices but the partners."""
+    block = [v for pair in pairs for v in pair]
+    partners = set(pairs)
+    return [e for e in itertools.combinations(block, 2) if e not in partners]
 
 
 def check_weights(h, weights):
@@ -99,35 +124,45 @@ def check_weights(h, weights):
 
 
 class CombinedGraph:
-    """A built line graph with cocktail-party blocks, its base graph and
-    each base vertex's cocktail-party pairs."""
+    """A built line graph with cocktail-party blocks, its base graph,
+    each base vertex's cocktail-party pairs and its edge bundle."""
 
-    __slots__ = ("graph", "base", "cocktail_pairs")
+    __slots__ = ("graph", "base", "cocktail_pairs", "_bundles")
 
-    def __init__(self, graph, base, cocktail_pairs):
+    def __init__(self, graph, base, cocktail_pairs, bundles):
         self.graph = graph
         self.base = base
         self.cocktail_pairs = cocktail_pairs  # base vertex -> list of (x, y)
+        self._bundles = bundles  # base vertex -> frozenset of edge labels
 
     def incident_labels(self, v):
-        return incident_edge_clique(self.base, v)
+        """The line-graph vertices of the edges at v: incident_edge_clique
+        of the base graph, as built."""
+        try:
+            return self._bundles[v]
+        except KeyError:
+            raise UnknownVertex("no vertex %r" % (v,)) from None
 
 
 def generalized_line_graph(h, weights):
     """Build the combined graph for base graph h and the given vertex weights."""
     weights = check_weights(h, weights)
-    graph, _ = line_graph(h)
+    labels = _edge_labels(h)
+    bundles = _bundles(h, labels)
+    vertices = list(labels.values())
+    edges = _clique_edges(bundles.values())
     cocktail_pairs = {}
     for v in h.vertices:
-        m = weights[v]
-        if m == 0:
-            cocktail_pairs[v] = []
-            continue
-        block, pairs = cocktail_party(m, namer=lambda l, s, v=v: cocktail_label(v, l, s))
+        # Labels "q:v:l:side" are distinct across (v, l, side), and never
+        # start like an edge label "e:...".
+        pairs = [(cocktail_label(v, l, "x"), cocktail_label(v, l, "y"))
+                 for l in range(1, weights[v] + 1)]
         cocktail_pairs[v] = pairs
-        anchors = sorted(incident_edge_clique(h, v))
-        graph = semi_join(graph, anchors, block)
-    return CombinedGraph(graph, h, cocktail_pairs)
+        block = [q for pair in pairs for q in pair]
+        vertices += block
+        edges += _block_edges(pairs)
+        edges += [(a, q) for a in bundles[v] for q in block]
+    return CombinedGraph(Graph(vertices, edges), h, cocktail_pairs, bundles)
 
 
 def weighted_graph_to_json(h, weights):

@@ -145,14 +145,18 @@ class Digraph:
             raise UnknownVertex("no vertex %r" % (v,)) from None
 
 
-def competition_graph(digraph):
-    """The competition graph: u ~ v iff they share an out-neighbor."""
+def competition_edges(digraph):
+    """The competition graph's edges as sorted pairs: u ~ v iff they share
+    an out-neighbor."""
     edges = set()
     for x in digraph.vertices:
-        preys = sorted(digraph.in_neighbors(x))
-        for a, b in itertools.combinations(preys, 2):
-            edges.add((a, b))
-    return Graph(digraph.vertices, edges)
+        edges.update(itertools.combinations(sorted(digraph.in_neighbors(x)), 2))
+    return edges
+
+
+def competition_graph(digraph):
+    """The competition graph: u ~ v iff they share an out-neighbor."""
+    return Graph(digraph.vertices, competition_edges(digraph))
 
 
 def acyclic_ordering(digraph):
@@ -378,12 +382,6 @@ def semi_join(graph, clique, other):
         for w in other.vertices:
             edges.add(normalize_edge(k, w))
     return Graph(vertices, edges)
-
-
-def graph_union_isolated(graph, extra):
-    """The graph plus the given labels as isolated vertices."""
-    extra = list(extra)
-    return Graph(list(graph.vertices) + extra, graph.edges)
 
 
 # ---------------------------------------------------------------------------

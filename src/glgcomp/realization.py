@@ -8,7 +8,9 @@ as in-neighborhoods yields an acyclic digraph whose competition graph is the
 union of those cliques' pairwise edges.  _certify names the extras, builds
 that digraph and verifies it once, with the body order as its acyclic
 ordering; every construction returns its certificate, so a flaw in a scheme
-surfaces as ConstructionFailed rather than a bad witness.
+surfaces as ConstructionFailed rather than a bad witness.  verify_realization
+compares edge sets: the pairs of each in-neighborhood against the target's
+edges, with no graph built for either side.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -44,7 +46,9 @@ e's last, and each position takes the oldest clique waiting.  So at most
 two wait when a component begins, and one with two or more edges takes
 them at its first two positions and ends with only its own handed cliques
 waiting.  Cliques are left over only when e is a lone edge and two wait
-for its one position; then the construction refuses.
+for its one position; then the construction refuses the pin with
+PreconditionViolated: the refusal is a property of the base and the pin,
+not a flaw in the scheme.
 """
 
 import collections
@@ -52,9 +56,8 @@ import collections
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge,
                      PreconditionViolated)
-from .graph_core import (Digraph, acyclic_ordering, competition_graph,
-                         digraph_to_json, graph_to_json,
-                         graph_union_isolated, is_acyclic_ordering,
+from .graph_core import (Digraph, acyclic_ordering, competition_edges,
+                         digraph_to_json, graph_to_json, is_acyclic_ordering,
                          is_connected, normalize_edge)
 from .glg_builder import (check_weights, cocktail_label, cocktail_party,
                           edge_label, generalized_line_graph,
@@ -106,10 +109,10 @@ def verify_realization(digraph, base, k, ordering=None):
         ordering = tuple(ordering)
         if not is_acyclic_ordering(digraph, ordering):
             raise InvalidInput("supplied ordering is not an acyclic ordering")
-    actual = competition_graph(digraph)
-    expected = graph_union_isolated(base, added)
-    missing = expected.edges - actual.edges
-    extra = actual.edges - expected.edges
+    # The extras are isolated in the target, so its edges are base.edges.
+    actual = competition_edges(digraph)
+    missing = base.edges - actual
+    extra = actual - base.edges
     if missing or extra:
         raise CompetitionMismatch(
             "competition graph differs from target: %d missing, %d extra edges"
@@ -206,7 +209,7 @@ def _line_body(h, e):
             waiting.extend(stars)
         waiting.extend(handed)
     if waiting:
-        raise ConstructionFailed(
+        raise PreconditionViolated(
             "edge %r is a component of its own, and the other components "
             "hand on more cliques than its one position can take" % (e,))
     return body

@@ -132,7 +132,7 @@ class TestRealize:
         assert code == 0
         assert json.loads(out)["k"] == 2
         code, _, err = run(capsys, "realize", "two", src, "--edge", "a,b")
-        assert code == 4 and "component of its own" in err
+        assert code == 3 and "component of its own" in err
 
     def test_one_units_rejects_heavy_weights(self, capsys, star_instance):
         code, _, err = run(capsys, "realize", "one-units", star_instance)

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from glgcomp import (Graph, NonPositiveM, SchemaError, UnknownVertex,
-                     check_weights, cocktail_label, cocktail_party,
-                     edge_label, generalized_line_graph, incident_edge_clique,
-                     line_graph, semi_join, weighted_graph_from_json,
-                     weighted_graph_to_json)
+                     VertexCollision, check_weights, cocktail_label,
+                     cocktail_party, edge_label, generalized_line_graph,
+                     incident_edge_clique, line_graph, semi_join,
+                     weighted_graph_from_json, weighted_graph_to_json)
 from corpus import connected_graphs, weight_maps
 
 
@@ -137,16 +137,36 @@ class TestGeneralizedLineGraph:
             assert not g.has_edge("e:v1-v3", q)
 
     def test_matches_iterated_semi_join(self):
-        h = path(3)
-        weights = {"p0": 1, "p2": 2}
-        combined = generalized_line_graph(h, weights)
-        current, _ = line_graph(h)
-        for v in ("p0", "p2"):
-            block, _ = cocktail_party(
-                weights[v], namer=lambda l, s, v=v: cocktail_label(v, l, s))
-            current = semi_join(current, sorted(incident_edge_clique(h, v)),
-                                block)
-        assert combined.graph == current
+        # The one-pass build against the definition: the line graph
+        # semi-joined with one block per weighted vertex in turn.
+        for h in connected_graphs(5):
+            for weights in itertools.islice(
+                    weight_maps(h.vertices, max_weight=3, max_total=6), 0,
+                    None, 5):
+                combined = generalized_line_graph(h, weights)
+                current, _ = line_graph(h)
+                pairs = {}
+                for v in h.vertices:
+                    pairs[v] = []
+                    if weights.get(v):
+                        block, pairs[v] = cocktail_party(
+                            weights[v],
+                            namer=lambda l, s, v=v: cocktail_label(v, l, s))
+                        current = semi_join(
+                            current, sorted(incident_edge_clique(h, v)), block)
+                assert combined.graph == current
+                assert combined.cocktail_pairs == pairs
+                for v in h.vertices:
+                    assert combined.incident_labels(v) == \
+                        incident_edge_clique(h, v)
+
+    def test_colliding_edge_labels_are_refused(self):
+        # Edges a-b~c and a~b-c are both labelled "e:a-b-c".
+        h = Graph(["a-b", "c", "a", "b-c"], [("a-b", "c"), ("a", "b-c")])
+        with pytest.raises(VertexCollision):
+            generalized_line_graph(h, {"c": 1})
+        with pytest.raises(VertexCollision):
+            line_graph(h)
 
     def test_isolated_weighted_vertex_gets_a_detached_block(self):
         h = Graph(["a", "b", "c"], [("a", "b")])

@@ -12,11 +12,10 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, NotAClique,
                      digraph_from_json, digraph_to_dot, digraph_to_json,
                      find_realization, generalized_line_graph,
                      graph_from_json, graph_to_dot, graph_to_json,
-                     graph_union_isolated, is_acyclic_ordering,
-                     is_clique, is_connected, isolated_vertices,
-                     maximal_cliques, normalize_edge, opsut_lower_bound,
-                     require_clique, semi_join, simplicial_vertices,
-                     vertex_clique_cover_number)
+                     is_acyclic_ordering, is_clique, is_connected,
+                     isolated_vertices, maximal_cliques, normalize_edge,
+                     opsut_lower_bound, require_clique, semi_join,
+                     simplicial_vertices, vertex_clique_cover_number)
 from corpus import atlas_graphs, complete_bipartite, cycle_graph
 
 
@@ -264,11 +263,6 @@ class TestSemiJoin:
         joined = semi_join(base, clique, block)
         assert len(joined.edges) == (len(base.edges) + len(block.edges)
                                      + cliquesize * blocksize)
-
-    def test_union_isolated(self):
-        g = graph_union_isolated(path_graph(2), ["z1", "z2"])
-        assert set(g.vertices) == {"p0", "p1", "z1", "z2"}
-        assert g.edges == frozenset({("p0", "p1")})
 
 
 class TestSerialization:

@@ -3,13 +3,12 @@ import itertools
 import pytest
 
 import glgcomp.realization
-from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
-                     HypothesisNotMet, InvalidInput, NotAnEdge,
-                     PreconditionViolated, acyclic_ordering, cocktail_party,
-                     competition_graph, cp_realization, find_realization,
-                     generalized_line_graph, glg_realization,
-                     graph_union_isolated, incident_edge_clique,
-                     is_connected, line_graph, single_extra_edge_realization,
+from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
+                     InvalidInput, NotAnEdge, PreconditionViolated,
+                     acyclic_ordering, cocktail_party, competition_graph,
+                     cp_realization, find_realization, generalized_line_graph,
+                     glg_realization, incident_edge_clique, is_connected,
+                     line_graph, single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
 
@@ -59,6 +58,41 @@ class TestVerifyRealization:
         d = Digraph(["a", "b", "z"], [("a", "b"), ("z", "b")])
         with pytest.raises(CompetitionMismatch):
             verify_realization(d, Graph(["a", "b"], []), 1)
+
+    def test_mismatch_sets_are_those_of_the_competition_graph(self):
+        # Mutants of a witness, kept acyclic by adding arcs only forward in
+        # its ordering: every dropped arc, an arc from one extra to the
+        # other, and arcs between real vertices.  The mismatch must be the
+        # competition graph against the target plus isolated extras.
+        r = glg_realization(star(3), {"v2": 2, "v4": 1})
+        target = r.combined.graph
+        expected = Graph(list(target.vertices) + list(r.added), target.edges)
+        order = r.certificate.ordering
+        arcs = set(r.digraph.arcs)
+        forward = [(order[i], order[j]) for i in range(len(order) - 2)
+                   for j in range(i + 1, len(order) - 2)]
+        kinds = {
+            "dropped": [arcs - {a} for a in sorted(arcs)],
+            "from an extra": [arcs | {(order[-2], order[-1])}],
+            "between real vertices": [arcs | {a} for a in forward[::7]
+                                      if a not in arcs],
+        }
+        for kind, mutants in kinds.items():
+            mismatched = 0
+            for mutant in mutants:
+                d = Digraph(order, mutant)
+                actual = competition_graph(d)
+                missing = expected.edges - actual.edges
+                extra = actual.edges - expected.edges
+                if not missing and not extra:
+                    verify_realization(d, target, 2)
+                    continue
+                mismatched += 1
+                with pytest.raises(CompetitionMismatch) as exc:
+                    verify_realization(d, target, 2)
+                assert exc.value.missing == missing
+                assert exc.value.extra == extra
+            assert mismatched, kind
 
     def test_certificate_serializes(self):
         d = Digraph(["a", "b", "z"], [("a", "z"), ("b", "z")])
@@ -155,7 +189,7 @@ class TestLineGraphRealization:
             for e in sorted(h.edges):
                 try:
                     d, z1, z2 = line_graph_realization(h, e)
-                except ConstructionFailed:
+                except PreconditionViolated:
                     refused += 1
                     assert h.degree(e[0]) == h.degree(e[1]) == 1
                     assert find_realization(lg, 0) is None
@@ -180,6 +214,28 @@ class TestCpRealization:
                 assert d.in_neighbors(v) == frozenset()
             for z in extras:
                 assert d.out_neighbors(z) == frozenset()
+
+
+class TestGraphBuilds:
+    # A structural guard with no timing: the combined graph is constructed
+    # once, however many blocks it has, and verification constructs none.
+    def test_one_graph_per_combined_graph_and_none_per_verify(
+            self, monkeypatch):
+        h = path(4)
+        weights = {"p0": 1, "p2": 2, "p3": 3}
+        r = glg_realization(h, weights)
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        combined = generalized_line_graph(h, weights)
+        assert len(built) == 1
+        verify_realization(r.digraph, combined.graph, 2)
+        assert len(built) == 1
 
 
 class TestGlgRealization:
@@ -207,8 +263,9 @@ class TestGlgRealization:
         weights = {"v2": 2}
         r = glg_realization(h, weights)
         target = generalized_line_graph(h, weights).graph
-        assert competition_graph(r.digraph) == \
-            graph_union_isolated(target, r.added)
+        cg = competition_graph(r.digraph)
+        assert cg.edges == target.edges
+        assert set(cg.vertices) == set(target.vertices) | set(r.added)
 
     def test_edge_selection(self):
         h = path(4)
