@@ -2,18 +2,19 @@
 
 The classifier decides k for a weighted base instance using, in order:
 the exact line-graph dichotomy when all weights are zero, the single-extra
-construction when no weight exceeds one, a budgeted one-extra search when
-some edge has weight one at both ends, a pendant-vertex reduction that
-certifies k = 2, and the exact oracle.  The two-extra witness bounds k by
-two and a connected graph with an edge needs one extra, so the oracle is a
-single one-extra search: a witness gives k = 1, a refutation k = 2.  Only
-an exhausted node budget, or a graph too large for the search's vertex
-cap, ends in an honest "undetermined".
+construction when no weight exceeds one, a pendant-vertex reduction that
+certifies k = 2, and one exact search.  The two-extra witness bounds k by
+two and a connected graph with an edge needs one extra, so a single
+one-extra search settles the rest: a witness gives k = 1, a refutation
+k = 2.  When some edge has weight one at both ends that search runs at any
+size; otherwise it is the oracle, which declines a graph above the
+search's vertex cap.  Only an exhausted node budget, or that cap, ends in
+an honest "undetermined".
 """
 
 from .errors import BudgetExceeded, HypothesisNotMet, NotConnected
-from .glg_builder import check_weights, generalized_line_graph
-from .graph_core import is_connected, isolated_vertices, simplicial_vertices
+from .glg_builder import check_weights, is_simplicial_edge
+from .graph_core import is_connected, simplicial_vertices
 from .oracle import realization_search
 from .realization import glg_realization, single_extra_unit_realization
 from .search import DEFAULT_BUDGET
@@ -22,6 +23,13 @@ EXACTLY_ZERO = "exactly-zero"
 EXACTLY_ONE = "exactly-one"
 EXACTLY_TWO = "exactly-two"
 UNDETERMINED = "at-most-two-undetermined"
+
+# The evidence of a one-extra witness on a connected graph with an edge.
+SINGLE_EXTRA_EVIDENCE = (
+    ("single-extra witness: competition number is at most one",
+     "single-extra-construction"),
+    ("the graph has edges and no isolated vertex, so at least one extra is "
+     "needed", "lower-bound"))
 
 
 class ConditionReport:
@@ -56,19 +64,19 @@ def check_conditions(h, weights=None):
     * has_unit_weight: some vertex has weight exactly one.
     * zero_weight_anchor_simplicial: some zero-weight vertex has an incident
       edge bundle containing a simplicial vertex of the combined graph.
+      That is an edge whose ends both have weight zero and whose line-graph
+      vertex is simplicial: a block's partners are non-adjacent, so an edge
+      vertex joined to a block is never simplicial.
     * unit_weight_edge: the smallest edge whose two endpoints both have
       weight one, if any.
     * all_weights_unit: no weight exceeds one.
 
-    Hypothesis failures are recorded, never raised.
+    Hypothesis failures are recorded, never raised; no graph is built.
     """
     weights = check_weights(h, weights or {})
-    combined = generalized_line_graph(h, weights)
-    simplicial = set(simplicial_vertices(combined.graph))
     has_unit = any(weights[v] == 1 for v in h.vertices)
-    zero_anchor = any(
-        weights[v] == 0 and combined.incident_labels(v) & simplicial
-        for v in h.vertices)
+    zero_anchor = any(weights[a] == weights[b] == 0 and
+                      is_simplicial_edge(h, (a, b)) for a, b in h.edges)
     unit_edges = sorted(f for f in h.edges
                         if weights[f[0]] == 1 and weights[f[1]] == 1)
     hypotheses = {
@@ -81,14 +89,6 @@ def check_conditions(h, weights=None):
         unit_edges[0] if unit_edges else None,
         all(weights[v] <= 1 for v in h.vertices),
         hypotheses)
-
-
-def has_simplicial_or_isolated(graph):
-    """True iff the graph has a simplicial or an isolated vertex.
-
-    Its absence certifies that the competition number is at least two.
-    """
-    return bool(simplicial_vertices(graph) or isolated_vertices(graph))
 
 
 def pendant_reduce(graph):
@@ -156,16 +156,10 @@ def classify(h, weights=None, budget=None):
                      "two-extra-construction"))
     positive = any(weights[v] for v in h.vertices)
 
-    def oracle_verdict():
-        # The two-extra witness caps k at two, and a target with an edge has
-        # no isolated vertex (it is connected), so k >= 1: one search at the
-        # least value settles it.  Only L(K2) = K1 has no edge, and k = 0.
-        k = 1 if target.edges else 0
-        if k > budget.max_k or \
-                len(target.vertices) + k > budget.max_total_vertices:
-            evidence.append(("%d vertices and %d extra exceed the search "
-                             "budget" % (len(target.vertices), k), "oracle"))
-            return Verdict(UNDETERMINED, evidence, certificates)
+    def settle(k, name, found):
+        # One exact search for k extras, the least value left: a witness
+        # (stored under `name`, with the claims `found`) gives k, a
+        # refutation two, and an exhausted node budget undetermined.
         try:
             cert = realization_search(target, k, budget)
         except BudgetExceeded:
@@ -176,11 +170,23 @@ def classify(h, weights=None, budget=None):
             evidence.append(("exhaustive search refuted one extra, so the "
                              "value is two", "oracle"))
             return Verdict(EXACTLY_TWO, evidence, certificates)
-        certificates["oracle_witness"] = cert
-        evidence.append(("exhaustive search settled the value at %d" % k,
-                         "oracle"))
+        certificates[name] = cert
+        evidence.extend(found)
         return Verdict(EXACTLY_ONE if k else EXACTLY_ZERO, evidence,
                        certificates)
+
+    def oracle_verdict():
+        # The two-extra witness caps k at two, and a target with an edge has
+        # no isolated vertex (it is connected), so k >= 1: one search at the
+        # least value settles it.  Only L(K2) = K1 has no edge, and k = 0.
+        k = 1 if target.edges else 0
+        if k > budget.max_k or \
+                len(target.vertices) + k > budget.max_total_vertices:
+            evidence.append(("%d vertices and %d extra exceed the search "
+                             "budget" % (len(target.vertices), k), "oracle"))
+            return Verdict(UNDETERMINED, evidence, certificates)
+        return settle(k, "oracle_witness", [
+            ("exhaustive search settled the value at %d" % k, "oracle")])
 
     if not positive:
         # Pure line graph: value is two exactly when no simplicial vertex
@@ -195,33 +201,20 @@ def classify(h, weights=None, budget=None):
     report = check_conditions(h, weights)
     if report.all_weights_unit:
         certificates["single_extra"] = single_extra_unit_realization(h, weights)
-        evidence.append(("single-extra witness: competition number is at "
-                         "most one", "single-extra-construction"))
-        evidence.append(
-            ("the graph has edges and no isolated vertex, so at least one "
-             "extra is needed", "lower-bound"))
+        evidence.extend(SINGLE_EXTRA_EVIDENCE)
         return Verdict(EXACTLY_ONE, evidence, certificates)
-    if report.unit_weight_edge is not None:
-        # Some weight exceeds one here, so the weighted-edge construction's
-        # direct chain never applies; search for one extra within budget.
-        try:
-            cert = realization_search(target, 1, budget)
-        except BudgetExceeded:
-            cert = None
-        if cert is not None:
-            certificates["single_extra"] = cert
-            evidence.append(("single-extra witness: competition number is at "
-                             "most one", "single-extra-construction"))
-            evidence.append(
-                ("the graph has edges and no isolated vertex, so at least "
-                 "one extra is needed", "lower-bound"))
-            return Verdict(EXACTLY_ONE, evidence, certificates)
 
     reduced, removed = pendant_reduce(target)
-    if not has_simplicial_or_isolated(reduced):
+    # An isolated vertex is simplicial too: its empty neighbourhood is a
+    # clique.
+    if not simplicial_vertices(reduced):
         evidence.append(
             ("after deleting pendants %s the graph has neither a simplicial "
              "nor an isolated vertex, so at least two extras are needed"
              % (list(removed),), "pendant-reduction"))
         return Verdict(EXACTLY_TWO, evidence, certificates)
+    if report.unit_weight_edge is not None:
+        # Some weight exceeds one here, so the single-extra chain does not
+        # apply: search for one extra, above the vertex cap too.
+        return settle(1, "single_extra", SINGLE_EXTRA_EVIDENCE)
     return oracle_verdict()

@@ -13,7 +13,7 @@ from .analysis import check_conditions, classify
 from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      CyclicDigraph, GlgError, HypothesisNotMet, InvalidInput,
                      PreconditionViolated, SchemaError)
-from .glg_builder import (cocktail_party, generalized_line_graph, line_graph,
+from .glg_builder import (cocktail_party, generalized_line_graph,
                           weighted_graph_from_json)
 from .graph_core import (digraph_from_json, digraph_to_dot, graph_from_json,
                          graph_to_dot, graph_to_json)
@@ -100,7 +100,7 @@ def cmd_build(args):
         if args.what == "line":
             if obj["kind"] != "graph":
                 raise SchemaError("%s: expected kind 'graph'" % args.input)
-            result, _ = line_graph(graph_from_json(obj))
+            result = generalized_line_graph(graph_from_json(obj), {}).graph
         else:
             h, weights = _as_weighted(obj, args.input)
             result = generalized_line_graph(h, weights).graph

@@ -2,7 +2,8 @@
 
 A combined graph is the line graph of a base graph H together with, for
 each positively weighted base vertex v, a cocktail-party block fully joined
-to the line-graph vertices arising from edges incident to v.
+to the line-graph vertices arising from edges incident to v.  With no
+weights it is the line graph L(H).
 
 Vertex naming:
   * an edge {a, b} of the base graph becomes the vertex "e:a-b" (a < b);
@@ -10,8 +11,11 @@ Vertex naming:
     "q:v:l:y" for levels l = 1..weight(v); the two vertices on the same
     level are partners (the unique non-adjacent pairs within a block).
 
-Label maps are carried alongside the graphs so nothing ever needs to parse
-a label back apart.
+This module owns the line-graph facts: CombinedGraph carries each edge's
+label, each vertex's edge bundle and each block's partner pairs, so nothing
+ever needs to parse a label back apart or rebuild a bundle, and
+is_simplicial_edge tells from the base graph alone when an edge vertex of
+L(H) is simplicial.
 
 generalized_line_graph builds the combined graph in one pass: it collects
 the line-graph edges, each block's cocktail-party edges and the block's
@@ -40,17 +44,6 @@ def cocktail_label(v, level, side):
     return "q:%s:%d:%s" % (v, level, side)
 
 
-def line_graph(h):
-    """Line graph of h.
-
-    Returns (graph, labels) where labels maps each edge of h (as a sorted
-    tuple) to its vertex label in the line graph.
-    """
-    labels = _edge_labels(h)
-    edges = _clique_edges(_bundles(h, labels).values())
-    return Graph(labels.values(), edges), labels
-
-
 def _edge_labels(h):
     """Each edge of h (a sorted tuple) -> its line-graph vertex label."""
     labels = {e: edge_label(*e) for e in h.edges}
@@ -76,11 +69,27 @@ def _clique_edges(cliques):
 def incident_edge_clique(h, v):
     """Line-graph vertices arising from edges of h incident to v.
 
-    Always a clique of line_graph(h): these edges pairwise share v.
+    Always a clique of the line graph: these edges pairwise share v.
+    CombinedGraph.incident_labels holds the same sets, as built.
     """
     if not h.has_vertex(v):
         raise UnknownVertex("no vertex %r" % (v,))
     return frozenset(edge_label(v, w) for w in h.neighbors(v))
+
+
+def is_simplicial_edge(h, f):
+    """True iff the line-graph vertex of the edge f = xy of h is simplicial:
+    an end of f is pendant, or both ends have degree two and a common
+    neighbour.
+
+    N(f) is the other edges at x and the other edges at y.  Those at x
+    pairwise meet at x, and those at y at y; an edge at x meets an edge at
+    y only at a common neighbour, so N(f) is a clique exactly in these cases.
+    """
+    x, y = f
+    dx, dy = h.degree(x), h.degree(y)
+    return min(dx, dy) == 1 or (
+        dx == dy == 2 and bool(h.neighbors(x) & h.neighbors(y)))
 
 
 def cocktail_party(m, namer=None):
@@ -124,14 +133,16 @@ def check_weights(h, weights):
 
 
 class CombinedGraph:
-    """A built line graph with cocktail-party blocks, its base graph,
-    each base vertex's cocktail-party pairs and its edge bundle."""
+    """A built line graph with cocktail-party blocks, its base graph, each
+    base edge's label, and each base vertex's cocktail-party pairs and
+    edge bundle."""
 
-    __slots__ = ("graph", "base", "cocktail_pairs", "_bundles")
+    __slots__ = ("graph", "base", "labels", "cocktail_pairs", "_bundles")
 
-    def __init__(self, graph, base, cocktail_pairs, bundles):
+    def __init__(self, graph, base, labels, cocktail_pairs, bundles):
         self.graph = graph
         self.base = base
+        self.labels = labels  # base edge (sorted tuple) -> its vertex label
         self.cocktail_pairs = cocktail_pairs  # base vertex -> list of (x, y)
         self._bundles = bundles  # base vertex -> frozenset of edge labels
 
@@ -145,7 +156,8 @@ class CombinedGraph:
 
 
 def generalized_line_graph(h, weights):
-    """Build the combined graph for base graph h and the given vertex weights."""
+    """Build the combined graph for base graph h and the given vertex
+    weights; with no positive weight it is the line graph of h."""
     weights = check_weights(h, weights)
     labels = _edge_labels(h)
     bundles = _bundles(h, labels)
@@ -162,17 +174,8 @@ def generalized_line_graph(h, weights):
         vertices += block
         edges += _block_edges(pairs)
         edges += [(a, q) for a in bundles[v] for q in block]
-    return CombinedGraph(Graph(vertices, edges), h, cocktail_pairs, bundles)
-
-
-def weighted_graph_to_json(h, weights):
-    weights = check_weights(h, weights)
-    return {
-        "kind": "vertex_weighted_graph",
-        "vertices": list(h.vertices),
-        "edges": [list(e) for e in sorted(h.edges)],
-        "weights": {v: weights[v] for v in h.vertices if weights[v]},
-    }
+    return CombinedGraph(Graph(vertices, edges), h, labels, cocktail_pairs,
+                         bundles)
 
 
 def weighted_graph_from_json(obj):

@@ -215,16 +215,10 @@ def require_clique(graph, subset, what="set"):
         raise NotAClique("%s %r is not a clique" % (what, sorted(set(subset))))
 
 
-def isolated_vertices(graph):
-    """Vertices without neighbors, sorted."""
-    return tuple(v for v in graph.vertices if not graph.neighbors(v))
-
-
 def simplicial_vertices(graph):
     """Vertices whose (open) neighborhood induces a clique.
 
-    Isolated vertices qualify: the empty set counts as a clique.  Use
-    isolated_vertices to tell the two cases apart.
+    Isolated vertices qualify: the empty set counts as a clique.
     """
     return tuple(v for v in graph.vertices if is_clique(graph, graph.neighbors(v)))
 

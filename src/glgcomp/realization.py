@@ -38,11 +38,11 @@ position releases at most one star, and the first and f's release none.
 
 The pinned edge e = uv roots its component; S_u and S_v are handed on to
 the next stage.  Another component is rooted at its smallest edge f = xy
-whose line-graph vertex is simplicial (x or y pendant, or both of degree
-two with a common neighbour) and hands on the clique S_x+S_y unless that
-is {f}; with no such edge it is rooted at its largest and hands on S_x and
-S_y.  Components go by the number of cliques they hand on, most first,
-e's last, and each position takes the oldest clique waiting.  So at most
+whose line-graph vertex is simplicial (glg_builder.is_simplicial_edge) and
+hands on the clique S_x+S_y, which is N[f], unless that is {f}; with no
+such edge it is rooted at its largest and hands on S_x and S_y.
+Components go by the number of cliques they hand on, most first, e's last,
+and each position takes the oldest clique waiting.  So at most
 two wait when a component begins, and one with two or more edges takes
 them at its first two positions and ends with only its own handed cliques
 waiting.  Cliques are left over only when e is a lone edge and two wait
@@ -59,9 +59,8 @@ from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
 from .graph_core import (Digraph, acyclic_ordering, competition_edges,
                          digraph_to_json, graph_to_json, is_acyclic_ordering,
                          is_connected, normalize_edge)
-from .glg_builder import (check_weights, cocktail_label, cocktail_party,
-                          edge_label, generalized_line_graph,
-                          incident_edge_clique)
+from .glg_builder import (check_weights, cocktail_party,
+                          generalized_line_graph, is_simplicial_edge)
 from .search import find_realization, fresh_labels
 
 
@@ -144,9 +143,10 @@ def _certify(entries, tail, base, what):
 # Line-graph realization (two extras with pinned in-neighborhoods)
 # ---------------------------------------------------------------------------
 
-def _schedule(h, root):
-    """The star schedule rooted at an edge: (edges, released), its
+def _schedule(combined, root):
+    """The star schedule rooted at a base edge: (edges, released), its
     component's edges in order and the stars each position releases."""
+    h = combined.base
     dist = dict.fromkeys(root, 0)
     frontier = list(root)
     for x in frontier:  # grows while it is read: a BFS queue
@@ -158,44 +158,37 @@ def _schedule(h, root):
     edges = sorted(edges, key=lambda f: (-min(dist[f[0]], dist[f[1]]), f))
     edges.append(root)
     last = {x: i for i, f in enumerate(edges) for x in f}
-    released = [[incident_edge_clique(h, w) for w in f
+    released = [[combined.incident_labels(w) for w in f
                  if last[w] == i and w not in root and h.degree(w) >= 2]
                 for i, f in enumerate(edges)]
     return edges, released
 
 
-def _simplicial_edge(h, edges):
-    """The smallest of edges whose line-graph vertex is simplicial: an end
-    is pendant, or both ends have degree two and a common neighbour."""
-    for x, y in sorted(edges):
-        dx, dy = h.degree(x), h.degree(y)
-        if min(dx, dy) == 1 or (dx == dy == 2 and
-                                h.neighbors(x) & h.neighbors(y)):
-            return x, y
-    return None
+def _line_body(combined, e):
+    """Realize the line graph of the base as a body after which two extras
+    can take the edge bundles at the endpoints of the base edge e.
 
-
-def _line_body(h, e):
-    """Realize line_graph(h) as a body after which two extras can take the
-    edge bundles at the endpoints of e.
-
-    The chain of star schedules of the module docstring, in one pass.
+    The chain of star schedules of the module docstring, in one pass; the
+    stars, the handed-on cliques and the entries' labels are those the
+    combined graph holds.
     """
-    own, own_released = _schedule(h, e)
+    h = combined.base
+    own, own_released = _schedule(combined, e)
     seen = {x for f in own for x in f}
     chain = []
     for f in sorted(h.edges, reverse=True):
         if f[0] in seen:
             continue
-        edges, released = _schedule(h, f)
+        edges, released = _schedule(combined, f)
         seen.update(x for g in edges for x in g)
-        root = _simplicial_edge(h, edges)
+        root = min((g for g in edges if is_simplicial_edge(h, g)),
+                   default=None)
         if root is None:
-            handed = [incident_edge_clique(h, x) for x in f]
+            handed = [combined.incident_labels(x) for x in f]
         else:
-            edges, released = _schedule(h, root)
-            clique = incident_edge_clique(h, root[0]) | \
-                incident_edge_clique(h, root[1])
+            edges, released = _schedule(combined, root)
+            clique = combined.incident_labels(root[0]) | \
+                combined.incident_labels(root[1])
             handed = [clique] if len(clique) > 1 else []
         chain.append((edges, released, handed))
     chain.sort(key=lambda part: -len(part[2]))
@@ -204,7 +197,7 @@ def _line_body(h, e):
     body = []
     for edges, released, handed in chain:
         for f, stars in zip(edges, released):
-            body.append((edge_label(*f),
+            body.append((combined.labels[f],
                          waiting.popleft() if waiting else frozenset()))
             waiting.extend(stars)
         waiting.extend(handed)
@@ -254,13 +247,13 @@ def _block_entries(xs, ys, anchors, lead):
     return entries, (a | frozenset(ys), a | frozenset(xs[:-1]) | {ys[-1]})
 
 
-def cp_realization(m, namer=None):
+def cp_realization(m):
     """Realize the cocktail-party graph on 2m vertices with two extras.
 
     The block's entries with an empty anchor and an empty lead pair, then
     the two extras; returns the RealizationCertificate.
     """
-    g, pairs = cocktail_party(m, namer)
+    g, pairs = cocktail_party(m)
     empty = frozenset()
     entries, handed = _block_entries([p[0] for p in pairs],
                                      [p[1] for p in pairs],
@@ -303,7 +296,7 @@ def glg_realization(h, weights=None, e=None):
     combined = generalized_line_graph(h, weights)
     e = _pinned_edge(h, e)
     u, v = e
-    entries = _line_body(h, e)
+    entries = _line_body(combined, e)
     # The two entries right after the line body take the edge bundles.
     pin_at = len(entries)
     lead = (combined.incident_labels(u), combined.incident_labels(v))
@@ -347,9 +340,8 @@ def single_extra_unit_realization(h, weights=None):
     u1 = support[0]
     e = min(normalize_edge(u1, w) for w in h.neighbors(u1))
     other = e[0] if e[1] == u1 else e[1]
-    entries = _line_body(h, e)
-    qx = [cocktail_label(s, 1, "x") for s in support]
-    qy = [cocktail_label(s, 1, "y") for s in support]
+    entries = _line_body(combined, e)
+    qx, qy = zip(*(combined.cocktail_pairs[s][0] for s in support))
     bundles = [combined.incident_labels(s) for s in support]
     entries.append((qy[t - 1], combined.incident_labels(other)))
     entries.append((qx[t - 1], bundles[t - 1] | {qy[t - 1]}))

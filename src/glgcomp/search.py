@@ -64,13 +64,13 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-def fresh_labels(taken, count, stem="z"):
-    """`count` labels of the form stem1, stem2, ... avoiding the taken set."""
+def fresh_labels(taken, count):
+    """`count` labels of the form z1, z2, ... avoiding the taken set."""
     taken = set(taken)
     out = []
     i = 1
     while len(out) < count:
-        cand = "%s%d" % (stem, i)
+        cand = "z%d" % i
         if cand not in taken:
             out.append(cand)
             taken.add(cand)

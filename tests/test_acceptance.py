@@ -20,9 +20,8 @@ from glgcomp import (BudgetExceeded, Graph, check_conditions, classify,
                      cocktail_party, competition_number, cp_realization,
                      digraph_from_json, find_realization,
                      generalized_line_graph, glg_realization,
-                     graph_from_json, incident_edge_clique, line_graph,
-                     opsut_lower_bound, pendant_reduce, simplicial_vertices,
-                     single_extra_edge_realization,
+                     graph_from_json, opsut_lower_bound, pendant_reduce,
+                     simplicial_vertices, single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization,
                      weighted_graph_from_json)
 
@@ -121,7 +120,7 @@ def test_03_cocktail_party_blocks(report):
 def test_04_line_graph_dichotomy(report):
     count = 0
     for h in connected_graphs(7, min_edges=1, max_edges=6):
-        lg, _ = line_graph(h)
+        lg = generalized_line_graph(h, {}).graph
         k, _ = competition_number(lg)
         assert k <= 2
         assert (k == 2) == (not simplicial_vertices(lg)), \

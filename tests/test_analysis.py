@@ -1,14 +1,16 @@
+import itertools
 import sys
 
 import pytest
 
+import glgcomp.oracle
 import glgcomp.realization
 from glgcomp import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                      Graph, HypothesisNotMet, NotConnected, SearchBudget,
                      check_conditions, classify, competition_number,
-                     generalized_line_graph, has_simplicial_or_isolated,
-                     pendant_reduce, verify_realization)
-from corpus import connected_chordal_graphs, cycle_graph
+                     generalized_line_graph, pendant_reduce,
+                     simplicial_vertices, verify_realization)
+from corpus import atlas_graphs, connected_chordal_graphs, cycle_graph
 
 
 def path(n):
@@ -56,18 +58,40 @@ class TestCheckConditions:
         assert doc["unit_weight_edge"] == ["p0", "p1"]
         assert doc["all_weights_unit"] is True
 
+    def test_zero_weight_anchor_matches_the_combined_graph(self):
+        # 8,919 instances: every atlas base on at most 5 vertices with an
+        # edge, under every weight map with weights 0-2.  The reference
+        # builds the combined graph and reads its simplicial vertices.
+        instances = 0
+        for h in atlas_graphs(5):
+            if not h.edges:
+                continue
+            for values in itertools.product(range(3), repeat=len(h.vertices)):
+                weights = dict(zip(h.vertices, values))
+                combined = generalized_line_graph(h, weights)
+                simplicial = set(simplicial_vertices(combined.graph))
+                expected = any(
+                    weights[v] == 0 and combined.incident_labels(v) & simplicial
+                    for v in h.vertices)
+                report = check_conditions(h, weights)
+                assert report.zero_weight_anchor_simplicial == expected
+                instances += 1
+        assert instances == 8919
+
 
 class TestSimplicialOrIsolated:
+    # simplicial_vertices counts isolated vertices too, so its emptiness is
+    # the classifier's "neither simplicial nor isolated" rule.
     def test_cycles_have_neither(self):
         for n in (4, 5, 6):
-            assert not has_simplicial_or_isolated(cycle_graph(n))
+            assert not simplicial_vertices(cycle_graph(n))
 
     def test_chordal_graphs_always_do(self):
         for g in connected_chordal_graphs(5):
-            assert has_simplicial_or_isolated(g)
+            assert simplicial_vertices(g)
 
     def test_isolated_vertex_counts(self):
-        assert has_simplicial_or_isolated(Graph(["a"], []))
+        assert simplicial_vertices(Graph(["a"], [])) == ("a",)
 
 
 class TestPendantReduce:
@@ -186,14 +210,25 @@ class TestClassify:
         cert = verdict.certificates["two_extra"]
         verify_realization(cert.digraph, cert.base, 2)
 
-    def test_unit_weight_edge_search_keeps_the_budget(self):
+    def test_unit_weight_edge_search_keeps_the_budget(self, monkeypatch):
         # Weight two on d leaves the unit edge a-b to a one-extra search on
-        # 13 vertices, which a 10-node budget cannot finish.
+        # 13 vertices, which a 10-node budget cannot finish; its outcome is
+        # final, so the oracle does not run the same search again.
+        original = glgcomp.oracle.find_realization
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(glgcomp.oracle, "find_realization", counting)
         h = Graph(list("abcde"), zip("abcd", "bcde"))
         verdict = classify(h, {"a": 1, "b": 1, "d": 2},
                            SearchBudget(max_nodes=10))
         assert verdict.k_value == UNDETERMINED
         assert "single_extra" not in verdict.certificates
+        assert len(calls) == 1
+        assert verdict.evidence[-1][1] == "oracle"
 
     def test_bigger_budget_resolves_it(self):
         roomy = SearchBudget(max_total_vertices=14, max_nodes=5_000_000)

@@ -5,9 +5,9 @@ import pytest
 from glgcomp import (Graph, NonPositiveM, SchemaError, UnknownVertex,
                      VertexCollision, check_weights, cocktail_label,
                      cocktail_party, edge_label, generalized_line_graph,
-                     incident_edge_clique, line_graph, semi_join,
-                     weighted_graph_from_json, weighted_graph_to_json)
-from corpus import connected_graphs, weight_maps
+                     incident_edge_clique, is_simplicial_edge, semi_join,
+                     simplicial_vertices, weighted_graph_from_json)
+from corpus import atlas_graphs, connected_graphs, weight_maps
 
 
 def star(n):
@@ -32,22 +32,22 @@ class TestLabels:
 
 class TestLineGraph:
     def test_star_becomes_complete(self):
-        lg, labels = line_graph(star(3))
-        assert len(lg.vertices) == 3
-        assert len(lg.edges) == 3
-        assert labels[("v1", "v2")] == "e:v1-v2"
+        c = generalized_line_graph(star(3), {})
+        assert len(c.graph.vertices) == 3
+        assert len(c.graph.edges) == 3
+        assert c.labels[("v1", "v2")] == "e:v1-v2"
 
     def test_path_becomes_shorter_path(self):
-        lg, _ = line_graph(path(4))
+        lg = generalized_line_graph(path(4), {}).graph
         assert len(lg.vertices) == 3
         assert len(lg.edges) == 2
 
     def test_two_edges_adjacent_iff_they_share_an_endpoint(self):
         for h in connected_graphs(5, min_edges=1, max_edges=6):
-            lg, labels = line_graph(h)
+            c = generalized_line_graph(h, {})
             for e, f in itertools.combinations(sorted(h.edges), 2):
                 touching = bool(set(e) & set(f))
-                assert lg.has_edge(labels[e], labels[f]) == touching
+                assert c.graph.has_edge(c.labels[e], c.labels[f]) == touching
 
     def test_incident_edge_clique(self):
         h = path(3)
@@ -59,7 +59,7 @@ class TestLineGraph:
 
     def test_bundles_are_cliques_covering_all_line_graph_edges(self):
         for h in connected_graphs(5, min_edges=1, max_edges=6):
-            lg, _ = line_graph(h)
+            lg = generalized_line_graph(h, {}).graph
             covered = set()
             for v in h.vertices:
                 bundle = incident_edge_clique(h, v)
@@ -67,6 +67,18 @@ class TestLineGraph:
                     assert lg.has_edge(a, b)
                     covered.add((a, b))
             assert covered == set(lg.edges)
+
+    def test_simplicial_edge_rule_matches_the_line_graph(self):
+        # 12,342 edges: every edge of every atlas graph on at most 7
+        # vertices.
+        edges = 0
+        for h in atlas_graphs(7):
+            c = generalized_line_graph(h, {})
+            simplicial = set(simplicial_vertices(c.graph))
+            for f in h.edges:
+                assert is_simplicial_edge(h, f) == (c.labels[f] in simplicial)
+                edges += 1
+        assert edges == 12342
 
 
 class TestCocktailParty:
@@ -106,12 +118,6 @@ class TestWeights:
 
 
 class TestGeneralizedLineGraph:
-    def test_zero_weights_is_plain_line_graph(self):
-        h = path(4)
-        combined = generalized_line_graph(h, {})
-        lg, _ = line_graph(h)
-        assert combined.graph == lg
-
     def test_vertex_count_formula(self):
         for h in connected_graphs(4, min_edges=1, max_edges=4):
             for weights in itertools.islice(weight_maps(h.vertices), 12):
@@ -144,7 +150,7 @@ class TestGeneralizedLineGraph:
                     weight_maps(h.vertices, max_weight=3, max_total=6), 0,
                     None, 5):
                 combined = generalized_line_graph(h, weights)
-                current, _ = line_graph(h)
+                current = generalized_line_graph(h, {}).graph
                 pairs = {}
                 for v in h.vertices:
                     pairs[v] = []
@@ -166,7 +172,7 @@ class TestGeneralizedLineGraph:
         with pytest.raises(VertexCollision):
             generalized_line_graph(h, {"c": 1})
         with pytest.raises(VertexCollision):
-            line_graph(h)
+            generalized_line_graph(h, {})
 
     def test_isolated_weighted_vertex_gets_a_detached_block(self):
         h = Graph(["a", "b", "c"], [("a", "b")])
@@ -180,15 +186,11 @@ class TestWeightedJson:
     def test_round_trip(self):
         h = path(3)
         weights = {"p1": 2}
-        doc = weighted_graph_to_json(h, weights)
-        assert doc["kind"] == "vertex_weighted_graph"
+        doc = {"kind": "vertex_weighted_graph", "vertices": ["p0", "p1", "p2"],
+               "edges": [["p0", "p1"], ["p1", "p2"]], "weights": {"p1": 2}}
         h2, w2 = weighted_graph_from_json(doc)
         assert h2 == h
         assert check_weights(h2, w2) == check_weights(h, weights)
-
-    def test_zero_weights_omitted(self):
-        doc = weighted_graph_to_json(path(2), {"p0": 0, "p1": 1})
-        assert doc["weights"] == {"p1": 1}
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(SchemaError):

@@ -13,9 +13,9 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, NotAClique,
                      find_realization, generalized_line_graph,
                      graph_from_json, graph_to_dot, graph_to_json,
                      is_acyclic_ordering, is_clique, is_connected,
-                     isolated_vertices, maximal_cliques, normalize_edge,
-                     opsut_lower_bound, require_clique, semi_join,
-                     simplicial_vertices, vertex_clique_cover_number)
+                     maximal_cliques, normalize_edge, opsut_lower_bound,
+                     require_clique, semi_join, simplicial_vertices,
+                     vertex_clique_cover_number)
 from corpus import atlas_graphs, complete_bipartite, cycle_graph
 
 
@@ -142,7 +142,6 @@ class TestCliquePredicates:
     def test_simplicial_includes_isolated(self):
         g = Graph(["a", "b", "c"], [("a", "b")])
         assert simplicial_vertices(g) == ("a", "b", "c")
-        assert isolated_vertices(g) == ("c",)
 
     def test_cycle_has_no_simplicial_vertex(self):
         for n in (4, 5, 6):

@@ -1,14 +1,16 @@
 import itertools
+import sys
 
 import pytest
 
 import glgcomp.realization
 from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      InvalidInput, NotAnEdge, PreconditionViolated,
-                     acyclic_ordering, cocktail_party, competition_graph,
-                     cp_realization, find_realization, generalized_line_graph,
+                     acyclic_ordering, check_conditions, classify,
+                     cocktail_party, competition_graph, cp_realization,
+                     find_realization, generalized_line_graph,
                      glg_realization, incident_edge_clique, is_connected,
-                     line_graph, single_extra_edge_realization,
+                     single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
 
@@ -132,7 +134,7 @@ class TestLineGraphRealization:
         monkeypatch.setattr(glgcomp.realization, "find_realization",
                             no_search)
         for h in connected_graphs(5, min_edges=1, max_edges=6):
-            lg, _ = line_graph(h)
+            lg = generalized_line_graph(h, {}).graph
             for e in sorted(h.edges):
                 d, z1, z2 = line_graph_realization(h, e)
                 cert = verify_realization(d, lg, 2)
@@ -157,7 +159,7 @@ class TestLineGraphRealization:
 
     def test_works_when_another_component_has_edges(self):
         h = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-        lg, _ = line_graph(h)
+        lg = generalized_line_graph(h, {}).graph
         d, z1, z2 = line_graph_realization(h, ("a", "b"))
         verify_realization(d, lg, 2)
         assert d.in_neighbors(z1) == incident_edge_clique(h, "a")
@@ -169,7 +171,7 @@ class TestLineGraphRealization:
                   [("a", "b"), ("c0", "c1"), ("c1", "c2"), ("c2", "c3"),
                    ("c0", "c3"), ("x0", "x1")])
         d, _, _ = line_graph_realization(h, ("a", "b"))
-        verify_realization(d, line_graph(h)[0], 2)
+        verify_realization(d, generalized_line_graph(h, {}).graph, 2)
 
     def test_every_edge_of_every_small_disconnected_graph(self, monkeypatch):
         # 1,678 (base, edge) pairs.  Pinned extras on a lone edge e take
@@ -185,7 +187,7 @@ class TestLineGraphRealization:
         for h in atlas_graphs(7):
             if not h.edges or is_connected(h):
                 continue
-            lg, _ = line_graph(h)
+            lg = generalized_line_graph(h, {}).graph
             for e in sorted(h.edges):
                 try:
                     d, z1, z2 = line_graph_realization(h, e)
@@ -218,12 +220,10 @@ class TestCpRealization:
 
 class TestGraphBuilds:
     # A structural guard with no timing: the combined graph is constructed
-    # once, however many blocks it has, and verification constructs none.
-    def test_one_graph_per_combined_graph_and_none_per_verify(
-            self, monkeypatch):
-        h = path(4)
-        weights = {"p0": 1, "p2": 2, "p3": 3}
-        r = glg_realization(h, weights)
+    # once, however many blocks it has, verification and the condition
+    # flags construct none, and classify builds one combined graph.
+    @staticmethod
+    def count_graphs(monkeypatch):
         built = []
         init = Graph.__init__
 
@@ -232,10 +232,41 @@ class TestGraphBuilds:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Graph, "__init__", counting_init)
+        return built
+
+    def test_one_graph_per_combined_graph_and_none_per_verify(
+            self, monkeypatch):
+        h = path(4)
+        weights = {"p0": 1, "p2": 2, "p3": 3}
+        r = glg_realization(h, weights)
+        built = self.count_graphs(monkeypatch)
         combined = generalized_line_graph(h, weights)
         assert len(built) == 1
         verify_realization(r.digraph, combined.graph, 2)
         assert len(built) == 1
+
+    def test_check_conditions_builds_no_graph(self, monkeypatch):
+        h = path(4)
+        built = self.count_graphs(monkeypatch)
+        check_conditions(h, {"p2": 2, "p3": 1})
+        assert built == []
+
+    def test_classify_builds_one_combined_graph(self, monkeypatch):
+        # Count calls under every name a glgcomp module holds the builder by.
+        original = generalized_line_graph
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "glgcomp" and getattr(
+                    module, "generalized_line_graph", None) is original:
+                monkeypatch.setattr(module, "generalized_line_graph",
+                                    counting)
+        classify(path(4), {"p2": 2, "p3": 1})
+        assert len(calls) == 1
 
 
 class TestGlgRealization:

@@ -27,7 +27,6 @@ def complete(n):
 class TestFreshLabels:
     def test_avoids_taken_names(self):
         assert fresh_labels({"z1"}, 2) == ["z2", "z3"]
-        assert fresh_labels(set(), 1, stem="w") == ["w1"]
 
 
 class TestFindRealization:
