@@ -1,22 +1,23 @@
 """Condition checkers and a competition-number classifier for combined graphs.
 
-The classifier decides k for a weighted base instance using, in order:
-the exact line-graph dichotomy when all weights are zero, the single-extra
-construction when no weight exceeds one, a pendant-vertex reduction that
-certifies k = 2, and one exact search.  The two-extra witness bounds k by
-two and a connected graph with an edge needs one extra, so a single
-one-extra search settles the rest: a witness gives k = 1, a refutation
-k = 2.  When some edge has weight one at both ends that search runs at any
-size; otherwise it is the oracle, which declines a graph above the
-search's vertex cap.  Only an exhausted node budget, or that cap, ends in
-an honest "undetermined".
+The classifier takes one path for every weight map.  In order: the
+single-extra construction when no weight exceeds one and either some
+weight is one or, with all weights zero, L(H) has a simplicial vertex
+(Opsut 1982; L(K2) = K1 needs no extra); a pendant-vertex reduction that
+certifies k = 2, and removes nothing from a line graph without a
+simplicial vertex; then one one-extra search, which settles the rest: the
+two-extra witness bounds k by two, and a connected graph with an edge
+needs an extra.  When some edge has weight one at both ends that search
+runs at any size; otherwise it is the oracle, which declines a graph
+above the search's vertex cap.  Only an exhausted node budget, or that
+cap, ends in an honest "undetermined"; no unweighted base is searched.
 """
 
 from .errors import BudgetExceeded, HypothesisNotMet, NotConnected
 from .glg_builder import check_weights, is_simplicial_edge
 from .graph_core import is_connected, simplicial_vertices
 from .oracle import realization_search
-from .realization import glg_realization, single_extra_unit_realization
+from .realization import _unit_chain, glg_realization
 from .search import DEFAULT_BUDGET
 
 EXACTLY_ZERO = "exactly-zero"
@@ -147,74 +148,58 @@ def classify(h, weights=None, budget=None):
         raise HypothesisNotMet("the base graph must be connected")
     budget = budget or DEFAULT_BUDGET
 
-    evidence = []
-    certificates = {}
     two = glg_realization(h, weights)
     target = two.combined.graph
-    certificates["two_extra"] = two.certificate
-    evidence.append(("two-extra witness: competition number is at most two",
-                     "two-extra-construction"))
-    positive = any(weights[v] for v in h.vertices)
-
-    def settle(k, name, found):
-        # One exact search for k extras, the least value left: a witness
-        # (stored under `name`, with the claims `found`) gives k, a
-        # refutation two, and an exhausted node budget undetermined.
-        try:
-            cert = realization_search(target, k, budget)
-        except BudgetExceeded:
-            evidence.append(("exact search exhausted its budget (lower bound "
-                             "%d)" % k, "oracle"))
-            return Verdict(UNDETERMINED, evidence, certificates)
-        if cert is None:
-            evidence.append(("exhaustive search refuted one extra, so the "
-                             "value is two", "oracle"))
-            return Verdict(EXACTLY_TWO, evidence, certificates)
-        certificates[name] = cert
-        evidence.extend(found)
-        return Verdict(EXACTLY_ONE if k else EXACTLY_ZERO, evidence,
-                       certificates)
-
-    def oracle_verdict():
-        # The two-extra witness caps k at two, and a target with an edge has
-        # no isolated vertex (it is connected), so k >= 1: one search at the
-        # least value settles it.  Only L(K2) = K1 has no edge, and k = 0.
-        k = 1 if target.edges else 0
-        if k > budget.max_k or \
-                len(target.vertices) + k > budget.max_total_vertices:
-            evidence.append(("%d vertices and %d extra exceed the search "
-                             "budget" % (len(target.vertices), k), "oracle"))
-            return Verdict(UNDETERMINED, evidence, certificates)
-        return settle(k, "oracle_witness", [
-            ("exhaustive search settled the value at %d" % k, "oracle")])
-
-    if not positive:
-        # Pure line graph: value is two exactly when no simplicial vertex
-        # exists; otherwise it is below two and the oracle picks 0 vs 1.
-        if not simplicial_vertices(target):
-            evidence.append(
-                ("no simplicial vertex, so at least two extras are needed",
-                 "no-simplicial-or-isolated"))
-            return Verdict(EXACTLY_TWO, evidence, certificates)
-        return oracle_verdict()
+    certificates = {"two_extra": two.certificate}
+    evidence = [("two-extra witness: competition number is at most two",
+                 "two-extra-construction")]
 
     report = check_conditions(h, weights)
-    if report.all_weights_unit:
-        certificates["single_extra"] = single_extra_unit_realization(h, weights)
+    if report.all_weights_unit and (report.has_unit_weight or
+                                    report.zero_weight_anchor_simplicial):
+        # With no positive weight the flag says that L(H) has a simplicial
+        # vertex: the chain then needs one extra, or none for L(K2) = K1.
+        cert = certificates["single_extra"] = _unit_chain(two.combined)
+        if not cert.k:
+            evidence.append(("witness with no extra: the line graph of one "
+                             "edge", "single-extra-construction"))
+            return Verdict(EXACTLY_ZERO, evidence, certificates)
         evidence.extend(SINGLE_EXTRA_EVIDENCE)
         return Verdict(EXACTLY_ONE, evidence, certificates)
 
     reduced, removed = pendant_reduce(target)
     # An isolated vertex is simplicial too: its empty neighbourhood is a
-    # clique.
+    # clique.  A line graph without a simplicial vertex has no pendant, so
+    # nothing is removed and this is Opsut's condition for two extras.
     if not simplicial_vertices(reduced):
         evidence.append(
             ("after deleting pendants %s the graph has neither a simplicial "
              "nor an isolated vertex, so at least two extras are needed"
              % (list(removed),), "pendant-reduction"))
         return Verdict(EXACTLY_TWO, evidence, certificates)
+    # Some weight is positive here, so the target has an edge and, being
+    # connected, no isolated vertex: k >= 1, and one search for one extra
+    # settles it.  With a unit-weight edge (some weight exceeds one, so the
+    # chain does not apply) it runs above the vertex cap too.
+    name, found = "oracle_witness", [
+        ("exhaustive search settled the value at 1", "oracle")]
     if report.unit_weight_edge is not None:
-        # Some weight exceeds one here, so the single-extra chain does not
-        # apply: search for one extra, above the vertex cap too.
-        return settle(1, "single_extra", SINGLE_EXTRA_EVIDENCE)
-    return oracle_verdict()
+        name, found = "single_extra", SINGLE_EXTRA_EVIDENCE
+    elif budget.max_k < 1 or \
+            len(target.vertices) + 1 > budget.max_total_vertices:
+        evidence.append(("%d vertices and 1 extra exceed the search budget"
+                         % len(target.vertices), "oracle"))
+        return Verdict(UNDETERMINED, evidence, certificates)
+    try:
+        cert = realization_search(target, 1, budget)
+    except BudgetExceeded:
+        evidence.append(("exact search exhausted its budget (lower bound 1)",
+                         "oracle"))
+        return Verdict(UNDETERMINED, evidence, certificates)
+    if cert is None:
+        evidence.append(("exhaustive search refuted one extra, so the value "
+                         "is two", "oracle"))
+        return Verdict(EXACTLY_TWO, evidence, certificates)
+    certificates[name] = cert
+    evidence.extend(found)
+    return Verdict(EXACTLY_ONE, evidence, certificates)

@@ -76,6 +76,8 @@ def _parse_edge(text):
 
 
 def _budget(args):
+    if min(args.max_vertices, args.max_k, args.max_nodes) < 0:
+        raise SchemaError("budget flags take non-negative integers")
     return SearchBudget(max_total_vertices=args.max_vertices,
                         max_k=args.max_k, max_nodes=args.max_nodes)
 

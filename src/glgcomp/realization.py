@@ -48,7 +48,9 @@ them at its first two positions and ends with only its own handed cliques
 waiting.  Cliques are left over only when e is a lone edge and two wait
 for its one position; then the construction refuses the pin with
 PreconditionViolated: the refusal is a property of the base and the pin,
-not a flaw in the scheme.
+not a flaw in the scheme.  With no pin every component is rooted as an
+other one, and the cliques left waiting are the extras': for a connected
+base, none for K2, one if L(H) has a simplicial vertex (Opsut), else two.
 """
 
 import collections
@@ -164,17 +166,18 @@ def _schedule(combined, root):
     return edges, released
 
 
-def _line_body(combined, e):
-    """Realize the line graph of the base as a body after which two extras
-    can take the edge bundles at the endpoints of the base edge e.
+def _line_body(combined, e=None):
+    """Realize the line graph of the base as a body: (body, waiting), where
+    waiting lists the cliques left for the extras.
 
     The chain of star schedules of the module docstring, in one pass; the
     stars, the handed-on cliques and the entries' labels are those the
-    combined graph holds.
+    combined graph holds.  With a pinned base edge e nothing is left
+    waiting, and two extras can take the edge bundles at its endpoints.
     """
     h = combined.base
-    own, own_released = _schedule(combined, e)
-    seen = {x for f in own for x in f}
+    pinned = [] if e is None else [_schedule(combined, e) + ([],)]
+    seen = {x for edges, _, _ in pinned for f in edges for x in f}
     chain = []
     for f in sorted(h.edges, reverse=True):
         if f[0] in seen:
@@ -187,25 +190,23 @@ def _line_body(combined, e):
             handed = [combined.incident_labels(x) for x in f]
         else:
             edges, released = _schedule(combined, root)
-            clique = combined.incident_labels(root[0]) | \
-                combined.incident_labels(root[1])
+            clique = frozenset().union(*map(combined.incident_labels, root))
             handed = [clique] if len(clique) > 1 else []
         chain.append((edges, released, handed))
     chain.sort(key=lambda part: -len(part[2]))
-    chain.append((own, own_released, []))
     waiting = collections.deque()
     body = []
-    for edges, released, handed in chain:
+    for edges, released, handed in chain + pinned:
         for f, stars in zip(edges, released):
             body.append((combined.labels[f],
                          waiting.popleft() if waiting else frozenset()))
             waiting.extend(stars)
         waiting.extend(handed)
-    if waiting:
+    if pinned and waiting:
         raise PreconditionViolated(
             "edge %r is a component of its own, and the other components "
             "hand on more cliques than its one position can take" % (e,))
-    return body
+    return body, list(waiting)
 
 
 def _pinned_edge(h, e):
@@ -296,7 +297,7 @@ def glg_realization(h, weights=None, e=None):
     combined = generalized_line_graph(h, weights)
     e = _pinned_edge(h, e)
     u, v = e
-    entries = _line_body(combined, e)
+    entries, _ = _line_body(combined, e)
     # The two entries right after the line body take the edge bundles.
     pin_at = len(entries)
     lead = (combined.incident_labels(u), combined.incident_labels(v))
@@ -318,29 +319,41 @@ def glg_realization(h, weights=None, e=None):
 
 def single_extra_unit_realization(h, weights=None):
     """Realize the combined graph with ONE extra vertex when every weight
-    is at most one (and at least one is positive); h must be connected.
+    is at most one; h must be connected.
 
     The weighted vertices' blocks are threaded into one descending chain
     behind the line-graph realization, each block vertex covering the
     previous one's join edges, with the single extra closing the chain.
-    Returns the RealizationCertificate.
+    With no positive weight the witness is the unpinned line body: no
+    extra for K2, one when some line-graph vertex is simplicial, and
+    otherwise HypothesisNotMet.  Returns the RealizationCertificate.
     """
     weights = check_weights(h, weights or {})
-    support = [x for x in h.vertices if weights[x]]
-    if not support:
-        raise HypothesisNotMet("at least one weight must be positive")
     if any(weights[x] > 1 for x in h.vertices):
         raise HypothesisNotMet("every weight must be at most one")
     if not h.edges:
         raise HypothesisNotMet("the base graph needs at least one edge")
     if not is_connected(h):
         raise HypothesisNotMet("the base graph must be connected")
-    combined = generalized_line_graph(h, weights)
+    return _unit_chain(generalized_line_graph(h, weights))
+
+
+def _unit_chain(combined):
+    """single_extra_unit_realization on its combined graph, built once."""
+    h = combined.base
+    support = [x for x in h.vertices if combined.cocktail_pairs[x]]
+    if not support:
+        entries, tail = _line_body(combined)
+        if len(tail) > 1:
+            raise HypothesisNotMet("no vertex of the line graph is "
+                                   "simplicial, so one extra cannot suffice")
+        return _certify(entries, tail, combined.graph,
+                        "single-extra realization (line graph)")
     t = len(support)
     u1 = support[0]
     e = min(normalize_edge(u1, w) for w in h.neighbors(u1))
     other = e[0] if e[1] == u1 else e[1]
-    entries = _line_body(combined, e)
+    entries, _ = _line_body(combined, e)
     qx, qy = zip(*(combined.cocktail_pairs[s][0] for s in support))
     bundles = [combined.incident_labels(s) for s in support]
     entries.append((qy[t - 1], combined.incident_labels(other)))

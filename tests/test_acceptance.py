@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import glgcomp.oracle
 import naive_oracle
 from corpus import (complete_bipartite, connected_chordal_graphs,
                     connected_graphs, cycle_graph, atlas_graphs)
@@ -28,6 +29,12 @@ from glgcomp import (BudgetExceeded, Graph, check_conditions, classify,
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 ORACLE_VERTEX_CAP = 13  # largest digraph the exact search will take on
+
+VERDICT_K = {"exactly-zero": 0, "exactly-one": 1, "exactly-two": 2}
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("the exact search ran")
 
 
 @pytest.fixture
@@ -117,7 +124,7 @@ def test_03_cocktail_party_blocks(report):
            True, "oracle for m=2,3; construction for m=1..5")
 
 
-def test_04_line_graph_dichotomy(report):
+def test_04_line_graph_dichotomy(report, monkeypatch):
     count = 0
     for h in connected_graphs(7, min_edges=1, max_edges=6):
         lg = generalized_line_graph(h, {}).graph
@@ -125,9 +132,15 @@ def test_04_line_graph_dichotomy(report):
         assert k <= 2
         assert (k == 2) == (not simplicial_vertices(lg)), \
             "dichotomy failed on the line graph of %r" % (h,)
+        # classify settles every line graph without the exact search.
+        with monkeypatch.context() as patched:
+            patched.setattr(glgcomp.oracle, "find_realization", no_search)
+            verdict = classify(h)
+        assert VERDICT_K[verdict.k_value] == k, h
         count += 1
     report(4, "line graphs: value at most two, exactly two iff "
-              "no simplicial vertex", True, "%d base graphs" % count)
+              "no simplicial vertex; classify agrees without search", True,
+           "%d base graphs" % count)
 
 
 def test_05_pendant_reduction_classifies_the_path_instance(report):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -10,7 +11,8 @@ from glgcomp import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                      check_conditions, classify, competition_number,
                      generalized_line_graph, pendant_reduce,
                      simplicial_vertices, verify_realization)
-from corpus import atlas_graphs, connected_chordal_graphs, cycle_graph
+from corpus import (atlas_graphs, connected_chordal_graphs, cycle_graph,
+                    random_triangle_free)
 
 
 def path(n):
@@ -161,16 +163,21 @@ class TestClassify:
     def test_line_graph_of_an_edge_is_zero(self):
         verdict = classify(Graph(["u", "v"], [("u", "v")]))
         assert verdict.k_value == EXACTLY_ZERO
+        assert verdict.evidence[-1][1] == "single-extra-construction"
+        cert = verdict.certificates["single_extra"]
+        assert cert.k == 0 and cert.added == ()
 
     def test_plain_line_graph_with_simplicial_vertex_is_one(self):
         verdict = classify(path(4))
         assert verdict.k_value == EXACTLY_ONE
-        assert any(src == "oracle" for _, src in verdict.evidence)
+        assert any(src == "single-extra-construction"
+                   for _, src in verdict.evidence)
+        assert verdict.certificates["single_extra"].k == 1
 
     def test_plain_line_graph_without_simplicial_vertex_is_two(self):
         verdict = classify(cycle_graph(4))
         assert verdict.k_value == EXACTLY_TWO
-        assert any(src == "no-simplicial-or-isolated"
+        assert any(src == "pendant-reduction"
                    for _, src in verdict.evidence)
         assert "two_extra" in verdict.certificates
 
@@ -248,3 +255,40 @@ class TestClassify:
         assert all(set(item) == {"claim", "source"}
                    for item in doc["evidence"])
         assert "two_extra" in doc["certificates"]
+
+
+class TestAboveTheSearchCap:
+    # Independent values on bases far above the search's vertex cap, with
+    # the exact search made to fail if it is ever called.  A path's line
+    # graph is a path and a tree's is chordal, so k = 1 (Roberts 1978); a
+    # cycle's line graph is a triangle-free cycle, so k = |E| - |V| + 2 = 2.
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran the exact search")
+
+        monkeypatch.setattr(glgcomp.oracle, "find_realization", refuse)
+
+    @staticmethod
+    def assert_value(h, value):
+        verdict = classify(h)
+        assert verdict.k_value == value, h
+        for cert in verdict.certificates.values():
+            verify_realization(cert.digraph, cert.base, cert.k)
+
+    def test_paths_are_one(self):
+        for n in range(12, 201):
+            self.assert_value(path(n), EXACTLY_ONE)
+
+    def test_cycles_are_two(self):
+        for n in range(12, 201):
+            h = cycle_graph(n)
+            lg = generalized_line_graph(h, {}).graph
+            assert len(lg.edges) - len(lg.vertices) + 2 == 2
+            self.assert_value(h, EXACTLY_TWO)
+
+    def test_random_trees_are_one(self):
+        rng = random.Random(20261018)
+        for _ in range(100):
+            tree = random_triangle_free(rng, rng.randint(20, 200), 0)
+            self.assert_value(tree, EXACTLY_ONE)

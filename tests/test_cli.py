@@ -138,6 +138,22 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "one-units", star_instance)
         assert code == 3 and "hypothesis" in err
 
+    def test_one_units_on_unweighted_bases(self, capsys, tmp_path,
+                                           fixtures_dir):
+        # A path's line graph has a simplicial vertex (one extra), K2's is
+        # K1 (none), and C4's has none, so one extra cannot do.
+        for vertices, k in ((["a", "b", "c", "d"], 1), (["a", "b"], 0)):
+            src = write(tmp_path, "path.json",
+                        {"kind": "graph", "vertices": vertices,
+                         "edges": [list(p) for p in zip(vertices,
+                                                        vertices[1:])]})
+            code, out, _ = run(capsys, "realize", "one-units", src)
+            assert code == 0
+            assert json.loads(out)["k"] == k
+        src = os.path.join(fixtures_dir, "c4.json")
+        code, _, err = run(capsys, "realize", "one-units", src)
+        assert code == 3 and "simplicial" in err
+
     def test_one_pair_on_a_unit_edge(self, capsys, fixtures_dir):
         src = os.path.join(fixtures_dir, "edge_units.json")
         code, out, _ = run(capsys, "realize", "one-pair", src)
@@ -254,6 +270,16 @@ class TestInputErrors:
         src = write(tmp_path, "bad.json", {"vertices": [], "edges": []})
         code, _, _ = run(capsys, "compnum", src)
         assert code == 2
+
+    def test_negative_budget_flags(self, capsys, tmp_path):
+        src = write(tmp_path, "k2.json",
+                    {"kind": "graph", "vertices": ["a", "b"],
+                     "edges": [["a", "b"]]})
+        for command in ("classify", "compnum"):
+            for flag in ("--max-nodes", "--max-vertices", "--max-k"):
+                code, out, err = run(capsys, command, src, flag, "-1")
+                assert code == 2 and "non-negative" in err, (command, flag)
+                assert out == ""
 
     def test_not_json(self, capsys, tmp_path):
         p = tmp_path / "junk.json"

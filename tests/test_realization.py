@@ -10,7 +10,7 @@ from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      cocktail_party, competition_graph, cp_realization,
                      find_realization, generalized_line_graph,
                      glg_realization, incident_edge_clique, is_connected,
-                     single_extra_edge_realization,
+                     simplicial_vertices, single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
 
@@ -265,8 +265,10 @@ class TestGraphBuilds:
                     module, "generalized_line_graph", None) is original:
                 monkeypatch.setattr(module, "generalized_line_graph",
                                     counting)
-        classify(path(4), {"p2": 2, "p3": 1})
-        assert len(calls) == 1
+        for weights in ({"p2": 2, "p3": 1}, {"p0": 1, "p2": 1}, {}):
+            del calls[:]
+            classify(path(4), weights)
+            assert len(calls) == 1, weights
 
 
 class TestGlgRealization:
@@ -338,11 +340,29 @@ class TestSingleExtraUnits:
         verify_realization(d, target, 1)
 
     def test_requires_unit_weights_and_a_nonzero_one(self):
+        # All weights zero is accepted when the line graph has a simplicial
+        # vertex: the path needs one extra and K2 none; C4 is refused.
         h = path(3)
         with pytest.raises(HypothesisNotMet):
             single_extra_unit_realization(h, {"p0": 2})
+        assert single_extra_unit_realization(h, {}).k == 1
+        edge = Graph(["u", "v"], [("u", "v")])
+        assert single_extra_unit_realization(edge, {}).k == 0
         with pytest.raises(HypothesisNotMet):
-            single_extra_unit_realization(h, {})
+            single_extra_unit_realization(cycle_graph(4), {})
+
+    def test_unweighted_bases_match_the_dichotomy(self):
+        # Opsut: on a connected base, one extra exactly when the line graph
+        # has a simplicial vertex, none for K2.
+        for h in connected_graphs(6, min_edges=1):
+            lg = generalized_line_graph(h, {}).graph
+            try:
+                cert = single_extra_unit_realization(h, {})
+            except HypothesisNotMet:
+                assert not simplicial_vertices(lg)
+                continue
+            assert simplicial_vertices(lg)
+            assert cert.k == (1 if lg.edges else 0)
 
     def test_requires_connected_base(self):
         h = Graph(["a", "b", "c"], [("a", "b")])
