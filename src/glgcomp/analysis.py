@@ -1,37 +1,30 @@
 """Condition checkers and a competition-number classifier for combined graphs.
 
 The classifier takes one path for every weight map.  In order: the
-single-extra construction when no weight exceeds one and either some
-weight is one or, with all weights zero, L(H) has a simplicial vertex
-(Opsut 1982; L(K2) = K1 needs no extra); a pendant-vertex reduction that
-certifies k = 2, and removes nothing from a line graph without a
-simplicial vertex; then one one-extra search, which settles the rest: the
-two-extra witness bounds k by two, and a connected graph with an edge
-needs an extra.  When some edge has weight one at both ends that search
-runs at any size; otherwise it is the oracle, which declines a graph
-above the search's vertex cap.  Only an exhausted node budget, or that
-cap, ends in an honest "undetermined"; no unweighted base is searched.
+single-extra construction when some edge has weight one at both ends, or
+when no weight exceeds one and either some weight is one or, with all
+weights zero, L(H) has a simplicial vertex (Opsut 1982; L(K2) = K1 needs
+no extra); a pendant-vertex reduction that certifies k = 2, and removes
+nothing from a line graph without a simplicial vertex; then the oracle's
+one-extra search, which settles the rest: the two-extra witness bounds k
+by two, and a connected graph with an edge needs an extra.  Only that
+search can end in an honest "undetermined", when its node budget runs out
+or the graph is above its vertex cap; it is reached only with no
+unit-weight edge and some weight above one, so no unweighted base is
+searched.
 """
 
-from .errors import BudgetExceeded, HypothesisNotMet, NotConnected
+from .errors import BudgetExceeded, NotConnected
 from .glg_builder import check_weights, is_simplicial_edge
 from .graph_core import is_connected, simplicial_vertices
 from .oracle import realization_search
-from .realization import _unit_chain, glg_realization
+from .realization import _connected_weights, _unit_chain, glg_realization
 from .search import DEFAULT_BUDGET
 
 EXACTLY_ZERO = "exactly-zero"
 EXACTLY_ONE = "exactly-one"
 EXACTLY_TWO = "exactly-two"
 UNDETERMINED = "at-most-two-undetermined"
-
-# The evidence of a one-extra witness on a connected graph with an edge.
-SINGLE_EXTRA_EVIDENCE = (
-    ("single-extra witness: competition number is at most one",
-     "single-extra-construction"),
-    ("the graph has edges and no isolated vertex, so at least one extra is "
-     "needed", "lower-bound"))
-
 
 class ConditionReport:
     """Necessary/sufficient condition flags for a weighted base instance."""
@@ -141,11 +134,7 @@ def classify(h, weights=None, budget=None):
     value is exact whenever a verified witness plus a matching lower bound
     exist, and honestly undetermined otherwise.
     """
-    weights = check_weights(h, weights or {})
-    if not h.edges:
-        raise HypothesisNotMet("the base graph needs at least one edge")
-    if not is_connected(h):
-        raise HypothesisNotMet("the base graph must be connected")
+    weights = _connected_weights(h, weights)
     budget = budget or DEFAULT_BUDGET
 
     two = glg_realization(h, weights)
@@ -155,16 +144,21 @@ def classify(h, weights=None, budget=None):
                  "two-extra-construction")]
 
     report = check_conditions(h, weights)
-    if report.all_weights_unit and (report.has_unit_weight or
-                                    report.zero_weight_anchor_simplicial):
+    if report.unit_weight_edge is not None or report.all_weights_unit and (
+            report.has_unit_weight or report.zero_weight_anchor_simplicial):
         # With no positive weight the flag says that L(H) has a simplicial
         # vertex: the chain then needs one extra, or none for L(K2) = K1.
-        cert = certificates["single_extra"] = _unit_chain(two.combined)
+        cert = certificates["single_extra"] = _unit_chain(
+            two.combined, report.unit_weight_edge)
         if not cert.k:
             evidence.append(("witness with no extra: the line graph of one "
                              "edge", "single-extra-construction"))
             return Verdict(EXACTLY_ZERO, evidence, certificates)
-        evidence.extend(SINGLE_EXTRA_EVIDENCE)
+        evidence += [
+            ("single-extra witness: competition number is at most one",
+             "single-extra-construction"),
+            ("the graph has edges and no isolated vertex, so at least one "
+             "extra is needed", "lower-bound")]
         return Verdict(EXACTLY_ONE, evidence, certificates)
 
     reduced, removed = pendant_reduce(target)
@@ -177,15 +171,10 @@ def classify(h, weights=None, budget=None):
              "nor an isolated vertex, so at least two extras are needed"
              % (list(removed),), "pendant-reduction"))
         return Verdict(EXACTLY_TWO, evidence, certificates)
-    # Some weight is positive here, so the target has an edge and, being
-    # connected, no isolated vertex: k >= 1, and one search for one extra
-    # settles it.  With a unit-weight edge (some weight exceeds one, so the
-    # chain does not apply) it runs above the vertex cap too.
-    name, found = "oracle_witness", [
-        ("exhaustive search settled the value at 1", "oracle")]
-    if report.unit_weight_edge is not None:
-        name, found = "single_extra", SINGLE_EXTRA_EVIDENCE
-    elif budget.max_k < 1 or \
+    # Some weight exceeds one and no edge has weight one at both ends, so
+    # the target has an edge and, being connected, no isolated vertex:
+    # k >= 1, and the oracle's one search for one extra settles it.
+    if budget.max_k < 1 or \
             len(target.vertices) + 1 > budget.max_total_vertices:
         evidence.append(("%d vertices and 1 extra exceed the search budget"
                          % len(target.vertices), "oracle"))
@@ -200,6 +189,6 @@ def classify(h, weights=None, budget=None):
         evidence.append(("exhaustive search refuted one extra, so the value "
                          "is two", "oracle"))
         return Verdict(EXACTLY_TWO, evidence, certificates)
-    certificates[name] = cert
-    evidence.extend(found)
+    certificates["oracle_witness"] = cert
+    evidence.append(("exhaustive search settled the value at 1", "oracle"))
     return Verdict(EXACTLY_ONE, evidence, certificates)

@@ -51,6 +51,28 @@ PreconditionViolated: the refusal is a property of the base and the pin,
 not a flaw in the scheme.  With no pin every component is rooted as an
 other one, and the cliques left waiting are the extras': for a connected
 base, none for K2, one if L(H) has a simplicial vertex (Opsut), else two.
+
+The one-extra constructions end in one chain of weight-one blocks.  A
+weight-one block at s is a partner pair x, y joined to S_s: y takes the
+waiting clique, x takes S_s+{y}, and S_s+{x} is handed on to the next
+block; the single extra takes the last.  x's clique covers the star S_s,
+so the line body may leave the stars at both ends of its pin to the chain.
+When no weight exceeds one, the body is the line body pinned at the
+smallest edge at the first weight-one vertex, and the chain starts with
+the bundle at the other end of that edge.  When an edge e = uv has weight
+one at both ends, whatever the other weights, the body is built in this
+order:
+
+* the line body pinned at e, with e's own entry, the last, taken off; the
+  clique P it would have taken is left waiting;
+* every block of weight two or more, in vertex order, with the lead pair
+  (P, {});
+* e's vertex, which takes the first clique the last block hands on; the
+  second starts the chain.
+
+No bundle of a heavy vertex contains e, so the heavy blocks can come
+before e's vertex; the blocks at u and v cover S_u and S_v, and those are
+the only cliques with e that the chain places, after e's vertex.
 """
 
 import collections
@@ -63,7 +85,7 @@ from .graph_core import (Digraph, acyclic_ordering, competition_edges,
                          is_connected, normalize_edge)
 from .glg_builder import (check_weights, cocktail_party,
                           generalized_line_graph, is_simplicial_edge)
-from .search import find_realization, fresh_labels
+from .search import fresh_labels
 
 
 class RealizationCertificate:
@@ -227,16 +249,17 @@ def _pinned_edge(h, e):
 # Cocktail-party blocks and the combined-graph realization with two extras
 # ---------------------------------------------------------------------------
 
-def _block_entries(xs, ys, anchors, lead):
+def _block_entries(pairs, anchors, lead):
     """Body entries for one cocktail-party block joined to `anchors`.
 
-    xs and ys are the block's partner pairs by level, and lead = (P1, P2)
-    the two cliques handed on by the previous stage (see the module
-    docstring).  Returns (entries, handed) where handed is the pair of
-    cliques this block hands on.
+    pairs are the block's partner pairs (x, y) by level, and lead =
+    (P1, P2) the two cliques handed on by the previous stage (see the
+    module docstring).  Returns (entries, handed) where handed is the pair
+    of cliques this block hands on.
     """
     a = frozenset(anchors)
     p1, p2 = lead
+    xs, ys = zip(*pairs)
     if len(xs) == 1:
         x, y = xs[0], ys[0]
         return [(x, p1), (y, p2)], (a | {x}, a | {y})
@@ -256,9 +279,7 @@ def cp_realization(m):
     """
     g, pairs = cocktail_party(m)
     empty = frozenset()
-    entries, handed = _block_entries([p[0] for p in pairs],
-                                     [p[1] for p in pairs],
-                                     empty, (empty, empty))
+    entries, handed = _block_entries(pairs, empty, (empty, empty))
     return _certify(entries, handed, g, "cocktail-party realization")
 
 
@@ -302,9 +323,7 @@ def glg_realization(h, weights=None, e=None):
     pin_at = len(entries)
     lead = (combined.incident_labels(u), combined.incident_labels(v))
     for bv in (x for x in h.vertices if weights[x] > 0):
-        pairs = combined.cocktail_pairs[bv]
-        block, lead = _block_entries([p[0] for p in pairs],
-                                     [p[1] for p in pairs],
+        block, lead = _block_entries(combined.cocktail_pairs[bv],
                                      combined.incident_labels(bv), lead)
         entries += block
     cert = _certify(entries, lead, combined.graph,
@@ -317,6 +336,17 @@ def glg_realization(h, weights=None, e=None):
 # Single-extra (k = 1) constructions
 # ---------------------------------------------------------------------------
 
+def _connected_weights(h, weights):
+    """The full weight map of an instance whose base is connected and has
+    an edge; raises HypothesisNotMet otherwise."""
+    weights = check_weights(h, weights or {})
+    if not h.edges:
+        raise HypothesisNotMet("the base graph needs at least one edge")
+    if not is_connected(h):
+        raise HypothesisNotMet("the base graph must be connected")
+    return weights
+
+
 def single_extra_unit_realization(h, weights=None):
     """Realize the combined graph with ONE extra vertex when every weight
     is at most one; h must be connected.
@@ -328,66 +358,63 @@ def single_extra_unit_realization(h, weights=None):
     extra for K2, one when some line-graph vertex is simplicial, and
     otherwise HypothesisNotMet.  Returns the RealizationCertificate.
     """
-    weights = check_weights(h, weights or {})
+    weights = _connected_weights(h, weights)
     if any(weights[x] > 1 for x in h.vertices):
         raise HypothesisNotMet("every weight must be at most one")
-    if not h.edges:
-        raise HypothesisNotMet("the base graph needs at least one edge")
-    if not is_connected(h):
-        raise HypothesisNotMet("the base graph must be connected")
     return _unit_chain(generalized_line_graph(h, weights))
 
 
-def _unit_chain(combined):
-    """single_extra_unit_realization on its combined graph, built once."""
+def _unit_chain(combined, e=None):
+    """The one-extra body of the module docstring on a built combined
+    graph, certified: pinned at e, a base edge with weight one at both
+    ends, or else for weights of at most one."""
     h = combined.base
-    support = [x for x in h.vertices if combined.cocktail_pairs[x]]
-    if not support:
+    units = [x for x in h.vertices if len(combined.cocktail_pairs[x]) == 1]
+    if e is not None:
+        entries, _ = _line_body(combined, e)
+        _, clique = entries.pop()
+        lead = (clique, frozenset())
+        for x in h.vertices:
+            if len(combined.cocktail_pairs[x]) > 1:
+                block, lead = _block_entries(combined.cocktail_pairs[x],
+                                             combined.incident_labels(x),
+                                             lead)
+                entries += block
+        entries.append((combined.labels[e], lead[0]))
+        waiting = lead[1]
+        what = "single-extra realization (unit edge)"
+    elif units:
+        f = min(normalize_edge(units[0], w) for w in h.neighbors(units[0]))
+        entries, _ = _line_body(combined, f)
+        waiting = combined.incident_labels(f[0] if f[1] == units[0] else f[1])
+        what = "single-extra realization (unit weights)"
+    else:
         entries, tail = _line_body(combined)
         if len(tail) > 1:
             raise HypothesisNotMet("no vertex of the line graph is "
                                    "simplicial, so one extra cannot suffice")
         return _certify(entries, tail, combined.graph,
                         "single-extra realization (line graph)")
-    t = len(support)
-    u1 = support[0]
-    e = min(normalize_edge(u1, w) for w in h.neighbors(u1))
-    other = e[0] if e[1] == u1 else e[1]
-    entries, _ = _line_body(combined, e)
-    qx, qy = zip(*(combined.cocktail_pairs[s][0] for s in support))
-    bundles = [combined.incident_labels(s) for s in support]
-    entries.append((qy[t - 1], combined.incident_labels(other)))
-    entries.append((qx[t - 1], bundles[t - 1] | {qy[t - 1]}))
-    for i in range(t - 1, 0, -1):
-        entries.append((qy[i - 1], bundles[i] | {qx[i]}))
-        entries.append((qx[i - 1], bundles[i - 1] | {qy[i - 1]}))
-    return _certify(entries, [bundles[0] | {qx[0]}], combined.graph,
-                    "single-extra realization (unit weights)")
+    for s in reversed(units):
+        (x, y), = combined.cocktail_pairs[s]
+        bundle = combined.incident_labels(s)
+        entries += [(y, waiting), (x, bundle | {y})]
+        waiting = bundle | {x}
+    return _certify(entries, [waiting], combined.graph, what)
 
 
 def single_extra_edge_realization(h, weights=None):
     """Realize the combined graph with ONE extra vertex when some edge has
     weight one on both of its endpoints; h must be connected.
 
-    When no weight exceeds one, single_extra_unit_realization builds the
-    witness.  Otherwise an exact bounded search supplies it (failure to find
-    one is reported honestly).  Returns the RealizationCertificate.
+    The unit-edge chain of the module docstring, pinned at the smallest
+    such edge, builds the witness whatever the other weights are; nothing
+    is searched.  Returns the RealizationCertificate.
     """
-    weights = check_weights(h, weights or {})
-    if not h.edges:
-        raise HypothesisNotMet("the base graph needs at least one edge")
-    if not is_connected(h):
-        raise HypothesisNotMet("the base graph must be connected")
-    if not any(weights[f[0]] == weights[f[1]] == 1 for f in h.edges):
+    weights = _connected_weights(h, weights)
+    e = min((f for f in h.edges if weights[f[0]] == weights[f[1]] == 1),
+            default=None)
+    if e is None:
         raise HypothesisNotMet(
             "no edge has weight one on both of its endpoints")
-    if max(weights.values()) <= 1:
-        return single_extra_unit_realization(h, weights)
-    combined = generalized_line_graph(h, weights)
-    # Some weight exceeds one; certify with one extra by exact search.
-    got = find_realization(combined.graph, 1)
-    if got is None:
-        raise ConstructionFailed(
-            "exhaustive search found no single-extra realization for this "
-            "instance; the weighted-edge condition did not suffice here")
-    return _certify(*got, combined.graph, "single-extra realization (search)")
+    return _unit_chain(generalized_line_graph(h, weights), e)

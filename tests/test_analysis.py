@@ -217,25 +217,21 @@ class TestClassify:
         cert = verdict.certificates["two_extra"]
         verify_realization(cert.digraph, cert.base, 2)
 
-    def test_unit_weight_edge_search_keeps_the_budget(self, monkeypatch):
-        # Weight two on d leaves the unit edge a-b to a one-extra search on
-        # 13 vertices, which a 10-node budget cannot finish; its outcome is
-        # final, so the oracle does not run the same search again.
-        original = glgcomp.oracle.find_realization
-        calls = []
+    def test_unit_weight_edge_needs_no_search_budget(self, monkeypatch):
+        # Weight two on d leaves the unit edge a-b, whose chain settles the
+        # value with no search, under a budget that allows none.
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran the exact search")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(glgcomp.oracle, "find_realization", counting)
+        monkeypatch.setattr(glgcomp.oracle, "find_realization", refuse)
         h = Graph(list("abcde"), zip("abcd", "bcde"))
-        verdict = classify(h, {"a": 1, "b": 1, "d": 2},
-                           SearchBudget(max_nodes=10))
-        assert verdict.k_value == UNDETERMINED
-        assert "single_extra" not in verdict.certificates
-        assert len(calls) == 1
-        assert verdict.evidence[-1][1] == "oracle"
+        weights = {"a": 1, "b": 1, "d": 2}
+        verdict = classify(h, weights, SearchBudget(max_k=0, max_nodes=10))
+        assert verdict.k_value == EXACTLY_ONE
+        cert = verdict.certificates["single_extra"]
+        assert cert.k == 1
+        verify_realization(cert.digraph,
+                           generalized_line_graph(h, weights).graph, 1)
 
     def test_bigger_budget_resolves_it(self):
         roomy = SearchBudget(max_total_vertices=14, max_nodes=5_000_000)
@@ -262,6 +258,7 @@ class TestAboveTheSearchCap:
     # the exact search made to fail if it is ever called.  A path's line
     # graph is a path and a tree's is chordal, so k = 1 (Roberts 1978); a
     # cycle's line graph is a triangle-free cycle, so k = |E| - |V| + 2 = 2.
+    # A unit-weight edge gives k = 1 by the paper's sufficient condition.
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -270,8 +267,8 @@ class TestAboveTheSearchCap:
         monkeypatch.setattr(glgcomp.oracle, "find_realization", refuse)
 
     @staticmethod
-    def assert_value(h, value):
-        verdict = classify(h)
+    def assert_value(h, value, weights=None):
+        verdict = classify(h, weights)
         assert verdict.k_value == value, h
         for cert in verdict.certificates.values():
             verify_realization(cert.digraph, cert.base, cert.k)
@@ -292,3 +289,15 @@ class TestAboveTheSearchCap:
         for _ in range(100):
             tree = random_triangle_free(rng, rng.randint(20, 200), 0)
             self.assert_value(tree, EXACTLY_ONE)
+
+    def test_random_unit_edges_are_one(self):
+        # The paper's second sufficient condition: an edge with weight one
+        # at both ends, whatever the other weights are.
+        rng = random.Random(20261019)
+        for _ in range(100):
+            n = rng.randint(20, 200)
+            h = random_triangle_free(rng, n, rng.randint(0, n))
+            weights = {v: rng.randint(0, 5) for v in h.vertices}
+            a, b = rng.choice(sorted(h.edges))
+            weights[a] = weights[b] = 1
+            self.assert_value(h, EXACTLY_ONE, weights)

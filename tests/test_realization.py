@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-import glgcomp.realization
+import glgcomp.oracle
+import glgcomp.search
 from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      InvalidInput, NotAnEdge, PreconditionViolated,
                      acyclic_ordering, check_conditions, classify,
@@ -12,6 +13,7 @@ from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      glg_realization, incident_edge_clique, is_connected,
                      simplicial_vertices, single_extra_edge_realization,
                      single_extra_unit_realization, verify_realization)
+from glgcomp.realization import _unit_chain
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
 
 
@@ -126,13 +128,7 @@ class TestLineGraphRealization:
         assert d.in_neighbors(z1) == incident_edge_clique(h, "p0")
         assert d.in_neighbors(z2) == incident_edge_clique(h, "p1")
 
-    def test_every_edge_of_every_small_graph(self, monkeypatch):
-        # On a connected base the star schedule never needs the search.
-        def no_search(*args, **kwargs):
-            raise AssertionError("a connected base reached exact search")
-
-        monkeypatch.setattr(glgcomp.realization, "find_realization",
-                            no_search)
+    def test_every_edge_of_every_small_graph(self):
         for h in connected_graphs(5, min_edges=1, max_edges=6):
             lg = generalized_line_graph(h, {}).graph
             for e in sorted(h.edges):
@@ -173,16 +169,10 @@ class TestLineGraphRealization:
         d, _, _ = line_graph_realization(h, ("a", "b"))
         verify_realization(d, generalized_line_graph(h, {}).graph, 2)
 
-    def test_every_edge_of_every_small_disconnected_graph(self, monkeypatch):
+    def test_every_edge_of_every_small_disconnected_graph(self):
         # 1,678 (base, edge) pairs.  Pinned extras on a lone edge e take
         # {e} and cover nothing, so a refused pair must have no realization
-        # of the line graph without extras; the search that checks this is
-        # not the one patched out of the construction.
-        def no_search(*args, **kwargs):
-            raise AssertionError("the line-graph chain reached exact search")
-
-        monkeypatch.setattr(glgcomp.realization, "find_realization",
-                            no_search)
+        # of the line graph without extras, which exact search checks.
         refused = 0
         for h in atlas_graphs(7):
             if not h.edges or is_connected(h):
@@ -388,3 +378,27 @@ class TestSingleExtraEdge:
         h = path(3)
         with pytest.raises(HypothesisNotMet):
             single_extra_edge_realization(h, {"p0": 1, "p2": 1})
+
+    def test_every_unit_edge_with_heavy_weights_needs_no_search(
+            self, monkeypatch):
+        # 1,403 (base, weights, unit edge) triples: weights 0-2 with some
+        # weight two, so the unit-weights chain does not apply.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the unit-edge chain ran the exact search")
+
+        for module in (glgcomp.oracle, glgcomp.search):
+            monkeypatch.setattr(module, "find_realization", refuse)
+        triples = 0
+        for h in connected_graphs(5, min_edges=1, max_edges=6):
+            for combo in itertools.product(range(3), repeat=len(h.vertices)):
+                if 2 not in combo:
+                    continue
+                weights = dict(zip(h.vertices, combo))
+                combined = generalized_line_graph(h, weights)
+                for e in sorted(h.edges):
+                    if weights[e[0]] == weights[e[1]] == 1:
+                        cert = _unit_chain(combined, e)
+                        assert cert.k == 1
+                        verify_realization(cert.digraph, combined.graph, 1)
+                        triples += 1
+        assert triples == 1403
