@@ -24,8 +24,7 @@ from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
 from .search import DEFAULT_BUDGET, SearchBudget, find_realization, fresh_labels
 from .realization import (GlgRealization, RealizationCertificate,
                           cp_realization, glg_realization,
-                          single_extra_edge_realization,
-                          single_extra_unit_realization, verify_realization)
+                          single_extra_realization, verify_realization)
 from .oracle import competition_number, realization_search
 from .analysis import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                        ConditionReport, Verdict, check_conditions, classify,

@@ -1,17 +1,18 @@
 """Condition checkers and a competition-number classifier for combined graphs.
 
 The classifier takes one path for every weight map.  In order: the
-single-extra construction when some edge has weight one at both ends, or
-when no weight exceeds one and either some weight is one or, with all
-weights zero, L(H) has a simplicial vertex (Opsut 1982; L(K2) = K1 needs
-no extra); a pendant-vertex reduction that certifies k = 2, and removes
-nothing from a line graph without a simplicial vertex; then the oracle's
-one-extra search, which settles the rest: the two-extra witness bounds k
-by two, and a connected graph with an edge needs an extra.  Only that
-search can end in an honest "undetermined", when its node budget runs out
-or the graph is above its vertex cap; it is reached only with no
-unit-weight edge and some weight above one, so no unweighted base is
-searched.
+single-extra construction, which reads its case off the combined graph
+(realization._unit_chain), whenever the condition flags say it applies:
+some edge has weight one at both ends, or no weight exceeds one and either
+some weight is one or, with all weights zero, L(H) has a simplicial vertex
+(Opsut 1982; L(K2) = K1 needs no extra); a pendant-vertex reduction that
+certifies k = 2, and removes nothing from a line graph without a
+simplicial vertex; then the oracle's one-extra search, which settles the
+rest: the two-extra witness bounds k by two, and a connected graph with an
+edge needs an extra.  Only that search can end in an honest
+"undetermined", when its node budget runs out or the graph is above its
+vertex cap; it is reached only with no unit-weight edge and some weight
+above one, so no unweighted base is searched.
 """
 
 from .errors import BudgetExceeded, NotConnected
@@ -76,7 +77,6 @@ def check_conditions(h, weights=None):
     hypotheses = {
         "connected": is_connected(h),
         "has_edge": bool(h.edges),
-        "weights_positive": any(weights[v] for v in h.vertices),
     }
     return ConditionReport(
         has_unit, zero_anchor,
@@ -146,10 +146,10 @@ def classify(h, weights=None, budget=None):
     report = check_conditions(h, weights)
     if report.unit_weight_edge is not None or report.all_weights_unit and (
             report.has_unit_weight or report.zero_weight_anchor_simplicial):
-        # With no positive weight the flag says that L(H) has a simplicial
-        # vertex: the chain then needs one extra, or none for L(K2) = K1.
-        cert = certificates["single_extra"] = _unit_chain(
-            two.combined, report.unit_weight_edge)
+        # The flags hold exactly when the chain builds a witness.  With no
+        # positive weight they say that L(H) has a simplicial vertex: the
+        # chain then needs one extra, or none for L(K2) = K1.
+        cert = certificates["single_extra"] = _unit_chain(two.combined)
         if not cert.k:
             evidence.append(("witness with no extra: the line graph of one "
                              "edge", "single-extra-construction"))

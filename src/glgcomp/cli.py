@@ -18,8 +18,8 @@ from .glg_builder import (cocktail_party, generalized_line_graph,
 from .graph_core import (digraph_from_json, digraph_to_dot, graph_from_json,
                          graph_to_dot, graph_to_json)
 from .oracle import competition_number
-from .realization import (glg_realization, single_extra_edge_realization,
-                          single_extra_unit_realization, verify_realization)
+from .realization import (glg_realization, single_extra_realization,
+                          verify_realization)
 from .search import DEFAULT_BUDGET, SearchBudget
 
 
@@ -98,14 +98,8 @@ def cmd_build(args):
     if args.what == "cp":
         result, _ = cocktail_party(args.m)
     else:
-        obj = _load(args.input)
-        if args.what == "line":
-            if obj["kind"] != "graph":
-                raise SchemaError("%s: expected kind 'graph'" % args.input)
-            result = generalized_line_graph(graph_from_json(obj), {}).graph
-        else:
-            h, weights = _as_weighted(obj, args.input)
-            result = generalized_line_graph(h, weights).graph
+        h, weights = _as_weighted(_load(args.input), args.input)
+        result = generalized_line_graph(h, weights).graph
     _write_json(graph_to_json(result), args.output)
     if args.dot:
         _write_text(graph_to_dot(result), args.dot)
@@ -121,10 +115,7 @@ def cmd_realize(args):
     else:
         if args.edge:
             raise SchemaError("--edge applies only to the 'two' mode")
-        if args.mode == "one-units":
-            cert = single_extra_unit_realization(h, weights)
-        else:
-            cert = single_extra_edge_realization(h, weights)
+        cert = single_extra_realization(h, weights)
     _write_json(cert.to_json(), args.output)
     if args.dot:
         _write_text(digraph_to_dot(cert.digraph,
@@ -146,6 +137,8 @@ def cmd_compnum(args):
 
 
 def cmd_verify(args):
+    if args.k < 0:
+        raise SchemaError("--k takes a non-negative integer")
     dobj = _load(args.digraph)
     if dobj["kind"] != "digraph":
         raise SchemaError("%s: expected kind 'digraph'" % args.digraph)
@@ -193,7 +186,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("build", help="construct a graph and write it as JSON")
-    p.add_argument("what", choices=["line", "cp", "glg"])
+    p.add_argument("what", choices=["glg", "cp"])
     p.add_argument("input", nargs="?",
                    help="instance file (not used with 'cp')")
     p.add_argument("--m", type=int, default=None,
@@ -204,9 +197,9 @@ def _build_parser():
 
     p = subs.add_parser("realize",
                         help="build a verified realization certificate")
-    p.add_argument("mode", choices=["two", "one-units", "one-pair"],
-                   help="two extras (always), or one extra via unit weights "
-                        "everywhere / a unit-weighted edge")
+    p.add_argument("mode", choices=["two", "one"],
+                   help="two extras (always), or one extra under either of "
+                        "the paper's sufficient conditions")
     p.add_argument("input")
     p.add_argument("--edge", default=None,
                    help="base edge 'u,v' pinning the extra pair (mode 'two')")

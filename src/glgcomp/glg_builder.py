@@ -92,20 +92,16 @@ def is_simplicial_edge(h, f):
         dx == dy == 2 and bool(h.neighbors(x) & h.neighbors(y)))
 
 
-def cocktail_party(m, namer=None):
+def cocktail_party(m):
     """Cocktail-party graph on 2m vertices (complete minus a perfect matching).
 
     Returns (graph, pairs) where pairs lists the m non-adjacent partner
-    pairs in level order.  The default naming is x1..xm / y1..ym.
+    pairs in level order, named x1..xm / y1..ym.
     """
     if not isinstance(m, int) or m < 1:
         raise NonPositiveM("cocktail-party size must be a positive integer, got %r" % (m,))
-    if namer is None:
-        namer = lambda level, side: "%s%d" % (side, level)
-    pairs = [(namer(l, "x"), namer(l, "y")) for l in range(1, m + 1)]
+    pairs = [("x%d" % l, "y%d" % l) for l in range(1, m + 1)]
     vertices = [v for pair in pairs for v in pair]
-    if len(set(vertices)) != len(vertices):
-        raise VertexCollision("cocktail-party labels collide")
     return Graph(vertices, _block_edges(pairs)), pairs
 
 

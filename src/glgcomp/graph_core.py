@@ -337,10 +337,10 @@ def _greedy_independent_set_size(graph):
     return size
 
 
-def opsut_lower_bound(graph, guard=DEFAULT_SIZE_GUARD):
+def opsut_lower_bound(graph):
     """min over vertices v of the vertex clique cover number of N(v).
 
-    A neighborhood above the size guard contributes a greedy independent
+    A neighborhood above DEFAULT_SIZE_GUARD contributes a greedy independent
     set size instead, which is at most its clique cover number, so the
     result is still a lower bound on the competition number.
     """
@@ -349,10 +349,10 @@ def opsut_lower_bound(graph, guard=DEFAULT_SIZE_GUARD):
     best = None
     for v in graph.vertices:
         nbhd = graph.induced(graph.neighbors(v))
-        if len(nbhd.vertices) > guard:
+        if len(nbhd.vertices) > DEFAULT_SIZE_GUARD:
             theta = _greedy_independent_set_size(nbhd)
         else:
-            theta = vertex_clique_cover_number(nbhd, guard)
+            theta = vertex_clique_cover_number(nbhd)
         if best is None or theta < best:
             best = theta
         if best == 0:
@@ -443,7 +443,6 @@ def _dot_quote(label):
 
 
 def _to_dot(keyword, name, vertices, links, connector, node_attrs):
-    node_attrs = node_attrs or {}
     lines = ["%s %s {" % (keyword, name)]
     for v in vertices:
         attrs = node_attrs.get(v)
@@ -458,13 +457,12 @@ def _to_dot(keyword, name, vertices, links, connector, node_attrs):
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(graph, name="G", node_attrs=None):
+def graph_to_dot(graph):
     """Deterministic DOT text for an undirected graph."""
-    return _to_dot("graph", name, graph.vertices, graph.edges, "--",
-                   node_attrs)
+    return _to_dot("graph", "G", graph.vertices, graph.edges, "--", {})
 
 
-def digraph_to_dot(digraph, name="D", node_attrs=None):
+def digraph_to_dot(digraph, node_attrs=None):
     """Deterministic DOT text for a digraph."""
-    return _to_dot("digraph", name, digraph.vertices, digraph.arcs, "->",
-                   node_attrs)
+    return _to_dot("digraph", "D", digraph.vertices, digraph.arcs, "->",
+                   node_attrs or {})

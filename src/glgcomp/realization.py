@@ -52,27 +52,33 @@ not a flaw in the scheme.  With no pin every component is rooted as an
 other one, and the cliques left waiting are the extras': for a connected
 base, none for K2, one if L(H) has a simplicial vertex (Opsut), else two.
 
-The one-extra constructions end in one chain of weight-one blocks.  A
-weight-one block at s is a partner pair x, y joined to S_s: y takes the
-waiting clique, x takes S_s+{y}, and S_s+{x} is handed on to the next
-block; the single extra takes the last.  x's clique covers the star S_s,
-so the line body may leave the stars at both ends of its pin to the chain.
-When no weight exceeds one, the body is the line body pinned at the
-smallest edge at the first weight-one vertex, and the chain starts with
-the bundle at the other end of that edge.  When an edge e = uv has weight
-one at both ends, whatever the other weights, the body is built in this
-order:
+The one-extra construction reads its case off the combined graph and ends
+in one chain of weight-one blocks.  A weight-one block at s is a partner
+pair x, y joined to S_s: y takes the waiting clique, x takes S_s+{y}, and
+S_s+{x} is handed on to the next block; the single extra takes the last.
+x's clique covers the star S_s, so the line body may leave the stars at
+both ends of its pin to the chain.  The cases go in this order.
 
-* the line body pinned at e, with e's own entry, the last, taken off; the
-  clique P it would have taken is left waiting;
-* every block of weight two or more, in vertex order, with the lead pair
-  (P, {});
-* e's vertex, which takes the first clique the last block hands on; the
-  second starts the chain.
+* Some edge has weight one at both ends, whatever the other weights: pin
+  the smallest such edge e = uv and build the body in this order:
 
-No bundle of a heavy vertex contains e, so the heavy blocks can come
-before e's vertex; the blocks at u and v cover S_u and S_v, and those are
-the only cliques with e that the chain places, after e's vertex.
+  * the line body pinned at e, with e's own entry, the last, taken off;
+    the clique P it would have taken is left waiting;
+  * every block of weight two or more, in vertex order, with the lead
+    pair (P, {});
+  * e's vertex, which takes the first clique the last block hands on; the
+    second starts the chain.
+
+  No bundle of a heavy vertex contains e, so the heavy blocks can come
+  before e's vertex; the blocks at u and v cover S_u and S_v, and those
+  are the only cliques with e that the chain places, after e's vertex.
+* Else some weight above one refuses the instance: neither of the paper's
+  sufficient conditions holds.
+* Else some weight is one: the body is the line body pinned at the
+  smallest edge at the first weight-one vertex, and the chain starts with
+  the bundle at the other end of that edge.
+* Else the body is the unpinned line body: no extra for K2, one when L(H)
+  has a simplicial vertex, and otherwise the instance is refused.
 """
 
 import collections
@@ -347,42 +353,44 @@ def _connected_weights(h, weights):
     return weights
 
 
-def single_extra_unit_realization(h, weights=None):
-    """Realize the combined graph with ONE extra vertex when every weight
-    is at most one; h must be connected.
+def single_extra_realization(h, weights=None):
+    """Realize the combined graph with ONE extra vertex, or none for K2;
+    h must be connected.
 
-    The weighted vertices' blocks are threaded into one descending chain
-    behind the line-graph realization, each block vertex covering the
-    previous one's join edges, with the single extra closing the chain.
-    With no positive weight the witness is the unpinned line body: no
-    extra for K2, one when some line-graph vertex is simplicial, and
-    otherwise HypothesisNotMet.  Returns the RealizationCertificate.
+    The one-extra construction of the module docstring, with its case read
+    off the instance: an edge with weight one at both ends, else weights
+    of at most one.  Nothing is searched; raises HypothesisNotMet when
+    neither case builds a witness.  Returns the RealizationCertificate.
     """
     weights = _connected_weights(h, weights)
-    if any(weights[x] > 1 for x in h.vertices):
-        raise HypothesisNotMet("every weight must be at most one")
     return _unit_chain(generalized_line_graph(h, weights))
 
 
-def _unit_chain(combined, e=None):
+def _unit_chain(combined):
     """The one-extra body of the module docstring on a built combined
-    graph, certified: pinned at e, a base edge with weight one at both
-    ends, or else for weights of at most one."""
+    graph, certified, in the case the combined graph calls for."""
     h = combined.base
-    units = [x for x in h.vertices if len(combined.cocktail_pairs[x]) == 1]
+    pairs = combined.cocktail_pairs
+    units = [x for x in h.vertices if len(pairs[x]) == 1]
+    e = min((f for f in h.edges
+             if len(pairs[f[0]]) == len(pairs[f[1]]) == 1), default=None)
     if e is not None:
         entries, _ = _line_body(combined, e)
         _, clique = entries.pop()
         lead = (clique, frozenset())
         for x in h.vertices:
-            if len(combined.cocktail_pairs[x]) > 1:
-                block, lead = _block_entries(combined.cocktail_pairs[x],
+            if len(pairs[x]) > 1:
+                block, lead = _block_entries(pairs[x],
                                              combined.incident_labels(x),
                                              lead)
                 entries += block
         entries.append((combined.labels[e], lead[0]))
         waiting = lead[1]
         what = "single-extra realization (unit edge)"
+    elif any(len(pairs[x]) > 1 for x in h.vertices):
+        raise HypothesisNotMet(
+            "one extra needs an edge with weight one at both ends, or no "
+            "weight above one")
     elif units:
         f = min(normalize_edge(units[0], w) for w in h.neighbors(units[0]))
         entries, _ = _line_body(combined, f)
@@ -396,25 +404,8 @@ def _unit_chain(combined, e=None):
         return _certify(entries, tail, combined.graph,
                         "single-extra realization (line graph)")
     for s in reversed(units):
-        (x, y), = combined.cocktail_pairs[s]
+        (x, y), = pairs[s]
         bundle = combined.incident_labels(s)
         entries += [(y, waiting), (x, bundle | {y})]
         waiting = bundle | {x}
     return _certify(entries, [waiting], combined.graph, what)
-
-
-def single_extra_edge_realization(h, weights=None):
-    """Realize the combined graph with ONE extra vertex when some edge has
-    weight one on both of its endpoints; h must be connected.
-
-    The unit-edge chain of the module docstring, pinned at the smallest
-    such edge, builds the witness whatever the other weights are; nothing
-    is searched.  Returns the RealizationCertificate.
-    """
-    weights = _connected_weights(h, weights)
-    e = min((f for f in h.edges if weights[f[0]] == weights[f[1]] == 1),
-            default=None)
-    if e is None:
-        raise HypothesisNotMet(
-            "no edge has weight one on both of its endpoints")
-    return _unit_chain(generalized_line_graph(h, weights), e)

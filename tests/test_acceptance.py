@@ -22,8 +22,8 @@ from glgcomp import (BudgetExceeded, Graph, check_conditions, classify,
                      digraph_from_json, find_realization,
                      generalized_line_graph, glg_realization,
                      graph_from_json, opsut_lower_bound, pendant_reduce,
-                     simplicial_vertices, single_extra_edge_realization,
-                     single_extra_unit_realization, verify_realization,
+                     simplicial_vertices, single_extra_realization,
+                     verify_realization,
                      weighted_graph_from_json)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -180,13 +180,13 @@ def test_07_single_extra_sweep(report):
         for mask in range(1, 1 << len(verts)):
             weights = {v: 1 for i, v in enumerate(verts) if mask >> i & 1}
             target = generalized_line_graph(h, weights).graph
-            d = single_extra_unit_realization(h, weights).digraph
+            d = single_extra_realization(h, weights).digraph
             verify_realization(d, target, 1)
             built += 1
             if len(target.vertices) + 1 <= ORACLE_VERTEX_CAP:
                 assert competition_number(target)[0] == 1
                 agreed += 1
-    # weight-two vertices away from a unit edge exercise the other scheme
+    # weight-two vertices away from a unit edge exercise the edge chain
     for h in connected_graphs(6, min_edges=1, max_edges=5):
         edge = min(h.edges)
         for heavy in set(h.vertices) - set(edge):
@@ -194,7 +194,7 @@ def test_07_single_extra_sweep(report):
             target = generalized_line_graph(h, weights).graph
             if len(target.vertices) + 1 > ORACLE_VERTEX_CAP:
                 continue
-            d = single_extra_edge_realization(h, weights).digraph
+            d = single_extra_realization(h, weights).digraph
             verify_realization(d, target, 1)
             assert competition_number(target)[0] == 1
             built += 1

@@ -51,8 +51,7 @@ class TestCheckConditions:
     def test_hypothesis_flags_are_recorded_not_raised(self):
         h = Graph(["a", "b", "c"], [("a", "b")])
         report = check_conditions(h, {})
-        assert report.hypotheses == {"connected": False, "has_edge": True,
-                                     "weights_positive": False}
+        assert report.hypotheses == {"connected": False, "has_edge": True}
 
     def test_json_shape(self):
         doc = check_conditions(path(2), {"p0": 1, "p1": 1}).to_json()

@@ -67,10 +67,11 @@ class TestBuild:
         assert open(dot).read() == first  # byte-for-byte reproducible
 
     def test_build_line(self, capsys, tmp_path):
+        # A graph document has no weights: build glg writes its line graph.
         src = write(tmp_path, "p.json",
                     {"kind": "graph", "vertices": ["a", "b", "c"],
                      "edges": [["a", "b"], ["b", "c"]]})
-        code, out, _ = run(capsys, "build", "line", src)
+        code, out, _ = run(capsys, "build", "glg", src)
         assert code == 0
         doc = json.loads(out)
         assert sorted(doc["vertices"]) == ["e:a-b", "e:b-c"]
@@ -93,8 +94,7 @@ class TestRealize:
         # Every certificate the CLI writes, k = 1 and the oracle's included;
         # a loop rather than parametrize keeps this test's id.
         cases = [(("realize", "two"), "path4_w12.json", "-o", 2),
-                 (("realize", "one-units"), "edge_units.json", "-o", 1),
-                 (("realize", "one-pair"), "edge_units.json", "-o", 1),
+                 (("realize", "one"), "edge_units.json", "-o", 1),
                  (("compnum",), "c4.json", "--witness", 2)]
         out = str(tmp_path / "cert.json")
         for command, fixture, flag, k in cases:
@@ -135,8 +135,11 @@ class TestRealize:
         assert code == 3 and "component of its own" in err
 
     def test_one_units_rejects_heavy_weights(self, capsys, star_instance):
-        code, _, err = run(capsys, "realize", "one-units", star_instance)
+        # A weight above one and no edge with weight one at both ends; the
+        # message names both of the paper's sufficient conditions.
+        code, _, err = run(capsys, "realize", "one", star_instance)
         assert code == 3 and "hypothesis" in err
+        assert "weight one at both ends" in err and "above one" in err
 
     def test_one_units_on_unweighted_bases(self, capsys, tmp_path,
                                            fixtures_dir):
@@ -147,22 +150,22 @@ class TestRealize:
                         {"kind": "graph", "vertices": vertices,
                          "edges": [list(p) for p in zip(vertices,
                                                         vertices[1:])]})
-            code, out, _ = run(capsys, "realize", "one-units", src)
+            code, out, _ = run(capsys, "realize", "one", src)
             assert code == 0
             assert json.loads(out)["k"] == k
         src = os.path.join(fixtures_dir, "c4.json")
-        code, _, err = run(capsys, "realize", "one-units", src)
+        code, _, err = run(capsys, "realize", "one", src)
         assert code == 3 and "simplicial" in err
 
     def test_one_pair_on_a_unit_edge(self, capsys, fixtures_dir):
         src = os.path.join(fixtures_dir, "edge_units.json")
-        code, out, _ = run(capsys, "realize", "one-pair", src)
+        code, out, _ = run(capsys, "realize", "one", src)
         assert code == 0
         assert json.loads(out)["k"] == 1
 
     def test_edge_flag_only_for_two(self, capsys, fixtures_dir):
         src = os.path.join(fixtures_dir, "edge_units.json")
-        code, _, _ = run(capsys, "realize", "one-units", src,
+        code, _, _ = run(capsys, "realize", "one", src,
                          "--edge", "u,v")
         assert code == 2
 
@@ -280,6 +283,17 @@ class TestInputErrors:
                 code, out, err = run(capsys, command, src, flag, "-1")
                 assert code == 2 and "non-negative" in err, (command, flag)
                 assert out == ""
+
+    def test_negative_extra_count(self, capsys, star_instance,
+                                  star_digraph):
+        code, out, err = run(capsys, "verify", star_digraph, star_instance,
+                             "--k", "-1")
+        assert code == 2 and "non-negative" in err
+        assert out == ""
+        # Rejected before any file is read.
+        code, _, err = run(capsys, "verify", "/nonexistent/d.json",
+                           "/nonexistent/g.json", "--k", "-1")
+        assert code == 2 and "non-negative" in err
 
     def test_not_json(self, capsys, tmp_path):
         p = tmp_path / "junk.json"

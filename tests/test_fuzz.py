@@ -78,8 +78,7 @@ def test_loaders_raise_only_glg_errors(doc):
 
 COMMANDS = [
     ["classify"], ["classify", "--conditions"], ["realize", "two"],
-    ["realize", "one-units"], ["realize", "one-pair"], ["build", "line"],
-    ["build", "glg"], ["compnum"],
+    ["realize", "one"], ["build", "glg"], ["compnum"],
 ]
 
 

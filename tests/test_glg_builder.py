@@ -95,8 +95,9 @@ class TestCocktailParty:
             assert not g.has_edge(x, y)
             assert g.neighbors(x) == frozenset(g.vertices) - {x, y}
 
-    def test_custom_namer_and_bad_m(self):
-        g, pairs = cocktail_party(2, namer=lambda l, s: "%s%d" % (s, l))
+    def test_default_names_and_bad_m(self):
+        g, pairs = cocktail_party(2)
+        assert pairs == [("x1", "y1"), ("x2", "y2")]
         assert set(g.vertices) == {"x1", "x2", "y1", "y2"}
         with pytest.raises(NonPositiveM):
             cocktail_party(0)
@@ -155,9 +156,14 @@ class TestGeneralizedLineGraph:
                 for v in h.vertices:
                     pairs[v] = []
                     if weights.get(v):
-                        block, pairs[v] = cocktail_party(
-                            weights[v],
-                            namer=lambda l, s, v=v: cocktail_label(v, l, s))
+                        block, plain = cocktail_party(weights[v])
+                        name = {p: cocktail_label(v, l, s)
+                                for l, pair in enumerate(plain, 1)
+                                for s, p in zip("xy", pair)}
+                        pairs[v] = [(name[x], name[y]) for x, y in plain]
+                        block = Graph(map(name.get, block.vertices),
+                                      [(name[a], name[b])
+                                       for a, b in block.edges])
                         current = semi_join(
                             current, sorted(incident_edge_clique(h, v)), block)
                 assert combined.graph == current

@@ -11,9 +11,8 @@ from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
                      cocktail_party, competition_graph, cp_realization,
                      find_realization, generalized_line_graph,
                      glg_realization, incident_edge_clique, is_connected,
-                     simplicial_vertices, single_extra_edge_realization,
-                     single_extra_unit_realization, verify_realization)
-from glgcomp.realization import _unit_chain
+                     simplicial_vertices, single_extra_realization,
+                     verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
 
 
@@ -319,27 +318,28 @@ class TestSingleExtraUnits:
     def test_all_unit_weights_verify(self):
         h = path(3)
         weights = {v: 1 for v in h.vertices}
-        d = single_extra_unit_realization(h, weights).digraph
+        d = single_extra_realization(h, weights).digraph
         target = generalized_line_graph(h, weights).graph
         verify_realization(d, target, 1)
 
     def test_partial_support_is_fine(self):
         h = star(3)
-        d = single_extra_unit_realization(h, {"v2": 1}).digraph
+        d = single_extra_realization(h, {"v2": 1}).digraph
         target = generalized_line_graph(h, {"v2": 1}).graph
         verify_realization(d, target, 1)
 
     def test_requires_unit_weights_and_a_nonzero_one(self):
-        # All weights zero is accepted when the line graph has a simplicial
-        # vertex: the path needs one extra and K2 none; C4 is refused.
+        # Without a unit edge, a weight above one is refused.  All weights
+        # zero is accepted when the line graph has a simplicial vertex: the
+        # path needs one extra and K2 none; C4 is refused.
         h = path(3)
         with pytest.raises(HypothesisNotMet):
-            single_extra_unit_realization(h, {"p0": 2})
-        assert single_extra_unit_realization(h, {}).k == 1
+            single_extra_realization(h, {"p0": 2})
+        assert single_extra_realization(h, {}).k == 1
         edge = Graph(["u", "v"], [("u", "v")])
-        assert single_extra_unit_realization(edge, {}).k == 0
+        assert single_extra_realization(edge, {}).k == 0
         with pytest.raises(HypothesisNotMet):
-            single_extra_unit_realization(cycle_graph(4), {})
+            single_extra_realization(cycle_graph(4), {})
 
     def test_unweighted_bases_match_the_dichotomy(self):
         # Opsut: on a connected base, one extra exactly when the line graph
@@ -347,7 +347,7 @@ class TestSingleExtraUnits:
         for h in connected_graphs(6, min_edges=1):
             lg = generalized_line_graph(h, {}).graph
             try:
-                cert = single_extra_unit_realization(h, {})
+                cert = single_extra_realization(h, {})
             except HypothesisNotMet:
                 assert not simplicial_vertices(lg)
                 continue
@@ -357,48 +357,72 @@ class TestSingleExtraUnits:
     def test_requires_connected_base(self):
         h = Graph(["a", "b", "c"], [("a", "b")])
         with pytest.raises(HypothesisNotMet):
-            single_extra_unit_realization(h, {"a": 1})
+            single_extra_realization(h, {"a": 1})
 
 
 class TestSingleExtraEdge:
     def test_unit_edge_with_heavier_weights_elsewhere(self):
         h = path(3)
         weights = {"p0": 1, "p1": 1, "p2": 2}
-        d = single_extra_edge_realization(h, weights).digraph
+        d = single_extra_realization(h, weights).digraph
         target = generalized_line_graph(h, weights).graph
         verify_realization(d, target, 1)
 
     def test_pure_unit_edge(self):
         h = Graph(["u", "v"], [("u", "v")])
-        d = single_extra_edge_realization(h, {"u": 1, "v": 1}).digraph
+        d = single_extra_realization(h, {"u": 1, "v": 1}).digraph
         target = generalized_line_graph(h, {"u": 1, "v": 1}).graph
         verify_realization(d, target, 1)
 
     def test_requires_a_unit_weighted_edge(self):
         h = path(3)
         with pytest.raises(HypothesisNotMet):
-            single_extra_edge_realization(h, {"p0": 1, "p2": 1})
+            single_extra_realization(h, {"p0": 1, "p2": 2})
 
     def test_every_unit_edge_with_heavy_weights_needs_no_search(
             self, monkeypatch):
-        # 1,403 (base, weights, unit edge) triples: weights 0-2 with some
-        # weight two, so the unit-weights chain does not apply.
+        # 987 instances with weights 0-2, some weight two and a unit edge:
+        # the unit-weights chain does not apply, and the edge chain pins
+        # the smallest unit edge.
         def refuse(*args, **kwargs):
             raise AssertionError("the unit-edge chain ran the exact search")
 
         for module in (glgcomp.oracle, glgcomp.search):
             monkeypatch.setattr(module, "find_realization", refuse)
-        triples = 0
+        instances = 0
         for h in connected_graphs(5, min_edges=1, max_edges=6):
             for combo in itertools.product(range(3), repeat=len(h.vertices)):
-                if 2 not in combo:
-                    continue
                 weights = dict(zip(h.vertices, combo))
+                if 2 not in combo or not any(
+                        weights[a] == weights[b] == 1 for a, b in h.edges):
+                    continue
+                cert = single_extra_realization(h, weights)
+                assert cert.k == 1
                 combined = generalized_line_graph(h, weights)
-                for e in sorted(h.edges):
-                    if weights[e[0]] == weights[e[1]] == 1:
-                        cert = _unit_chain(combined, e)
-                        assert cert.k == 1
-                        verify_realization(cert.digraph, combined.graph, 1)
-                        triples += 1
-        assert triples == 1403
+                verify_realization(cert.digraph, combined.graph, 1)
+                instances += 1
+        assert instances == 987
+
+
+class TestOneExtraRule:
+    def test_condition_flags_agree_with_the_construction(self):
+        # 3,708 instances: every connected base of 2-5 vertices and at most
+        # six edges under every weight map with weights 0-2.  classify's
+        # flag test holds exactly when single_extra_realization succeeds.
+        instances = 0
+        for h in connected_graphs(5, min_edges=1, max_edges=6):
+            for combo in itertools.product(range(3), repeat=len(h.vertices)):
+                weights = dict(zip(h.vertices, combo))
+                report = check_conditions(h, weights)
+                applies = report.unit_weight_edge is not None or \
+                    report.all_weights_unit and (
+                        report.has_unit_weight or
+                        report.zero_weight_anchor_simplicial)
+                try:
+                    single_extra_realization(h, weights)
+                except HypothesisNotMet:
+                    assert not applies, weights
+                else:
+                    assert applies, weights
+                instances += 1
+        assert instances == 3708
