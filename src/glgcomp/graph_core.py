@@ -238,29 +238,69 @@ def is_connected(graph):
     return len(seen) == len(graph.vertices)
 
 
-def maximal_cliques(graph):
-    """All maximal cliques (Bron-Kerbosch with pivoting), deterministically sorted."""
-    adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
+def bit_indices(mask):
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def maximal_clique_masks(adj):
+    """All maximal cliques of the graph on vertices 0..len(adj)-1 in which
+    vertex i is adjacent to the set bits of adj[i], as vertex bitmasks.
+
+    Bron-Kerbosch with pivoting: the pivot is the lowest vertex of P | X
+    with the most neighbours in P, and the branches run over P minus its
+    neighbours, lowest first.  The cliques are sorted by their vertex
+    positions, read lowest first.
+    """
     out = []
 
     def expand(r, p, x):
         if not p and not x:
-            out.append(frozenset(r))
+            out.append(r)
             return
-        pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        most = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            count = (adj[u] & p).bit_count()
+            if count > most:
+                most, pivot = count, u
+        branch = p & ~adj[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            nbrs = adj[low.bit_length() - 1]
+            expand(r | low, p & nbrs, x & nbrs)
+            p ^= low
+            x |= low
 
     try:
-        expand(set(), set(graph.vertices), set())
+        expand(0, (1 << len(adj)) - 1, 0)
     finally:
         # expand reaches itself through its closure cell; emptying the cell
         # frees it, and the state it holds, now rather than at the next
         # cyclic garbage collection.
         expand = None
-    return sorted(out, key=lambda c: tuple(sorted(c)))
+    return sorted(out, key=bit_indices)
+
+
+def maximal_cliques(graph):
+    """All maximal cliques, sorted by their members read in label order."""
+    vs = graph.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    adj = [0] * len(vs)
+    for a, b in graph.edges:
+        adj[index[a]] |= 1 << index[b]
+        adj[index[b]] |= 1 << index[a]
+    return [frozenset(vs[i] for i in bit_indices(m))
+            for m in maximal_clique_masks(adj)]
 
 
 def _guard(graph, guard, what):

@@ -28,13 +28,15 @@ def realization_search(graph, k, budget=None):
 def competition_number(graph, budget=None):
     """Exact competition number with a verified witness.
 
-    Ascends k from the clique-cover lower bound (0 on the empty graph);
-    returns (k, certificate).  Raises BudgetExceeded (carrying the
-    best-known lower bound) when either k or the total vertex count would
-    leave the budget.
+    Ascends k from the larger of the clique-cover lower bound and the
+    edge-clique-cover bound (0 on the empty graph); returns
+    (k, certificate).  Raises BudgetExceeded (carrying the best-known lower
+    bound) when either k or the total vertex count would leave the budget.
     """
     budget = budget or DEFAULT_BUDGET
     k = opsut_lower_bound(graph) if graph.vertices else 0
+    if graph.edges:
+        k = max(k, _edge_cover_bound(graph))
     while True:
         if k > budget.max_k or len(graph.vertices) + k > budget.max_total_vertices:
             raise BudgetExceeded(
@@ -49,3 +51,18 @@ def competition_number(graph, budget=None):
         if cert is not None:
             return k, cert
         k += 1
+
+
+def _edge_cover_bound(graph):
+    """Opsut's k >= theta_e - |V| + 2 on a graph with an edge, theta_e being
+    its edge clique cover number.
+
+    In an acyclic realization only the vertices from the third on have
+    in-neighbourhoods holding an edge, so n + k - 2 cliques cover every
+    edge.  An edge in no triangle lies in no clique but itself, so each of
+    the t such edges takes a clique of its own, and any other edge one
+    more: theta_e >= t + [m > t].
+    """
+    t = sum(1 for a, b in graph.edges
+            if not graph.neighbors(a) & graph.neighbors(b))
+    return t + (len(graph.edges) > t) - len(graph.vertices) + 2

@@ -38,8 +38,17 @@ E for the ready ones.
 A node is one state (taken set, covered set) entered by the search,
 including the states it then finds stuck (no ready vertex) or dominated;
 `max_nodes` caps their count, and a witness on n vertices takes at least
-n + 1 of them.  Each call caches the candidate cliques per free-vertex
-mask, each stored with the edges it covers.  The memo and the caches
+n + 1 of them; running out names the extras' combination the search was
+in.
+
+Vertices, edges and cliques are bitmasks, and each vertex has a mask of
+its incident edges.  The ready set is passed down rather than rescanned:
+it only grows with the covered set, and a vertex whose last uncovered
+edge a clique covers lies in that clique, so a child tests only the
+members of the clique just placed.  The edges a clique covers, those
+joining each member to an earlier one, are read off the incidence masks.
+Each call caches these covers per clique mask and the candidate cliques
+per free-vertex mask.  The memo and the caches
 belong to one call and are released when it returns, raises or runs out
 of budget.
 """
@@ -47,7 +56,7 @@ of budget.
 import itertools
 
 from .errors import BudgetExceeded
-from .graph_core import maximal_cliques
+from .graph_core import bit_indices, maximal_clique_masks
 
 
 class SearchBudget:
@@ -90,32 +99,38 @@ def find_realization(graph, k, budget=None):
     max_nodes = budget.max_nodes
     vs = graph.vertices
     n = len(vs)
-    bits = [1 << i for i in range(n)]
-    vbit = dict(zip(vs, bits))
-    edges = sorted(graph.edges)
-    ebit = {e: 1 << i for i, e in enumerate(edges)}
+    index = {v: i for i, v in enumerate(vs)}
+    adj = [0] * n
     incident = [0] * n
-    for (a, b), eb in ebit.items():
-        incident[vbit[a].bit_length() - 1] |= eb
-        incident[vbit[b].bit_length() - 1] |= eb
-
-    def vertex_mask(vertices):
-        m = 0
-        for v in vertices:
-            m |= vbit[v]
-        return m
+    for j, (a, b) in enumerate(sorted(graph.edges)):
+        i, h = index[a], index[b]
+        adj[i] |= 1 << h
+        adj[h] |= 1 << i
+        incident[i] |= 1 << j
+        incident[h] |= 1 << j
 
     def members(vmask):
-        return frozenset(v for v, b in zip(vs, bits) if b & vmask)
+        return frozenset(vs[i] for i in bit_indices(vmask))
+
+    covers = {}
 
     def cover_of(vmask):
-        mask = 0
-        inside = [v for v in vs if vbit[v] & vmask]
-        for a, b in itertools.combinations(inside, 2):
-            mask |= ebit[(a, b)]
-        return mask
+        """The edges with both ends in vmask: those joining each member to
+        an earlier one."""
+        got = covers.get(vmask)
+        if got is None:
+            got = seen = 0
+            rest = vmask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                inc = incident[low.bit_length() - 1]
+                got |= inc & seen
+                seen |= inc
+            covers[vmask] = got
+        return got
 
-    clique_masks = [vertex_mask(c) for c in maximal_cliques(graph)]
+    clique_masks = maximal_clique_masks(adj)
 
     cand_cache = {}
 
@@ -125,10 +140,19 @@ def find_realization(graph, k, budget=None):
         got = cand_cache.get(free)
         if got is None:
             inters = {cm & free for cm in clique_masks}
-            maximal = [m for m in inters if m & (m - 1) and
-                       not any(m != o and m & ~o == 0 for o in inters)]
-            got = cand_cache[free] = [(m, cover_of(m)) for m in maximal] \
-                or [(0, 0)]
+            # A trace is maximal when no larger one kept so far holds it.
+            # The set's own order is the branching order, so keep to it.
+            maximal = []
+            for m in sorted((m for m in inters if m & (m - 1)),
+                            key=int.bit_count, reverse=True):
+                for o in maximal:
+                    if m & ~o == 0:
+                        break
+                else:
+                    maximal.append(m)
+            keep = set(maximal)
+            got = cand_cache[free] = [(m, cover_of(m)) for m in inters
+                                      if m in keep] or [(0, 0)]
         return got
 
     # Extras sit after every G-vertex, so each takes a whole maximal
@@ -143,25 +167,20 @@ def find_realization(graph, k, budget=None):
     memo = {}
     nodes = 0
     path = []
+    tail_no = 0
 
-    def dfs(taken, covered):
-        """Extend `path` backwards from the taken vertices; on success leave
-        the witness on it and return True."""
+    def dfs(taken, covered, ready):
+        """Extend `path` backwards from the taken vertices, `ready` being
+        the free ones whose edges are all covered; on success leave the
+        witness on it and return True."""
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(
-                "realization search exceeded %d nodes" % max_nodes)
+                "realization search exceeded %d nodes in combination %d of "
+                "%d of the extras' cliques" % (max_nodes, tail_no, len(tails)))
         if taken == full:
             return True
-        free = full & ~taken
-        ready = 0
-        rest = free
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if incident[low.bit_length() - 1] & ~covered == 0:
-                ready |= low
         if not ready:
             return False
         # Dominance: skip when an earlier visit of this taken set covered
@@ -177,17 +196,32 @@ def find_realization(graph, k, budget=None):
             kept.append(covered)
         low = ready & -ready
         i = low.bit_length() - 1
+        candidates = clique_candidates(full & ~taken & ~ready)
         taken |= low
-        for cm, cover in clique_candidates(free & ~ready):
+        ready ^= low
+        for cm, cover in candidates:
+            grown = covered | cover
+            now_ready = ready
+            if grown != covered:
+                # Only a vertex of the clique just placed can have had its
+                # last uncovered edge covered.
+                rest = cm
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if incident[bit.bit_length() - 1] & ~grown == 0:
+                        now_ready |= bit
             path.append((i, cm))
-            if dfs(taken, covered | cover):
+            if dfs(taken, grown, now_ready):
                 return True
             path.pop()
         return False
 
     try:
-        for tail, covered in tails:
-            if dfs(0, covered):
+        for tail_no, (tail, covered) in enumerate(tails, 1):
+            ready = _union(1 << i for i in range(n)
+                           if incident[i] & ~covered == 0)
+            if dfs(0, covered, ready):
                 body = tuple((vs[i], members(cm)) for i, cm in reversed(path))
                 tail = [members(cm) for cm, _ in tail]
                 tail += [frozenset()] * (k - len(tail))

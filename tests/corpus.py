@@ -121,3 +121,13 @@ def random_chordal(rng, n):
         edges += [(u, v) for u in joined]
         cliques.append(set(joined) | {v})
     return Graph(verts, edges)
+
+
+def random_connected(rng, n, m):
+    """A connected graph on r0..r(n-1) with m edges: a random tree plus
+    m - n + 1 further edges drawn uniformly."""
+    verts = ["r%d" % i for i in range(n)]
+    edges = {(verts[rng.randrange(i)], verts[i]) for i in range(1, n)}
+    free = [p for p in itertools.combinations(verts, 2) if p not in edges]
+    edges.update(rng.sample(free, m - n + 1))
+    return Graph(verts, edges)

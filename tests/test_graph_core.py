@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,32 @@ class TestCliquePredicates:
                   [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
         assert list(maximal_cliques(g)) == [frozenset({"a", "b", "c"}),
                                             frozenset({"c", "d"})]
+
+
+class TestMaximalCliquesMatchNetworkx:
+    # The same cliques as networkx's independent Bron-Kerbosch, in
+    # maximal_cliques's documented order.
+    @staticmethod
+    def check(g):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(g.vertices)
+        nxg.add_edges_from(g.edges)
+        expected = sorted((frozenset(c) for c in nx.find_cliques(nxg)),
+                          key=lambda c: tuple(sorted(c)))
+        assert maximal_cliques(g) == expected, g
+
+    def test_every_atlas_graph(self):
+        for g in atlas_graphs(7):
+            self.check(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            verts = ["x%d" % i for i in range(n)]
+            p = rng.random()
+            self.check(Graph(verts, [e for e in itertools.combinations(verts, 2)
+                                     if rng.random() < p]))
 
 
 class TestConnectivity:

@@ -5,13 +5,14 @@ import tracemalloc
 import networkx as nx
 import pytest
 
+import glgcomp.oracle
 from glgcomp import (BudgetExceeded, Digraph, Graph, SearchBudget,
                      cocktail_party, competition_graph, competition_number,
                      find_realization, fresh_labels, generalized_line_graph,
                      opsut_lower_bound, realization_search,
                      verify_realization)
-from corpus import (complete_bipartite, connected_graphs, cycle_graph,
-                    random_chordal, random_triangle_free)
+from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
+                    cycle_graph, random_chordal, random_triangle_free)
 
 
 def path(n):
@@ -62,6 +63,16 @@ class TestFindRealization:
         tight = SearchBudget(max_nodes=3)
         with pytest.raises(BudgetExceeded):
             find_realization(cycle_graph(6), 2, budget=tight)
+
+    def test_budget_message_says_how_far_the_search_got(self):
+        # The memory test's instance below: its k = 1 search has 8
+        # combinations of the extras' cliques, and the fifth is where
+        # node 11 falls.
+        target = generalized_line_graph(cycle_graph(4), {"c1": 1, "c3": 2}).graph
+        with pytest.raises(BudgetExceeded) as exc:
+            find_realization(target, 1, budget=SearchBudget(max_nodes=10))
+        assert str(exc.value) == ("realization search exceeded 10 nodes in "
+                                  "combination 5 of 8 of the extras' cliques")
 
     def test_memory_is_released_on_return(self):
         # A k = 1 refutation from the ACCEPTANCE 08 sweep: 54 nodes, with
@@ -151,6 +162,34 @@ class TestCompetitionNumber:
             assert cg.edges == g.edges
             assert set(cg.vertices) == set(g.vertices) | set(cert.added)
             assert opsut_lower_bound(g) <= k if g.vertices else True
+
+    def test_same_value_and_witness_as_the_ascent_from_opsut(self):
+        # On the graphs of ACCEPTANCE 10, the higher starting bound skips
+        # only refuted values: the answer is the one found by climbing
+        # from the clique-cover bound.
+        for g in atlas_graphs(5):
+            k = opsut_lower_bound(g)
+            while (cert := realization_search(g, k)) is None:
+                k += 1
+            got_k, got = competition_number(g)
+            assert (got_k, got.to_json()) == (k, cert.to_json()), g
+
+    def test_triangle_free_graphs_search_once(self, monkeypatch):
+        # A connected triangle-free graph's bound is its value
+        # |E| - |V| + 2, so the only search is the one that finds it.
+        calls = []
+
+        def counted(graph, k, budget=None):
+            calls.append(k)
+            return find_realization(graph, k, budget)
+
+        monkeypatch.setattr(glgcomp.oracle, "find_realization", counted)
+        rng = random.Random(603)
+        for _ in range(30):
+            g = random_triangle_free(rng, rng.randint(4, 10), rng.randint(0, 2))
+            calls.clear()
+            k, _ = competition_number(g)
+            assert calls == [k] == [len(g.edges) - len(g.vertices) + 2], g
 
     def test_budget_exceeded_reports_lower_bound(self):
         tight = SearchBudget(max_total_vertices=5)
