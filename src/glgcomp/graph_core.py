@@ -3,6 +3,12 @@
 Vertices are opaque string labels.  Undirected edges are stored as sorted
 2-tuples; arcs as (tail, head) tuples.  All derived orderings break ties
 lexicographically so every operation is deterministic.
+
+Graph and Digraph check their input in bulk: the pairs are built in one
+comprehension and their ends checked with one subset test.  Only when that
+fails do they scan the links one at a time, so an error still names the
+first offending edge or arc.  Neighborhoods are built on first use: a graph
+that is only stored, compared or serialized never builds them.
 """
 
 import heapq
@@ -35,29 +41,73 @@ def _label_set(vertices):
     return vset
 
 
+def _checked_edge(pair, vset):
+    """One edge, normalized, after the checks Graph makes on it."""
+    a, b = pair
+    e = normalize_edge(a, b)
+    if e[0] not in vset:
+        raise UnknownVertex("edge endpoint %r is not a vertex" % (e[0],))
+    if e[1] not in vset:
+        raise UnknownVertex("edge endpoint %r is not a vertex" % (e[1],))
+    return e
+
+
+def _checked_arc(pair, vset):
+    """One arc, as a tuple, after the checks Digraph makes on it."""
+    t, h = pair
+    if t == h:
+        raise SchemaError("loop arc at %r is not allowed" % (t,))
+    if t not in vset:
+        raise UnknownVertex("arc tail %r is not a vertex" % (t,))
+    if h not in vset:
+        raise UnknownVertex("arc head %r is not a vertex" % (h,))
+    return (t, h)
+
+
+def _bulk_links(vset, links, normalize):
+    """The edges or arcs as a set of pairs, or None when some link fails a
+    check: it is not a pair, it is a loop, or an end is not in vset.
+
+    One comprehension builds the pairs (sorted when normalize is set); a
+    loop becomes None.  The ends are then checked with one subset test.
+    """
+    try:
+        if normalize:
+            pairs = {(a, b) if a < b else (b, a) if b < a else None
+                     for a, b in links}
+        else:
+            pairs = {(t, h) if t != h else None for t, h in links}
+    except (TypeError, ValueError):
+        return None
+    ends = itertools.chain.from_iterable(pairs)
+    if None in pairs or not vset.issuperset(ends):
+        return None
+    return pairs
+
+
 class Graph:
-    """Simple undirected graph."""
+    """Simple undirected graph; adjacency is built on first use."""
 
     __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices, edges=()):
         vset = _label_set(vertices)
-        es = set()
-        for pair in edges:
-            a, b = pair
-            e = normalize_edge(a, b)
-            if e[0] not in vset:
-                raise UnknownVertex("edge endpoint %r is not a vertex" % (e[0],))
-            if e[1] not in vset:
-                raise UnknownVertex("edge endpoint %r is not a vertex" % (e[1],))
-            es.add(e)
+        edges = list(edges)
+        es = _bulk_links(vset, edges, True)
+        if es is None:
+            es = {_checked_edge(pair, vset) for pair in edges}
         self.vertices = tuple(sorted(vset))
         self.edges = frozenset(es)
-        adj = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
+        self._adj = None
+
+    def _adjacency(self):
+        if self._adj is None:
+            adj = {v: set() for v in self.vertices}
+            for a, b in self.edges:
+                adj[a].add(b)
+                adj[b].add(a)
+            self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
+        return self._adj
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -71,14 +121,14 @@ class Graph:
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 
     def has_vertex(self, v):
-        return v in self._adj
+        return v in self._adjacency()
 
     def has_edge(self, a, b):
         return normalize_edge(a, b) in self.edges
 
     def neighbors(self, v):
         try:
-            return self._adj[v]
+            return self._adjacency()[v]
         except KeyError:
             raise UnknownVertex("no vertex %r" % (v,)) from None
 
@@ -87,39 +137,40 @@ class Graph:
 
     def induced(self, subset):
         sub = set(subset)
+        adj = self._adjacency()
         for v in sub:
-            if v not in self._adj:
+            if v not in adj:
                 raise UnknownVertex("no vertex %r" % (v,))
         edges = [e for e in self.edges if e[0] in sub and e[1] in sub]
         return Graph(sorted(sub), edges)
 
 
 class Digraph:
-    """Simple digraph (no loops, no parallel arcs)."""
+    """Simple digraph (no loops, no parallel arcs); in- and out-adjacency
+    are built on first use."""
 
     __slots__ = ("vertices", "arcs", "_out", "_in")
 
     def __init__(self, vertices, arcs=()):
         vset = _label_set(vertices)
-        arcset = set()
-        for pair in arcs:
-            t, h = pair
-            if t == h:
-                raise SchemaError("loop arc at %r is not allowed" % (t,))
-            if t not in vset:
-                raise UnknownVertex("arc tail %r is not a vertex" % (t,))
-            if h not in vset:
-                raise UnknownVertex("arc head %r is not a vertex" % (h,))
-            arcset.add((t, h))
+        arcs = list(arcs)
+        arcset = _bulk_links(vset, arcs, False)
+        if arcset is None:
+            arcset = {_checked_arc(pair, vset) for pair in arcs}
         self.vertices = tuple(sorted(vset))
         self.arcs = frozenset(arcset)
-        out = {v: set() for v in self.vertices}
-        inn = {v: set() for v in self.vertices}
-        for t, h in self.arcs:
-            out[t].add(h)
-            inn[h].add(t)
-        self._out = {v: frozenset(s) for v, s in out.items()}
-        self._in = {v: frozenset(s) for v, s in inn.items()}
+        self._out = self._in = None
+
+    def _adjacency(self):
+        if self._out is None:
+            out = {v: set() for v in self.vertices}
+            inn = {v: set() for v in self.vertices}
+            for t, h in self.arcs:
+                out[t].add(h)
+                inn[h].add(t)
+            self._in = {v: frozenset(s) for v, s in inn.items()}
+            self._out = {v: frozenset(s) for v, s in out.items()}
+        return self._out, self._in
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):
@@ -134,29 +185,23 @@ class Digraph:
 
     def out_neighbors(self, v):
         try:
-            return self._out[v]
+            return self._adjacency()[0][v]
         except KeyError:
             raise UnknownVertex("no vertex %r" % (v,)) from None
 
     def in_neighbors(self, v):
         try:
-            return self._in[v]
+            return self._adjacency()[1][v]
         except KeyError:
             raise UnknownVertex("no vertex %r" % (v,)) from None
 
 
-def competition_edges(digraph):
-    """The competition graph's edges as sorted pairs: u ~ v iff they share
-    an out-neighbor."""
+def competition_graph(digraph):
+    """The competition graph: u ~ v iff they share an out-neighbor."""
     edges = set()
     for x in digraph.vertices:
         edges.update(itertools.combinations(sorted(digraph.in_neighbors(x)), 2))
-    return edges
-
-
-def competition_graph(digraph):
-    """The competition graph: u ~ v iff they share an out-neighbor."""
-    return Graph(digraph.vertices, competition_edges(digraph))
+    return Graph(digraph.vertices, edges)
 
 
 def acyclic_ordering(digraph):
@@ -187,15 +232,6 @@ def acyclic_ordering(digraph):
         cycle = list(walk)[walk[v]:] + [v]
         raise CyclicDigraph("digraph is not acyclic", reversed(cycle))
     return tuple(order)
-
-
-def is_acyclic_ordering(digraph, ordering):
-    """True iff the sequence lists every vertex once with all arcs forward."""
-    ordering = tuple(ordering)
-    if sorted(ordering) != list(digraph.vertices):
-        return False
-    pos = {v: i for i, v in enumerate(ordering)}
-    return all(pos[t] < pos[h] for t, h in digraph.arcs)
 
 
 def is_clique(graph, subset):

@@ -5,12 +5,16 @@ Every witness, built here or found by search, is a "body": a list of
 in-neighborhood assigned to that vertex and must lie among earlier entries,
 followed by a tail of cliques for the extra vertices.  Reading the cliques
 as in-neighborhoods yields an acyclic digraph whose competition graph is the
-union of those cliques' pairwise edges.  _certify names the extras, builds
-that digraph and verifies it once, with the body order as its acyclic
-ordering; every construction returns its certificate, so a flaw in a scheme
-surfaces as ConstructionFailed rather than a bad witness.  verify_realization
-compares edge sets: the pairs of each in-neighborhood against the target's
-edges, with no graph built for either side.
+union of those cliques' pairwise edges.  One check, _check_body, verifies a
+body in one walk: no label repeats, each clique lies among earlier entries
+(so the body order is an acyclic ordering), every base vertex is placed,
+the others number k, and the cliques' pairs are exactly the target's edges,
+with no graph built for either side.  _certify names the extras, runs that
+check on the entries it holds and only then wraps them in a Digraph; every
+construction returns its certificate, so a flaw in a scheme surfaces as
+ConstructionFailed rather than a bad witness.  verify_realization, for
+digraphs from outside, computes or validates an ordering and runs the same
+check on each vertex with its in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -82,13 +86,13 @@ both ends of its pin to the chain.  The cases go in this order.
 """
 
 import collections
+import itertools
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge,
-                     PreconditionViolated)
-from .graph_core import (Digraph, acyclic_ordering, competition_edges,
-                         digraph_to_json, graph_to_json, is_acyclic_ordering,
-                         is_connected, normalize_edge)
+                     PreconditionViolated, SchemaError, UnknownVertex)
+from .graph_core import (Digraph, acyclic_ordering, digraph_to_json,
+                         graph_to_json, is_connected, normalize_edge)
 from .glg_builder import (check_weights, cocktail_party,
                           generalized_line_graph, is_simplicial_edge)
 from .search import fresh_labels
@@ -117,35 +121,70 @@ class RealizationCertificate:
         }
 
 
+def _check_body(entries, base, k):
+    """Check that a body realizes base plus k isolated extras; return the
+    extras, sorted.
+
+    entries is the list of (vertex, in-neighborhood) entries in placement
+    order.  One walk checks that no label repeats and that each clique
+    lies among earlier entries, and collects the cliques' sorted pairs;
+    then every base vertex must be placed, the other vertices must number
+    k, and the pairs must be exactly base.edges.  Raises SchemaError,
+    UnknownVertex or InvalidInput for a malformed body and
+    CompetitionMismatch, listing missing and extra edges, for a wrong one.
+    """
+    placed = set()
+    pairs = set()
+    for v, clique in entries:
+        if v in placed:
+            raise SchemaError("duplicate vertex labels")
+        if not placed.issuperset(clique):
+            late = set(clique) - placed
+            if v in late:
+                raise SchemaError("loop arc at %r is not allowed" % (v,))
+            unknown = late - {u for u, _ in entries}
+            if unknown:
+                raise UnknownVertex("arc tail %r is not a vertex"
+                                    % (min(unknown),))
+            raise InvalidInput("not an acyclic ordering: %r comes before its "
+                               "in-neighbor %r" % (v, min(late)))
+        placed.add(v)
+        pairs.update(itertools.combinations(sorted(clique), 2))
+    if not placed.issuperset(base.vertices):
+        raise InvalidInput("digraph is missing base vertices: %r"
+                           % sorted(set(base.vertices) - placed))
+    added = sorted(placed.difference(base.vertices))
+    if len(added) != k:
+        raise InvalidInput("expected %d extra vertices, found %d" % (k, len(added)))
+    # The extras are isolated in the target, so its edges are base.edges.
+    if pairs != base.edges:
+        missing = base.edges - pairs
+        extra = pairs - base.edges
+        raise CompetitionMismatch(
+            "competition graph differs from target: %d missing, %d extra edges"
+            % (len(missing), len(extra)), missing, extra)
+    return added
+
+
 def verify_realization(digraph, base, k, ordering=None):
     """Check that digraph is acyclic and C(digraph) = base plus k isolated.
 
     Returns a RealizationCertificate; raises CyclicDigraph with a cycle
-    witness, or CompetitionMismatch listing missing/extra edges.  A supplied
-    ordering is validated instead of computed.
+    witness, InvalidInput for missing base vertices, a wrong number of
+    extras or a supplied ordering that is not an acyclic ordering, or
+    CompetitionMismatch listing missing/extra edges.  A supplied ordering
+    is validated instead of computed.  The digraph is checked as the body
+    of its vertices and in-neighborhoods in ordering order (_check_body).
     """
-    dset = set(digraph.vertices)
-    bset = set(base.vertices)
-    if not bset <= dset:
-        raise InvalidInput("digraph is missing base vertices: %r"
-                           % sorted(bset - dset))
-    added = sorted(dset - bset)
-    if len(added) != k:
-        raise InvalidInput("expected %d extra vertices, found %d" % (k, len(added)))
     if ordering is None:
         ordering = acyclic_ordering(digraph)
     else:
         ordering = tuple(ordering)
-        if not is_acyclic_ordering(digraph, ordering):
-            raise InvalidInput("supplied ordering is not an acyclic ordering")
-    # The extras are isolated in the target, so its edges are base.edges.
-    actual = competition_edges(digraph)
-    missing = base.edges - actual
-    extra = actual - base.edges
-    if missing or extra:
-        raise CompetitionMismatch(
-            "competition graph differs from target: %d missing, %d extra edges"
-            % (len(missing), len(extra)), missing, extra)
+        if sorted(ordering) != list(digraph.vertices):
+            raise InvalidInput("supplied ordering does not list every vertex "
+                               "of the digraph once")
+    added = _check_body([(v, digraph.in_neighbors(v)) for v in ordering],
+                        base, k)
     return RealizationCertificate(digraph, base, k, added, ordering)
 
 
@@ -153,20 +192,21 @@ def _certify(entries, tail, base, what):
     """The certificate of a body: its (vertex, clique) entries in order,
     then one extra per clique of `tail`, named by fresh_labels.
 
-    The digraph is built and verified once, with the body order as its
-    ordering; any failure is a flaw in the construction (`what`), raised
-    as ConstructionFailed.
+    The entries are checked once (_check_body), with the body order as the
+    ordering, and only then wrapped in a Digraph; any failure is a flaw in
+    the construction (`what`), raised as ConstructionFailed.
     """
     extras = fresh_labels(base.vertices, len(tail))
     entries = list(entries) + list(zip(extras, tail))
     order = [label for label, _ in entries]
-    arcs = [(x, label) for label, clique in entries for x in sorted(clique)]
     try:
-        return verify_realization(Digraph(order, arcs), base, len(tail),
-                                  order)
+        added = _check_body(entries, base, len(tail))
+        digraph = Digraph(order, [(x, label) for label, clique in entries
+                                  for x in clique])
     except GlgError as exc:
         raise ConstructionFailed("%s produced an invalid witness: %s"
                                  % (what, exc)) from exc
+    return RealizationCertificate(digraph, base, len(tail), added, order)
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,9 @@ class TestClassify:
         verify_realization(cert.digraph, cert.base, cert.k)
 
     def test_each_witness_is_verified_once(self, monkeypatch):
-        # Count verify_realization calls under every name a glgcomp module
-        # holds it by.
-        original = glgcomp.realization.verify_realization
+        # Count calls of the body check that _certify and verify_realization
+        # share, under every name a glgcomp module holds it by.
+        original = glgcomp.realization._check_body
         calls = []
 
         def counting(*args, **kwargs):
@@ -150,8 +150,8 @@ class TestClassify:
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "glgcomp" and \
-                    getattr(module, "verify_realization", None) is original:
-                monkeypatch.setattr(module, "verify_realization", counting)
+                    getattr(module, "_check_body", None) is original:
+                monkeypatch.setattr(module, "_check_body", counting)
         h = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         for weights in ({"a": 1, "c": 1}, {}):
             del calls[:]

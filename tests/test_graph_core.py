@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -12,12 +13,14 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, NotAClique,
                      acyclic_ordering, classify, competition_graph,
                      digraph_from_json, digraph_to_dot, digraph_to_json,
                      find_realization, generalized_line_graph,
-                     graph_from_json, graph_to_dot, graph_to_json,
-                     is_acyclic_ordering, is_clique, is_connected,
+                     glg_realization, graph_from_json, graph_to_dot,
+                     graph_to_json, is_clique, is_connected,
                      maximal_cliques, normalize_edge, opsut_lower_bound,
                      require_clique, semi_join, simplicial_vertices,
                      vertex_clique_cover_number)
-from corpus import atlas_graphs, complete_bipartite, cycle_graph
+from glgcomp.graph_core import DEFAULT_SIZE_GUARD
+from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
+                    cycle_graph, random_chordal)
 
 
 def complete_graph(n):
@@ -80,6 +83,100 @@ class TestDigraphBasics:
             Digraph(["a"], [("a", "b")])
 
 
+# Malformed input, one case per kind of fault; most list a good link, then
+# two bad ones.  The constructors check in bulk, and the error must still
+# be the one a link-by-link scan raises at the first bad link.
+MALFORMED = [
+    (Graph, ["a", "b"], [("a", "b"), ("a", "z"), ("y", "a")],
+     UnknownVertex, "edge endpoint 'z' is not a vertex"),
+    (Graph, ["a", "b", "c"], [("a", "b"), ("c", "c"), ("a", "a")],
+     SchemaError, "loop edge at 'c' is not allowed"),
+    (Graph, ["a", 1], [], SchemaError, "vertex labels must be strings, got 1"),
+    (Graph, ["a", "b"], [("a", "b"), ("b", 2)],
+     SchemaError, "vertex labels must be strings, got 'b', 2"),
+    (Graph, ["a", "b", "a"], [], SchemaError, "duplicate vertex labels"),
+    (Graph, ["a", "b", "c"], [("a", "b"), ("a", "b", "c")],
+     ValueError, "too many values to unpack (expected 2)"),
+    (Graph, ["a", "b", "c"], [["a", "b"], ["c", "z"]],
+     UnknownVertex, "edge endpoint 'z' is not a vertex"),
+    (Digraph, ["a", "b"], [("a", "b"), ("z", "a"), ("a", "y")],
+     UnknownVertex, "arc tail 'z' is not a vertex"),
+    (Digraph, ["a", "b"], [("a", "b"), ("b", "y")],
+     UnknownVertex, "arc head 'y' is not a vertex"),
+    (Digraph, ["a", "b", "c"], [("a", "b"), ("c", "c"), ("a", "a")],
+     SchemaError, "loop arc at 'c' is not allowed"),
+    (Digraph, ["a", 1], [], SchemaError,
+     "vertex labels must be strings, got 1"),
+    (Digraph, ["a", "b"], [("a", "b"), ("b", 2)],
+     UnknownVertex, "arc head 2 is not a vertex"),
+    (Digraph, ["a", "b", "a"], [], SchemaError, "duplicate vertex labels"),
+    (Digraph, ["a", "b", "c"], [("a", "b"), ("a", "b", "c")],
+     ValueError, "too many values to unpack (expected 2)"),
+    (Digraph, ["a", "b", "c"], [["a", "b"], ["c", "c"]],
+     SchemaError, "loop arc at 'c' is not allowed"),
+    (Digraph, ["a", "b", "c"], [["a", "b"], ["c", "z"]],
+     UnknownVertex, "arc head 'z' is not a vertex"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("cls, vertices, links, error, message", MALFORMED,
+                             ids=["%s-%d" % (case[0].__name__, i)
+                                  for i, case in enumerate(MALFORMED)])
+    def test_names_the_first_offender(self, cls, vertices, links, error,
+                                      message):
+        # A one-shot iterator, as callers may pass.
+        with pytest.raises(error) as exc:
+            cls(vertices, iter(links))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_pairs_given_as_lists_are_read_as_tuples(self):
+        g = Graph(["a", "b", "c"], [["b", "a"], ["b", "c"]])
+        assert g.edges == frozenset({("a", "b"), ("b", "c")})
+        d = Digraph(["a", "b", "c"], [["b", "a"], ["b", "c"]])
+        assert d.arcs == frozenset({("b", "a"), ("b", "c")})
+
+
+def eager_neighbors(vertices, edges):
+    adj = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+class TestLazyAdjacency:
+    # The adjacency is built on first use; it must be the one an eager build
+    # from the edges gives, on the bases, combined graphs and two-extra
+    # digraphs of the acceptance corpora.
+    def test_matches_an_eager_build(self):
+        graphs, digraphs = list(atlas_graphs(5)), []
+        for h in connected_graphs(7, min_edges=2, max_edges=6):
+            weights = {h.vertices[0]: 2, h.vertices[-1]: 1}
+            r = glg_realization(h, weights)
+            graphs += [h, r.combined.graph]
+            digraphs.append(r.digraph)
+        for g in graphs:
+            adj = eager_neighbors(g.vertices, g.edges)
+            assert {v: g.neighbors(v) for v in g.vertices} == adj
+        for d in digraphs:
+            out = {v: {h for t, h in d.arcs if t == v} for v in d.vertices}
+            inn = {v: {t for t, h in d.arcs if h == v} for v in d.vertices}
+            assert {v: d.out_neighbors(v) for v in d.vertices} == out
+            assert {v: d.in_neighbors(v) for v in d.vertices} == inn
+
+    def test_unknown_vertex_is_still_refused(self):
+        g, d = path_graph(2), Digraph(["a"], [])
+        with pytest.raises(UnknownVertex):
+            g.neighbors("x")
+        with pytest.raises(UnknownVertex):
+            d.in_neighbors("x")
+        with pytest.raises(UnknownVertex):
+            d.out_neighbors("x")
+        assert not g.has_vertex("x") and g.has_vertex("p0")
+
+
 class TestCompetitionGraph:
     def test_arcless_digraph_has_edgeless_competition_graph(self):
         d = Digraph(["a", "b", "c"], [])
@@ -123,12 +220,6 @@ class TestOrdering:
             assert len(cyc) >= 3 and cyc[0] == cyc[-1]
             assert all((cyc[i], cyc[i + 1]) in d.arcs
                        for i in range(len(cyc) - 1))
-
-    def test_is_acyclic_ordering(self):
-        d = Digraph(["a", "b"], [("a", "b")])
-        assert is_acyclic_ordering(d, ("a", "b"))
-        assert not is_acyclic_ordering(d, ("b", "a"))
-        assert not is_acyclic_ordering(d, ("a",))
 
 
 class TestCliquePredicates:
@@ -219,6 +310,37 @@ class TestOpsutBound:
     def test_empty_graph_raises(self):
         with pytest.raises(EmptyGraph):
             opsut_lower_bound(Graph([], []))
+
+    def test_triangle_free_graphs_give_the_minimum_degree(self):
+        # Every neighbourhood is independent, so its clique cover number
+        # is its size; above the size guard the greedy independent set is
+        # the whole neighbourhood, so the bound stays exact there too.
+        rng = random.Random(1982)
+        above_guard = 0
+        for _ in range(40):
+            n = rng.randint(20, 200)
+            left = rng.randint(n // 3, n // 2)
+            verts = ["b%d" % i for i in range(n)]
+            p = rng.uniform(0.1, 0.5)
+            edges = [(a, b) for a in verts[:left] for b in verts[left:]
+                     if rng.random() < p]
+            edges += [(verts[0], b) for b in verts[left:]]
+            edges += [(a, verts[left]) for a in verts[1:left]]
+            g = Graph(verts, edges)
+            degree = collections.Counter(x for e in g.edges for x in e)
+            assert opsut_lower_bound(g) == min(degree[v] for v in verts)
+            above_guard += min(degree.values()) > DEFAULT_SIZE_GUARD
+        assert above_guard >= 5
+
+    def test_connected_chordal_graphs_give_one(self):
+        # A chordal graph has a simplicial vertex, whose neighbourhood is
+        # one clique, and in a connected graph with an edge no
+        # neighbourhood is empty.
+        rng = random.Random(1978)
+        for _ in range(40):
+            g = random_chordal(rng, rng.randint(20, 200))
+            assert is_connected(g) and g.edges
+            assert opsut_lower_bound(g) == 1
 
 
 C4_WEIGHTS = {"c1": 1, "c3": 2}

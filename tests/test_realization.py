@@ -5,8 +5,10 @@ import pytest
 
 import glgcomp.oracle
 import glgcomp.search
-from glgcomp import (CompetitionMismatch, Digraph, Graph, HypothesisNotMet,
-                     InvalidInput, NotAnEdge, PreconditionViolated,
+from glgcomp.realization import _certify
+from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
+                     HypothesisNotMet, InvalidInput, NotAnEdge,
+                     PreconditionViolated, SchemaError, UnknownVertex,
                      acyclic_ordering, check_conditions, classify,
                      cocktail_party, competition_graph, cp_realization,
                      find_realization, generalized_line_graph,
@@ -54,8 +56,12 @@ class TestVerifyRealization:
         base = Graph(["a"], [])
         cert = verify_realization(d, base, 1, ordering=("a", "b"))
         assert cert.ordering == ("a", "b")
-        with pytest.raises(InvalidInput):
-            verify_realization(d, base, 1, ordering=("b", "a"))
+        for ordering in [("b", "a"),       # the arc goes backwards
+                         ("a",),           # a vertex is missing
+                         ("a", "b", "a"),  # a vertex is repeated
+                         ("a", "a")]:      # repeated in place of the missing
+            with pytest.raises(InvalidInput):
+                verify_realization(d, base, 1, ordering=ordering)
 
     def test_extras_must_be_isolated_in_the_competition_graph(self):
         d = Digraph(["a", "b", "z"], [("a", "b"), ("z", "b")])
@@ -106,6 +112,49 @@ class TestVerifyRealization:
         assert doc["added"] == ["z"]
         assert doc["digraph"]["kind"] == "digraph"
         assert doc["base_graph"]["kind"] == "graph"
+
+
+EMPTY = frozenset()
+AB = frozenset({"a", "b"})
+BC = frozenset({"b", "c"})
+
+
+class TestCertify:
+    # The path a-b-c with one extra: c takes {a, b}, the extra {b, c}.
+    base = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    body = [("a", EMPTY), ("b", EMPTY), ("c", AB)]
+
+    def test_accepts_a_valid_body(self):
+        cert = _certify(self.body, [BC], self.base, "test")
+        assert cert.added == ("z1",)
+        assert cert.ordering == ("a", "b", "c", "z1")
+        assert cert.digraph.arcs == frozenset(
+            {("a", "c"), ("b", "c"), ("b", "z1"), ("c", "z1")})
+        assert verify_realization(cert.digraph, self.base, 1).added == \
+            cert.added
+
+    @pytest.mark.parametrize("body, tail, cause", [
+        ([("a", frozenset({"b"})), ("b", EMPTY), ("c", AB)], [BC],
+         InvalidInput),
+        ([("a", EMPTY), ("b", frozenset({"q"})), ("c", AB)], [BC],
+         UnknownVertex),
+        ([("a", EMPTY), ("b", frozenset({"b"})), ("c", AB)], [BC],
+         SchemaError),
+        ([("a", EMPTY), ("b", EMPTY), ("a", EMPTY), ("c", AB)], [BC],
+         SchemaError),
+        ([("a", EMPTY), ("b", EMPTY), ("c", EMPTY)], [BC],
+         CompetitionMismatch),
+        ([("a", EMPTY), ("b", EMPTY), ("c", AB)], [AB | BC],
+         CompetitionMismatch),
+        ([("a", EMPTY), ("b", EMPTY), ("w", EMPTY), ("c", AB)], [BC],
+         InvalidInput),
+        ([("a", EMPTY), ("b", EMPTY)], [AB], InvalidInput),
+    ], ids=["later vertex", "unknown vertex", "own vertex", "repeated label",
+            "missing edge", "extra edge", "extras count", "missing vertex"])
+    def test_refuses_a_flawed_body(self, body, tail, cause):
+        with pytest.raises(ConstructionFailed) as exc:
+            _certify(body, tail, self.base, "test")
+        assert type(exc.value.__cause__) is cause
 
 
 def line_graph_realization(h, e=None):
@@ -210,7 +259,8 @@ class TestCpRealization:
 class TestGraphBuilds:
     # A structural guard with no timing: the combined graph is constructed
     # once, however many blocks it has, verification and the condition
-    # flags construct none, and classify builds one combined graph.
+    # flags construct none, classify builds one combined graph, and a
+    # construction builds no adjacency.
     @staticmethod
     def count_graphs(monkeypatch):
         built = []
@@ -233,6 +283,13 @@ class TestGraphBuilds:
         assert len(built) == 1
         verify_realization(r.digraph, combined.graph, 2)
         assert len(built) == 1
+
+    def test_construction_builds_no_adjacency(self):
+        # Adjacency is built on first use, and neither the combined graph
+        # nor the certificate digraph of a construction needs it.
+        r = glg_realization(path(4), {"p0": 1, "p2": 2, "p3": 3})
+        assert r.combined.graph._adj is None
+        assert r.digraph._in is None and r.digraph._out is None
 
     def test_check_conditions_builds_no_graph(self, monkeypatch):
         h = path(4)
