@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, NotAClique,
-                     SchemaError, SizeGuardExceeded, UnknownVertex,
+from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, InvalidInput,
+                     NotAClique, SchemaError, SizeGuardExceeded, UnknownVertex,
                      acyclic_ordering, classify, competition_graph,
                      digraph_from_json, digraph_to_dot, digraph_to_json,
                      find_realization, generalized_line_graph,
@@ -17,7 +17,7 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, NotAClique,
                      graph_to_json, is_clique, is_connected,
                      maximal_cliques, normalize_edge, opsut_lower_bound,
                      require_clique, semi_join, simplicial_vertices,
-                     vertex_clique_cover_number)
+                     verify_realization, vertex_clique_cover_number)
 from glgcomp.graph_core import DEFAULT_SIZE_GUARD
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
                     cycle_graph, random_chordal)
@@ -220,6 +220,18 @@ class TestOrdering:
             assert len(cyc) >= 3 and cyc[0] == cyc[-1]
             assert all((cyc[i], cyc[i + 1]) in d.arcs
                        for i in range(len(cyc) - 1))
+
+    def test_is_acyclic_ordering(self):
+        # A supplied ordering is accepted only if it lists every vertex once
+        # with all arcs forward.
+        d = Digraph(["a", "b"], [("a", "b")])
+        base = Graph(["a"], [])
+        assert acyclic_ordering(d) == ("a", "b")
+        cert = verify_realization(d, base, 1, ordering=("a", "b"))
+        assert cert.ordering == ("a", "b")
+        for ordering in [("b", "a"), ("a",)]:
+            with pytest.raises(InvalidInput):
+                verify_realization(d, base, 1, ordering=ordering)
 
 
 class TestCliquePredicates:
