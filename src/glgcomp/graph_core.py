@@ -9,6 +9,14 @@ comprehension and their ends checked with one subset test.  Only when that
 fails do they scan the links one at a time, so an error still names the
 first offending edge or arc.  Neighborhoods are built on first use: a graph
 that is only stored, compared or serialized never builds them.
+
+One clique machinery works on vertex bitmasks: bit i stands for the i-th
+vertex in label order, and adj[i] holds its neighbours.  Bron-Kerbosch
+(maximal_clique_masks) lists the maximal cliques inside any vertex mask; the
+search passes the whole graph, and the clique-cover number theta of a mask
+is the fewest of that mask's maximal cliques whose union is the mask, found
+by trying k upward from a greedy independent set.  Opsut's bound reads each
+neighbourhood N(v) as adj[v], so no induced subgraph is built.
 """
 
 import heapq
@@ -284,9 +292,9 @@ def bit_indices(mask):
     return tuple(out)
 
 
-def maximal_clique_masks(adj):
-    """All maximal cliques of the graph on vertices 0..len(adj)-1 in which
-    vertex i is adjacent to the set bits of adj[i], as vertex bitmasks.
+def maximal_clique_masks(adj, mask):
+    """All maximal cliques of the subgraph induced on the set bits of mask,
+    as vertex bitmasks; vertex i is adjacent to the set bits of adj[i].
 
     Bron-Kerbosch with pivoting: the pivot is the lowest vertex of P | X
     with the most neighbours in P, and the branches run over P minus its
@@ -318,7 +326,7 @@ def maximal_clique_masks(adj):
             x |= low
 
     try:
-        expand(0, (1 << len(adj)) - 1, 0)
+        expand(0, mask, 0)
     finally:
         # expand reaches itself through its closure cell; emptying the cell
         # frees it, and the state it holds, now rather than at the next
@@ -327,89 +335,75 @@ def maximal_clique_masks(adj):
     return sorted(out, key=bit_indices)
 
 
-def maximal_cliques(graph):
-    """All maximal cliques, sorted by their members read in label order."""
-    vs = graph.vertices
-    index = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
+def _adjacency_masks(graph):
+    """adj[i] has bit j set iff the i-th and j-th vertices (label order)
+    are adjacent."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    adj = [0] * len(index)
     for a, b in graph.edges:
         adj[index[a]] |= 1 << index[b]
         adj[index[b]] |= 1 << index[a]
-    return [frozenset(vs[i] for i in bit_indices(m))
-            for m in maximal_clique_masks(adj)]
+    return adj
 
 
-def _guard(graph, guard, what):
-    if len(graph.vertices) > guard:
-        raise SizeGuardExceeded(
-            "%s refused: %d vertices exceeds guard %d"
-            % (what, len(graph.vertices), guard))
-
-
-def vertex_clique_cover_number(graph, guard=DEFAULT_SIZE_GUARD):
-    """Exact minimum number of cliques needed to partition the vertices."""
-    _guard(graph, guard, "vertex clique cover")
-    n = len(graph.vertices)
-    if n == 0:
-        return 0
-    # Clique cover of G == proper coloring of the complement.
+def maximal_cliques(graph):
+    """All maximal cliques, sorted by their members read in label order."""
     vs = graph.vertices
-    comp_adj = {
-        v: frozenset(w for w in vs if w != v and w not in graph.neighbors(v))
-        for v in vs
-    }
-    order = sorted(vs, key=lambda v: (-len(comp_adj[v]), v))
-
-    # Greedy upper bound.
-    greedy = {}
-    for v in order:
-        used = {greedy[w] for w in comp_adj[v] if w in greedy}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-    upper = max(greedy.values()) + 1
-
-    def colorable(k):
-        colors = {}
-
-        def place(i):
-            if i == len(order):
-                return True
-            v = order[i]
-            used_count = max(colors.values(), default=-1) + 1
-            for c in range(min(k, used_count + 1)):
-                if all(colors.get(w) != c for w in comp_adj[v]):
-                    colors[v] = c
-                    if place(i + 1):
-                        return True
-                    del colors[v]
-            return False
-
-        try:
-            return place(0)
-        finally:
-            place = None  # break the self-reference, as in maximal_cliques
-
-    for k in range(1, upper):
-        if colorable(k):
-            return k
-    return upper
+    return [frozenset(vs[i] for i in bit_indices(m))
+            for m in maximal_clique_masks(_adjacency_masks(graph),
+                                          (1 << len(vs)) - 1)]
 
 
-def _greedy_independent_set_size(graph):
-    """Size of a greedy independent set, smallest degree first.
+def vertex_clique_cover_number(graph):
+    """Exact minimum number of cliques needed to partition the vertices.
+
+    Refused with SizeGuardExceeded above DEFAULT_SIZE_GUARD vertices.
+    """
+    n = len(graph.vertices)
+    if n > DEFAULT_SIZE_GUARD:
+        raise SizeGuardExceeded(
+            "vertex clique cover refused: %d vertices exceeds guard %d"
+            % (n, DEFAULT_SIZE_GUARD))
+    return _clique_cover_number(_adjacency_masks(graph), (1 << n) - 1)
+
+
+def _clique_cover_number(adj, mask):
+    """The fewest maximal cliques of the subgraph induced on mask whose
+    union is mask (a cover shrinks to a partition of as many cliques).
+
+    Tries k upward from the greedy independent-set bound.
+    """
+    cliques = maximal_clique_masks(adj, mask)
+    k = _greedy_independent_set_size(adj, mask)
+    while not _covers(cliques, mask, k):
+        k += 1
+    return k
+
+
+def _covers(cliques, rest, k):
+    """True iff at most k of the cliques cover the set bits of rest: some
+    clique holding the lowest of them is among those k."""
+    if not rest:
+        return True
+    if not k:
+        return False
+    low = rest & -rest
+    return any(_covers(cliques, rest & ~c, k - 1)
+               for c in cliques if c & low)
+
+
+def _greedy_independent_set_size(adj, mask):
+    """Size of a greedy independent set inside mask: fewest neighbours in
+    mask first, ties by label.
 
     No clique holds two independent vertices, so this is a lower bound on
-    the vertex clique cover number.
+    the clique cover number of mask.
     """
-    blocked = set()
-    size = 0
-    for v in sorted(graph.vertices, key=lambda w: (graph.degree(w), w)):
-        if v not in blocked:
+    blocked = size = 0
+    for i in sorted(bit_indices(mask), key=lambda i: (adj[i] & mask).bit_count()):
+        if not blocked >> i & 1:
             size += 1
-            blocked.add(v)
-            blocked |= graph.neighbors(v)
+            blocked |= adj[i] | 1 << i
     return size
 
 
@@ -422,18 +416,10 @@ def opsut_lower_bound(graph):
     """
     if not graph.vertices:
         raise EmptyGraph("opsut_lower_bound is undefined on the empty graph")
-    best = None
-    for v in graph.vertices:
-        nbhd = graph.induced(graph.neighbors(v))
-        if len(nbhd.vertices) > DEFAULT_SIZE_GUARD:
-            theta = _greedy_independent_set_size(nbhd)
-        else:
-            theta = vertex_clique_cover_number(nbhd)
-        if best is None or theta < best:
-            best = theta
-        if best == 0:
-            break
-    return best
+    adj = _adjacency_masks(graph)
+    return min(_greedy_independent_set_size(adj, nbhd)
+               if nbhd.bit_count() > DEFAULT_SIZE_GUARD
+               else _clique_cover_number(adj, nbhd) for nbhd in adj)
 
 
 def semi_join(graph, clique, other):

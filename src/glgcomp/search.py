@@ -130,7 +130,7 @@ def find_realization(graph, k, budget=None):
             covers[vmask] = got
         return got
 
-    clique_masks = maximal_clique_masks(adj)
+    clique_masks = maximal_clique_masks(adj, (1 << n) - 1)
 
     cand_cache = {}
 

@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import itertools
 import random
@@ -18,9 +19,10 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, InvalidInput,
                      maximal_cliques, normalize_edge, opsut_lower_bound,
                      require_clique, semi_join, simplicial_vertices,
                      verify_realization, vertex_clique_cover_number)
-from glgcomp.graph_core import DEFAULT_SIZE_GUARD
+from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _adjacency_masks,
+                                _greedy_independent_set_size)
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
-                    cycle_graph, random_chordal)
+                    cycle_graph, random_chordal, weight_maps)
 
 
 def complete_graph(n):
@@ -295,6 +297,35 @@ class TestConnectivity:
         assert is_connected(Graph([], []))
 
 
+def clique_cover_reference(g):
+    """theta of a vertex subset of g, by a DP over the subsets: the lowest
+    vertex goes into each clique of the subset that holds it in turn."""
+    @functools.lru_cache(maxsize=None)
+    def theta(rest):
+        if not rest:
+            return 0
+        v = min(rest)
+        best = len(rest)
+        for clique in cliques_with(v, sorted(rest & g.neighbors(v))):
+            best = min(best, 1 + theta(rest - clique))
+        return best
+
+    def cliques_with(v, pool):
+        # Every clique of {v} + pool holding v: extend by later pool
+        # members adjacent to all chosen so far.
+        out = []
+        stack = [(frozenset([v]), pool)]
+        while stack:
+            clique, cands = stack.pop()
+            out.append(clique)
+            for i, w in enumerate(cands):
+                stack.append((clique | {w},
+                              [u for u in cands[i + 1:] if g.has_edge(u, w)]))
+        return out
+
+    return lambda subset: theta(frozenset(subset))
+
+
 class TestCoverNumbers:
     # Frozen values computed by hand: a 5-cycle needs 3 cliques to cover
     # its vertices.
@@ -308,7 +339,31 @@ class TestCoverNumbers:
         big = Graph(["v%d" % i for i in range(17)], [])
         with pytest.raises(SizeGuardExceeded):
             vertex_clique_cover_number(big)
-        assert vertex_clique_cover_number(big, guard=17) == 17
+
+    def test_matches_a_subset_dp_over_every_clique(self):
+        # The reference tries every clique holding the lowest uncovered
+        # vertex, maximal or not, with no lower bound, and memoizes by the
+        # vertices left.  Some instance must need more cliques than its
+        # greedy independent set, so the upward search runs past its
+        # first round.
+        graphs = list(atlas_graphs(7))
+        for h in atlas_graphs(4):
+            for weights in weight_maps(h.vertices, max_total=8):
+                g = generalized_line_graph(h, weights).graph
+                if len(g.vertices) <= 12:
+                    graphs.append(g)
+        above_greedy = 0
+        for g in graphs:
+            theta = clique_cover_reference(g)
+            full = frozenset(g.vertices)
+            assert vertex_clique_cover_number(g) == theta(full)
+            if g.vertices:
+                assert opsut_lower_bound(g) == min(
+                    theta(g.neighbors(v)) for v in g.vertices)
+            adj = _adjacency_masks(g)
+            above_greedy += theta(full) > _greedy_independent_set_size(
+                adj, (1 << len(adj)) - 1)
+        assert above_greedy > 0
 
 
 class TestOpsutBound:
@@ -372,17 +427,20 @@ def order_a_three_cycle():
 
 
 class TestRecursionLeavesNoCycles:
-    # maximal_cliques and the clique-cover colouring recurse through
-    # closures that reach themselves through their cells; those cells are
-    # emptied on return, so nothing waits for the cyclic collector.  The
-    # cycle witness of acyclic_ordering is found by a loop.
+    # Bron-Kerbosch and the search recurse through closures that reach
+    # themselves through their cells; those cells are emptied on return, so
+    # nothing waits for the cyclic collector.  The clique-cover search
+    # recurses through a module-level function, which holds no cell, and
+    # the cycle witness of acyclic_ordering is found by a loop.
     @pytest.mark.parametrize("call", [
         lambda: maximal_cliques(c4_target()),
+        lambda: vertex_clique_cover_number(c4_target()),
         lambda: opsut_lower_bound(c4_target()),
         lambda: find_realization(c4_target(), 2),
         order_a_three_cycle,
         lambda: classify(cycle_graph(4), C4_WEIGHTS),
-    ], ids=["maximal_cliques", "opsut_lower_bound", "find_realization",
+    ], ids=["maximal_cliques", "vertex_clique_cover_number",
+            "opsut_lower_bound", "find_realization",
             "acyclic_ordering", "classify"])
     def test_no_cyclic_garbage(self, call):
         gc.collect()
