@@ -7,23 +7,20 @@ classifier with checkable evidence.
 
 from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      CyclicDigraph, EmptyGraph, GlgError, HypothesisNotMet,
-                     InvalidInput, NonPositiveM, NotAClique, NotAnEdge,
-                     NotConnected, PreconditionViolated, SchemaError,
-                     SizeGuardExceeded, UnknownVertex, VertexCollision)
+                     InvalidInput, NonPositiveM, NotAnEdge, NotConnected,
+                     PreconditionViolated, SchemaError, UnknownVertex,
+                     VertexCollision)
 from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
                          digraph_from_json, digraph_to_dot, digraph_to_json,
                          graph_from_json, graph_to_dot, graph_to_json,
-                         is_clique, is_connected, maximal_cliques,
-                         normalize_edge, opsut_lower_bound, require_clique,
-                         semi_join, simplicial_vertices,
-                         vertex_clique_cover_number)
+                         is_clique, is_connected, normalize_edge,
+                         opsut_lower_bound, simplicial_vertices)
 from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
                           cocktail_party, edge_label, generalized_line_graph,
-                          incident_edge_clique, is_simplicial_edge,
-                          weighted_graph_from_json)
-from .search import DEFAULT_BUDGET, SearchBudget, find_realization, fresh_labels
+                          is_simplicial_edge, weighted_graph_from_json)
+from .search import DEFAULT_BUDGET, SearchBudget, find_realization
 from .realization import (GlgRealization, RealizationCertificate,
-                          cp_realization, glg_realization,
+                          cp_realization, fresh_labels, glg_realization,
                           single_extra_realization, verify_realization)
 from .oracle import competition_number, realization_search
 from .analysis import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,

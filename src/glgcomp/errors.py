@@ -17,10 +17,6 @@ class VertexCollision(GlgError):
     """Two graphs that must be disjoint share vertex labels."""
 
 
-class NotAClique(GlgError):
-    """A vertex set that must induce a clique does not."""
-
-
 class NotAnEdge(GlgError):
     """A vertex pair that must be an edge of the graph is not."""
 
@@ -59,10 +55,6 @@ class HypothesisNotMet(GlgError):
 
 class EmptyGraph(GlgError):
     """The operation is undefined on a graph with no vertices."""
-
-
-class SizeGuardExceeded(GlgError):
-    """Exact computation refused: the input exceeds the size guard."""
 
 
 class NonPositiveM(GlgError):

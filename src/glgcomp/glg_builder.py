@@ -21,8 +21,8 @@ generalized_line_graph builds the combined graph in one pass: it collects
 the line-graph edges, each block's cocktail-party edges and the block's
 join to its anchor's edge bundle into one edge list and constructs the
 Graph once.  That graph equals the line graph semi-joined with one block
-per weighted vertex in turn (graph_core.semi_join), which stays the
-reference definition.
+per weighted vertex in turn; tests/reference.py keeps that semi-join as
+the reference definition the tests check the builder against.
 """
 
 import itertools
@@ -64,17 +64,6 @@ def _bundles(h, labels):
 def _clique_edges(cliques):
     """Every pair within each clique."""
     return [pair for c in cliques for pair in itertools.combinations(c, 2)]
-
-
-def incident_edge_clique(h, v):
-    """Line-graph vertices arising from edges of h incident to v.
-
-    Always a clique of the line graph: these edges pairwise share v.
-    CombinedGraph.incident_labels holds the same sets, as built.
-    """
-    if not h.has_vertex(v):
-        raise UnknownVertex("no vertex %r" % (v,))
-    return frozenset(edge_label(v, w) for w in h.neighbors(v))
 
 
 def is_simplicial_edge(h, f):
@@ -143,8 +132,8 @@ class CombinedGraph:
         self._bundles = bundles  # base vertex -> frozenset of edge labels
 
     def incident_labels(self, v):
-        """The line-graph vertices of the edges at v: incident_edge_clique
-        of the base graph, as built."""
+        """The line-graph vertices of the edges at v, a clique of the line
+        graph since these edges pairwise share v."""
         try:
             return self._bundles[v]
         except KeyError:

@@ -22,8 +22,7 @@ neighbourhood N(v) as adj[v], so no induced subgraph is built.
 import heapq
 import itertools
 
-from .errors import (CyclicDigraph, EmptyGraph, NotAClique, SchemaError,
-                     SizeGuardExceeded, UnknownVertex, VertexCollision)
+from .errors import CyclicDigraph, EmptyGraph, SchemaError, UnknownVertex
 
 DEFAULT_SIZE_GUARD = 16
 
@@ -254,11 +253,6 @@ def is_clique(graph, subset):
     return True
 
 
-def require_clique(graph, subset, what="set"):
-    if not is_clique(graph, subset):
-        raise NotAClique("%s %r is not a clique" % (what, sorted(set(subset))))
-
-
 def simplicial_vertices(graph):
     """Vertices whose (open) neighborhood induces a clique.
 
@@ -346,27 +340,6 @@ def _adjacency_masks(graph):
     return adj
 
 
-def maximal_cliques(graph):
-    """All maximal cliques, sorted by their members read in label order."""
-    vs = graph.vertices
-    return [frozenset(vs[i] for i in bit_indices(m))
-            for m in maximal_clique_masks(_adjacency_masks(graph),
-                                          (1 << len(vs)) - 1)]
-
-
-def vertex_clique_cover_number(graph):
-    """Exact minimum number of cliques needed to partition the vertices.
-
-    Refused with SizeGuardExceeded above DEFAULT_SIZE_GUARD vertices.
-    """
-    n = len(graph.vertices)
-    if n > DEFAULT_SIZE_GUARD:
-        raise SizeGuardExceeded(
-            "vertex clique cover refused: %d vertices exceeds guard %d"
-            % (n, DEFAULT_SIZE_GUARD))
-    return _clique_cover_number(_adjacency_masks(graph), (1 << n) - 1)
-
-
 def _clique_cover_number(adj, mask):
     """The fewest maximal cliques of the subgraph induced on mask whose
     union is mask (a cover shrinks to a partition of as many cliques).
@@ -408,7 +381,9 @@ def _greedy_independent_set_size(adj, mask):
 
 
 def opsut_lower_bound(graph):
-    """min over vertices v of the vertex clique cover number of N(v).
+    """min over vertices v of theta(N(v)), the vertex clique cover number
+    of v's neighborhood, read from the adjacency masks as
+    _clique_cover_number(adj, adj[v]).
 
     A neighborhood above DEFAULT_SIZE_GUARD contributes a greedy independent
     set size instead, which is at most its clique cover number, so the
@@ -420,24 +395,6 @@ def opsut_lower_bound(graph):
     return min(_greedy_independent_set_size(adj, nbhd)
                if nbhd.bit_count() > DEFAULT_SIZE_GUARD
                else _clique_cover_number(adj, nbhd) for nbhd in adj)
-
-
-def semi_join(graph, clique, other):
-    """Disjoint union of the two graphs plus all edges clique x V(other)."""
-    clique = sorted(set(clique))
-    for v in clique:
-        if not graph.has_vertex(v):
-            raise UnknownVertex("clique member %r is not in the base graph" % (v,))
-    require_clique(graph, clique, "semi-join anchor")
-    shared = set(graph.vertices) & set(other.vertices)
-    if shared:
-        raise VertexCollision("graphs share vertices: %r" % (sorted(shared),))
-    vertices = list(graph.vertices) + list(other.vertices)
-    edges = set(graph.edges) | set(other.edges)
-    for k in clique:
-        for w in other.vertices:
-            edges.add(normalize_edge(k, w))
-    return Graph(vertices, edges)
 
 
 # ---------------------------------------------------------------------------

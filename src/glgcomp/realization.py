@@ -95,7 +95,6 @@ from .graph_core import (Digraph, acyclic_ordering, digraph_to_json,
                          graph_to_json, is_connected, normalize_edge)
 from .glg_builder import (check_weights, cocktail_party,
                           generalized_line_graph, is_simplicial_edge)
-from .search import fresh_labels
 
 
 class RealizationCertificate:
@@ -188,9 +187,23 @@ def verify_realization(digraph, base, k, ordering=None):
     return RealizationCertificate(digraph, base, k, added, ordering)
 
 
+def fresh_labels(taken, count):
+    """`count` labels of the form z1, z2, ... avoiding the taken set."""
+    taken = set(taken)
+    out = []
+    i = 1
+    while len(out) < count:
+        cand = "z%d" % i
+        if cand not in taken:
+            out.append(cand)
+            taken.add(cand)
+        i += 1
+    return out
+
+
 def _certify(entries, tail, base, what):
     """The certificate of a body: its (vertex, clique) entries in order,
-    then one extra per clique of `tail`, named by fresh_labels.
+    then one extra per clique of `tail`, named by fresh_labels above.
 
     The entries are checked once (_check_body), with the body order as the
     ordering, and only then wrapped in a Digraph; any failure is a flaw in

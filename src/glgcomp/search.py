@@ -73,20 +73,6 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-def fresh_labels(taken, count):
-    """`count` labels of the form z1, z2, ... avoiding the taken set."""
-    taken = set(taken)
-    out = []
-    i = 1
-    while len(out) < count:
-        cand = "z%d" % i
-        if cand not in taken:
-            out.append(cand)
-            taken.add(cand)
-        i += 1
-    return out
-
-
 def find_realization(graph, k, budget=None):
     """Search for a realization of `graph` with k extra vertices.
 

@@ -1,0 +1,44 @@
+"""Reference definitions the tests check generalized_line_graph against.
+
+The builder collects every edge of the combined graph in one pass.  These
+are the textbook steps it replaces: the edge bundle of a base vertex, read
+off its neighbours, and the semi-join of a graph with a block along a
+clique.  The line graph semi-joined with one cocktail-party block per
+weighted vertex, in turn, is the combined graph.
+"""
+
+from glgcomp import (Graph, UnknownVertex, VertexCollision, edge_label,
+                     is_clique, normalize_edge)
+
+
+class NotAClique(Exception):
+    """A semi-join anchor that is not a clique of its graph."""
+
+
+def incident_edge_clique(h, v):
+    """Line-graph vertices arising from edges of h incident to v.
+
+    Always a clique of the line graph: these edges pairwise share v.
+    """
+    if not h.has_vertex(v):
+        raise UnknownVertex("no vertex %r" % (v,))
+    return frozenset(edge_label(v, w) for w in h.neighbors(v))
+
+
+def semi_join(graph, clique, other):
+    """Disjoint union of the two graphs plus all edges clique x V(other)."""
+    clique = sorted(set(clique))
+    for v in clique:
+        if not graph.has_vertex(v):
+            raise UnknownVertex("clique member %r is not in the base graph" % (v,))
+    if not is_clique(graph, clique):
+        raise NotAClique("semi-join anchor %r is not a clique" % (clique,))
+    shared = set(graph.vertices) & set(other.vertices)
+    if shared:
+        raise VertexCollision("graphs share vertices: %r" % (sorted(shared),))
+    vertices = list(graph.vertices) + list(other.vertices)
+    edges = set(graph.edges) | set(other.edges)
+    for k in clique:
+        for w in other.vertices:
+            edges.add(normalize_edge(k, w))
+    return Graph(vertices, edges)

@@ -236,11 +236,24 @@ class TestVerify:
 
 class TestClassify:
     def test_fixture_verdict(self, capsys, fixtures_dir):
-        src = os.path.join(fixtures_dir, "path4_w21.json")
-        code, out, _ = run(capsys, "classify", src)
-        assert code == 0 and "exactly-two" in out
-        code, out, _ = run(capsys, "classify", src, "--json")
-        assert json.loads(out)["k_value"] == "exactly-two"
+        # Each instance fixture with its verdict and the source of the
+        # evidence that settled it, as the README Fixtures paragraph states.
+        expected = {
+            "c4": ("exactly-two", "pendant-reduction"),
+            "edge_units": ("exactly-one", "lower-bound"),
+            "path4_w12": ("exactly-one", "oracle"),
+            "path4_w21": ("exactly-two", "pendant-reduction"),
+            "star_leaf2": ("exactly-one", "oracle"),
+        }
+        for name, (verdict, source) in expected.items():
+            src = os.path.join(fixtures_dir, name + ".json")
+            code, out, _ = run(capsys, "classify", src)
+            assert code == 0 and "verdict: %s\n" % verdict in out, name
+            code, out, _ = run(capsys, "classify", src, "--json")
+            doc = json.loads(out)
+            assert code == 0, name
+            assert doc["k_value"] == verdict, name
+            assert doc["evidence"][-1]["source"] == source, name
 
     def test_conditions_flag(self, capsys, fixtures_dir):
         src = os.path.join(fixtures_dir, "star_leaf2.json")

@@ -5,9 +5,10 @@ import pytest
 from glgcomp import (Graph, NonPositiveM, SchemaError, UnknownVertex,
                      VertexCollision, check_weights, cocktail_label,
                      cocktail_party, edge_label, generalized_line_graph,
-                     incident_edge_clique, is_simplicial_edge, semi_join,
-                     simplicial_vertices, weighted_graph_from_json)
+                     is_simplicial_edge, simplicial_vertices,
+                     weighted_graph_from_json)
 from corpus import atlas_graphs, connected_graphs, weight_maps
+from reference import incident_edge_clique, semi_join
 
 
 def star(n):
@@ -56,6 +57,12 @@ class TestLineGraph:
         assert incident_edge_clique(h, "p0") == frozenset({"e:p0-p1"})
         with pytest.raises(UnknownVertex):
             incident_edge_clique(h, "nope")
+        # The library keeps the same bundles on the combined graph.
+        combined = generalized_line_graph(h, {})
+        for v in h.vertices:
+            assert combined.incident_labels(v) == incident_edge_clique(h, v)
+        with pytest.raises(UnknownVertex):
+            combined.incident_labels("nope")
 
     def test_bundles_are_cliques_covering_all_line_graph_edges(self):
         for h in connected_graphs(5, min_edges=1, max_edges=6):

@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, InvalidInput,
-                     NotAClique, SchemaError, SizeGuardExceeded, UnknownVertex,
-                     acyclic_ordering, classify, competition_graph,
-                     digraph_from_json, digraph_to_dot, digraph_to_json,
-                     find_realization, generalized_line_graph,
-                     glg_realization, graph_from_json, graph_to_dot,
-                     graph_to_json, is_clique, is_connected,
-                     maximal_cliques, normalize_edge, opsut_lower_bound,
-                     require_clique, semi_join, simplicial_vertices,
-                     verify_realization, vertex_clique_cover_number)
+                     SchemaError, UnknownVertex, acyclic_ordering, classify,
+                     competition_graph, digraph_from_json, digraph_to_dot,
+                     digraph_to_json, find_realization,
+                     generalized_line_graph, glg_realization,
+                     graph_from_json, graph_to_dot, graph_to_json, is_clique,
+                     is_connected, normalize_edge, opsut_lower_bound,
+                     simplicial_vertices, verify_realization)
 from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _adjacency_masks,
-                                _greedy_independent_set_size)
+                                _clique_cover_number,
+                                _greedy_independent_set_size, bit_indices,
+                                maximal_clique_masks)
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
                     cycle_graph, random_chordal, weight_maps)
+from reference import NotAClique, semi_join
 
 
 def complete_graph(n):
@@ -33,6 +34,22 @@ def complete_graph(n):
 def path_graph(n):
     verts = ["p%d" % i for i in range(n)]
     return Graph(verts, zip(verts, verts[1:]))
+
+
+def full_mask(g):
+    return (1 << len(g.vertices)) - 1
+
+
+def maximal_cliques(g):
+    """The maximal cliques of g as label sets, in maximal_clique_masks's
+    order (sorted by their members read in label order)."""
+    return [frozenset(g.vertices[i] for i in bit_indices(m))
+            for m in maximal_clique_masks(_adjacency_masks(g), full_mask(g))]
+
+
+def clique_cover_number(g):
+    """theta of the whole vertex set of g."""
+    return _clique_cover_number(_adjacency_masks(g), full_mask(g))
 
 
 class TestGraphBasics:
@@ -243,7 +260,7 @@ class TestCliquePredicates:
         assert is_clique(g, set())
         assert not is_clique(g, {"c0", "c2"})
         with pytest.raises(NotAClique):
-            require_clique(g, {"c0", "c2"})
+            semi_join(g, {"c0", "c2"}, Graph(["x"], []))
 
     def test_simplicial_includes_isolated(self):
         g = Graph(["a", "b", "c"], [("a", "b")])
@@ -266,7 +283,7 @@ class TestCliquePredicates:
 
 class TestMaximalCliquesMatchNetworkx:
     # The same cliques as networkx's independent Bron-Kerbosch, in
-    # maximal_cliques's documented order.
+    # maximal_clique_masks's documented order.
     @staticmethod
     def check(g):
         nxg = nx.Graph()
@@ -330,15 +347,10 @@ class TestCoverNumbers:
     # Frozen values computed by hand: a 5-cycle needs 3 cliques to cover
     # its vertices.
     def test_vertex_cover_number_known_values(self):
-        assert vertex_clique_cover_number(cycle_graph(5)) == 3
-        assert vertex_clique_cover_number(complete_graph(4)) == 1
-        assert vertex_clique_cover_number(Graph(["a", "b", "c"], [])) == 3
-        assert vertex_clique_cover_number(Graph([], [])) == 0
-
-    def test_size_guard(self):
-        big = Graph(["v%d" % i for i in range(17)], [])
-        with pytest.raises(SizeGuardExceeded):
-            vertex_clique_cover_number(big)
+        assert clique_cover_number(cycle_graph(5)) == 3
+        assert clique_cover_number(complete_graph(4)) == 1
+        assert clique_cover_number(Graph(["a", "b", "c"], [])) == 3
+        assert clique_cover_number(Graph([], [])) == 0
 
     def test_matches_a_subset_dp_over_every_clique(self):
         # The reference tries every clique holding the lowest uncovered
@@ -356,13 +368,13 @@ class TestCoverNumbers:
         for g in graphs:
             theta = clique_cover_reference(g)
             full = frozenset(g.vertices)
-            assert vertex_clique_cover_number(g) == theta(full)
+            adj, mask = _adjacency_masks(g), full_mask(g)
+            assert _clique_cover_number(adj, mask) == theta(full)
             if g.vertices:
                 assert opsut_lower_bound(g) == min(
                     theta(g.neighbors(v)) for v in g.vertices)
-            adj = _adjacency_masks(g)
             above_greedy += theta(full) > _greedy_independent_set_size(
-                adj, (1 << len(adj)) - 1)
+                adj, mask)
         assert above_greedy > 0
 
 
@@ -417,6 +429,11 @@ def c4_target():
     return generalized_line_graph(cycle_graph(4), C4_WEIGHTS).graph
 
 
+def c4_masks():
+    g = c4_target()
+    return _adjacency_masks(g), full_mask(g)
+
+
 def order_a_three_cycle():
     d = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     try:
@@ -433,8 +450,8 @@ class TestRecursionLeavesNoCycles:
     # recurses through a module-level function, which holds no cell, and
     # the cycle witness of acyclic_ordering is found by a loop.
     @pytest.mark.parametrize("call", [
-        lambda: maximal_cliques(c4_target()),
-        lambda: vertex_clique_cover_number(c4_target()),
+        lambda: maximal_clique_masks(*c4_masks()),
+        lambda: _clique_cover_number(*c4_masks()),
         lambda: opsut_lower_bound(c4_target()),
         lambda: find_realization(c4_target(), 2),
         order_a_three_cycle,

@@ -12,10 +12,10 @@ from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
                      acyclic_ordering, check_conditions, classify,
                      cocktail_party, competition_graph, cp_realization,
                      find_realization, generalized_line_graph,
-                     glg_realization, incident_edge_clique, is_connected,
-                     simplicial_vertices, single_extra_realization,
-                     verify_realization)
+                     glg_realization, is_connected, simplicial_vertices,
+                     single_extra_realization, verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
+from reference import incident_edge_clique
 
 
 def path(n):
