@@ -15,6 +15,8 @@ vertex cap; it is reached only with no unit-weight edge and some weight
 above one, so no unweighted base is searched.
 """
 
+import heapq
+
 from .errors import BudgetExceeded, NotConnected
 from .glg_builder import check_weights, is_simplicial_edge
 from .graph_core import is_connected, simplicial_vertices
@@ -90,20 +92,28 @@ def pendant_reduce(graph):
 
     Pendant deletion preserves the competition number (for connected graphs
     landing on at least two vertices).  Returns (reduced, removed) with the
-    deletions in order; deletion order does not affect the result.
+    deletions in order, the smallest current pendant first; deletion order
+    does not affect the result.  One pass: a heap holds the current
+    pendants, and a deletion lowers only its live neighbour's degree.  In a
+    connected graph that neighbour keeps an edge while more than two
+    vertices are left, so a popped vertex is still a pendant.
     """
     if not is_connected(graph):
         raise NotConnected("pendant reduction requires a connected graph")
+    degree = {v: graph.degree(v) for v in graph.vertices}
+    pendants = [v for v, d in degree.items() if d == 1]
+    heapq.heapify(pendants)
     removed = []
-    current = graph
-    while len(current.vertices) > 2:
-        pendants = sorted(v for v in current.vertices if current.degree(v) == 1)
-        if not pendants:
-            break
-        victim = pendants[0]
+    while len(degree) > 2 and pendants:
+        victim = heapq.heappop(pendants)
         removed.append(victim)
-        current = current.induced(set(current.vertices) - {victim})
-    return current, tuple(removed)
+        del degree[victim]
+        for u in graph.neighbors(victim):
+            if u in degree:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    heapq.heappush(pendants, u)
+    return graph.induced(degree), tuple(removed)
 
 
 class Verdict:
@@ -181,9 +191,9 @@ def classify(h, weights=None, budget=None):
         return Verdict(UNDETERMINED, evidence, certificates)
     try:
         cert = realization_search(target, 1, budget)
-    except BudgetExceeded:
-        evidence.append(("exact search exhausted its budget (lower bound 1)",
-                         "oracle"))
+    except BudgetExceeded as exc:
+        evidence.append(("exact search exhausted its budget (lower bound "
+                         "1): %s" % exc, "oracle"))
         return Verdict(UNDETERMINED, evidence, certificates)
     if cert is None:
         evidence.append(("exhaustive search refuted one extra, so the value "

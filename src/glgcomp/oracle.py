@@ -46,7 +46,7 @@ def competition_number(graph, budget=None):
             cert = realization_search(graph, k, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
-                "node budget ran out while testing %d extras" % k,
+                "node budget ran out while testing %d extras: %s" % (k, exc),
                 lower_bound=k) from exc
         if cert is not None:
             return k, cert

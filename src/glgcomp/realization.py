@@ -373,15 +373,14 @@ def glg_realization(h, weights=None, e=None):
     weights are zero, otherwise the first block's leading pair.  With all
     weights zero this realizes the line graph of h.
     """
-    weights = check_weights(h, weights or {})
-    combined = generalized_line_graph(h, weights)
+    combined = generalized_line_graph(h, weights or {})
     e = _pinned_edge(h, e)
     u, v = e
     entries, _ = _line_body(combined, e)
     # The two entries right after the line body take the edge bundles.
     pin_at = len(entries)
     lead = (combined.incident_labels(u), combined.incident_labels(v))
-    for bv in (x for x in h.vertices if weights[x] > 0):
+    for bv in (x for x in h.vertices if combined.cocktail_pairs[x]):
         block, lead = _block_entries(combined.cocktail_pairs[bv],
                                      combined.incident_labels(bv), lead)
         entries += block

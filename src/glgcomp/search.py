@@ -42,21 +42,25 @@ n + 1 of them; running out names the extras' combination the search was
 in.
 
 Vertices, edges and cliques are bitmasks, and each vertex has a mask of
-its incident edges.  The ready set is passed down rather than rescanned:
-it only grows with the covered set, and a vertex whose last uncovered
-edge a clique covers lies in that clique, so a child tests only the
-members of the clique just placed.  The edges a clique covers, those
-joining each member to an earlier one, are read off the incidence masks.
-Each call caches these covers per clique mask and the candidate cliques
-per free-vertex mask.  The memo and the caches
-belong to one call and are released when it returns, raises or runs out
-of budget.
+its incident edges.  A trace with an edge is a clique of G[R - E], and it
+is maximal among the traces exactly when no vertex of R - E is joined to
+all of its members.  One rule gives every ready set: the ready set only
+grows with the covered set, and a vertex whose last uncovered edge some
+cliques cover lies in one of them, so the new ready set is the old one
+plus those members of the cliques just placed whose edges are all
+covered.  A child applies it to the clique just placed; each extras'
+combination applies it to its own cliques, starting from the vertices
+with no edge.  The edges a clique covers, those joining each member to
+an earlier one, are read off the incidence masks.  Each call caches these
+covers per clique mask and the candidate cliques per free-vertex mask.
+The memo and the caches belong to one call and are released when it
+returns, raises or runs out of budget.
 """
 
 import itertools
 
 from .errors import BudgetExceeded
-from .graph_core import bit_indices, maximal_clique_masks
+from .graph_core import _adjacency_masks, bit_indices, maximal_clique_masks
 
 
 class SearchBudget:
@@ -86,14 +90,12 @@ def find_realization(graph, k, budget=None):
     vs = graph.vertices
     n = len(vs)
     index = {v: i for i, v in enumerate(vs)}
-    adj = [0] * n
+    adj = _adjacency_masks(graph)
     incident = [0] * n
     for j, (a, b) in enumerate(sorted(graph.edges)):
-        i, h = index[a], index[b]
-        adj[i] |= 1 << h
-        adj[h] |= 1 << i
-        incident[i] |= 1 << j
-        incident[h] |= 1 << j
+        incident[index[a]] |= 1 << j
+        incident[index[b]] |= 1 << j
+    full = (1 << n) - 1
 
     def members(vmask):
         return frozenset(vs[i] for i in bit_indices(vmask))
@@ -116,7 +118,15 @@ def find_realization(graph, k, budget=None):
             covers[vmask] = got
         return got
 
-    clique_masks = maximal_clique_masks(adj, (1 << n) - 1)
+    clique_masks = maximal_clique_masks(adj, full)
+
+    def grows(t, free):
+        """True iff some free vertex is joined to every member of t."""
+        while t and free:
+            low = t & -t
+            t ^= low
+            free &= adj[low.bit_length() - 1]
+        return free != 0
 
     cand_cache = {}
 
@@ -125,21 +135,22 @@ def find_realization(graph, k, budget=None):
         edge, each with the edges it covers; the empty clique if none."""
         got = cand_cache.get(free)
         if got is None:
-            inters = {cm & free for cm in clique_masks}
-            # A trace is maximal when no larger one kept so far holds it.
-            # The set's own order is the branching order, so keep to it.
-            maximal = []
-            for m in sorted((m for m in inters if m & (m - 1)),
-                            key=int.bit_count, reverse=True):
-                for o in maximal:
-                    if m & ~o == 0:
-                        break
-                else:
-                    maximal.append(m)
-            keep = set(maximal)
-            got = cand_cache[free] = [(m, cover_of(m)) for m in inters
-                                      if m in keep] or [(0, 0)]
+            # A trace with an edge is a clique of G[free], and maximal among
+            # the traces iff it is a maximal clique there.  The set's own
+            # order is the branching order, so keep to it.
+            got = cand_cache[free] = [
+                (m, cover_of(m)) for m in {cm & free for cm in clique_masks}
+                if m & (m - 1) and not grows(m, free)] or [(0, 0)]
         return got
+
+    def ready_after(ready, placed, covered):
+        """`ready` plus the members of `placed` whose edges `covered` holds."""
+        while placed:
+            bit = placed & -placed
+            placed ^= bit
+            if incident[bit.bit_length() - 1] & ~covered == 0:
+                ready |= bit
+        return ready
 
     # Extras sit after every G-vertex, so each takes a whole maximal
     # clique, and two of them never share one.  Combinations covering more
@@ -149,7 +160,7 @@ def find_realization(graph, k, budget=None):
              for combo in itertools.combinations(useful, min(k, len(useful)))]
     tails.sort(key=lambda t: -t[1].bit_count())
 
-    full = (1 << n) - 1
+    isolated = _union(1 << i for i in range(n) if not adj[i])
     memo = {}
     nodes = 0
     path = []
@@ -187,27 +198,16 @@ def find_realization(graph, k, budget=None):
         ready ^= low
         for cm, cover in candidates:
             grown = covered | cover
-            now_ready = ready
-            if grown != covered:
-                # Only a vertex of the clique just placed can have had its
-                # last uncovered edge covered.
-                rest = cm
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if incident[bit.bit_length() - 1] & ~grown == 0:
-                        now_ready |= bit
             path.append((i, cm))
-            if dfs(taken, grown, now_ready):
+            if dfs(taken, grown, ready_after(ready, cm, grown)):
                 return True
             path.pop()
         return False
 
     try:
         for tail_no, (tail, covered) in enumerate(tails, 1):
-            ready = _union(1 << i for i in range(n)
-                           if incident[i] & ~covered == 0)
-            if dfs(0, covered, ready):
+            placed = _union(cm for cm, _ in tail)
+            if dfs(0, covered, ready_after(isolated, placed, covered)):
                 body = tuple((vs[i], members(cm)) for i, cm in reversed(path))
                 tail = [members(cm) for cm, _ in tail]
                 tail += [frozenset()] * (k - len(tail))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -122,6 +123,15 @@ class TestPendantReduce:
         with pytest.raises(NotConnected):
             pendant_reduce(Graph(["a", "b", "c"], [("a", "b")]))
 
+    def test_long_weighted_path_in_one_pass(self):
+        # Rebuilding the graph after each deletion took 4.5 s of CPU time
+        # here, growing quadratically; one pass takes about 0.04 s.
+        start = time.process_time()
+        verdict = classify(path(2000), {"p0": 2})
+        assert verdict.k_value == EXACTLY_TWO
+        assert verdict.evidence[-1][1] == "pendant-reduction"
+        assert time.process_time() - start < 1
+
     def test_preserves_competition_number_on_samples(self):
         for g, expected in [(path(5), 1), (cycle_graph(4), 2)]:
             reduced, _ = pendant_reduce(g)
@@ -215,6 +225,13 @@ class TestClassify:
         # the two-extra witness still bounds the value from above
         cert = verdict.certificates["two_extra"]
         verify_realization(cert.digraph, cert.base, 2)
+
+    def test_node_budget_evidence_says_how_far_the_search_got(self):
+        # A witness on the 7 combined vertices takes at least 8 nodes.
+        verdict = classify(star(3), {"v2": 2}, SearchBudget(max_nodes=3))
+        assert verdict.k_value == UNDETERMINED
+        claim, source = verdict.evidence[-1]
+        assert source == "oracle" and "combination" in claim
 
     def test_unit_weight_edge_needs_no_search_budget(self, monkeypatch):
         # Weight two on d leaves the unit edge a-b, whose chain settles the

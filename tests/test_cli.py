@@ -189,6 +189,9 @@ class TestCompnum:
         src = os.path.join(fixtures_dir, "c4.json")
         code, _, err = run(capsys, "compnum", src, "--max-vertices", "4")
         assert code == 5 and "budget" in err.lower()
+        # The node budget's report says how far the search got.
+        code, _, err = run(capsys, "compnum", src, "--max-nodes", "3")
+        assert code == 5 and "combination" in err
 
     def test_large_neighborhood_reports_a_lower_bound(self, capsys,
                                                       heavy_leaf):

@@ -1,18 +1,20 @@
 import gc
 import random
+import time
 import tracemalloc
 
 import networkx as nx
 import pytest
 
 import glgcomp.oracle
-from glgcomp import (BudgetExceeded, Digraph, Graph, SearchBudget,
-                     cocktail_party, competition_graph, competition_number,
-                     find_realization, fresh_labels, generalized_line_graph,
-                     opsut_lower_bound, realization_search,
-                     verify_realization)
+from glgcomp import (EXACTLY_ONE, BudgetExceeded, Digraph, Graph,
+                     SearchBudget, classify, cocktail_party,
+                     competition_graph, competition_number, find_realization,
+                     fresh_labels, generalized_line_graph, opsut_lower_bound,
+                     realization_search, verify_realization)
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
-                    cycle_graph, random_chordal, random_triangle_free)
+                    cycle_graph, random_chordal, random_connected,
+                    random_triangle_free)
 
 
 def path(n):
@@ -96,6 +98,35 @@ class TestFindRealization:
                 gc.enable()
             assert outcome is (None if budget is None else BudgetExceeded)
             assert after - before < 64 * 1024
+
+
+class TestSetUpScales:
+    # The work before the first node grows with the witness, not with the
+    # number of maximal cliques squared or with n times the extras'
+    # combinations.  The CPU-time bounds sit at about a third of what a
+    # pairwise trace-dominance filter and a full scan per combination
+    # took (9 s and 27 s), and at over four times what the one-pass rules
+    # take (0.3 s and 0.7 s).
+    def test_heavy_block_is_settled_quickly(self):
+        # A block of weight 13 gives thousands of maximal cliques.
+        h = Graph(list("abcd"), [("c", "a"), ("c", "b"), ("c", "d")])
+        start = time.process_time()
+        verdict = classify(h, {"a": 13, "b": 1},
+                           SearchBudget(max_total_vertices=100))
+        assert verdict.k_value == EXACTLY_ONE
+        assert time.process_time() - start < 3
+
+    def test_thousand_vertex_base_reaches_its_node_budget_quickly(self):
+        # 4,562 combined vertices and 3,546 combinations of the extras'
+        # cliques at k = 1.
+        rng = random.Random(5)
+        h = random_connected(rng, 1000, 2000)
+        weights = {v: rng.choice((0, 0, 2, 3)) for v in h.vertices}
+        target = generalized_line_graph(h, weights).graph
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded):
+            find_realization(target, 1, SearchBudget(max_nodes=3000))
+        assert time.process_time() - start < 8
 
 
 class TestClosedForms:
