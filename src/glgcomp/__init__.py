@@ -21,8 +21,8 @@ from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
 from .search import DEFAULT_BUDGET, SearchBudget, find_realization
 from .realization import (GlgRealization, RealizationCertificate,
                           cp_realization, fresh_labels, glg_realization,
-                          single_extra_realization, verify_realization)
+                          verify_realization)
 from .oracle import competition_number, realization_search
 from .analysis import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                        ConditionReport, Verdict, check_conditions, classify,
-                       pendant_reduce)
+                       pendant_reduce, single_extra_realization)

@@ -1,27 +1,28 @@
 """Condition checkers and a competition-number classifier for combined graphs.
 
-The classifier takes one path for every weight map.  In order: the
-single-extra construction, which reads its case off the combined graph
-(realization._unit_chain), whenever the condition flags say it applies:
-some edge has weight one at both ends, or no weight exceeds one and either
-some weight is one or, with all weights zero, L(H) has a simplicial vertex
-(Opsut 1982; L(K2) = K1 needs no extra); a pendant-vertex reduction that
-certifies k = 2, and removes nothing from a line graph without a
-simplicial vertex; then the oracle's one-extra search, which settles the
-rest: the two-extra witness bounds k by two, and a connected graph with an
-edge needs an extra.  Only that search can end in an honest
-"undetermined", when its node budget runs out or the graph is above its
-vertex cap; it is reached only with no unit-weight edge and some weight
-above one, so no unweighted base is searched.
+check_conditions alone decides the one-extra case: its report's one_extra
+holds when some edge has weight one at both ends, or no weight exceeds one
+and either some weight is one or, with all weights zero, L(H) has a
+simplicial vertex (Opsut 1982; L(K2) = K1 needs no extra).  The classifier
+takes one path for every weight map.  In order: the single-extra
+construction (realization._unit_chain, which only builds) when one_extra
+holds; a pendant-vertex reduction that certifies k = 2, and removes
+nothing from a line graph without a simplicial vertex; then the oracle's
+one-extra search, which settles the rest: the two-extra witness bounds k
+by two, and a connected graph with an edge needs an extra.  Only that
+search can end in an honest "undetermined", when its node budget runs out
+or the graph is above its vertex cap; it runs only with no unit-weight
+edge and some weight above one, so no unweighted base is searched.
 """
 
 import heapq
 
-from .errors import BudgetExceeded, NotConnected
-from .glg_builder import check_weights, is_simplicial_edge
+from .errors import BudgetExceeded, HypothesisNotMet, NotConnected
+from .glg_builder import (check_weights, generalized_line_graph,
+                          is_simplicial_edge)
 from .graph_core import is_connected, simplicial_vertices
 from .oracle import realization_search
-from .realization import _connected_weights, _unit_chain, glg_realization
+from .realization import _unit_chain, glg_realization
 from .search import DEFAULT_BUDGET
 
 EXACTLY_ZERO = "exactly-zero"
@@ -42,6 +43,12 @@ class ConditionReport:
         self.unit_weight_edge = unit_weight_edge
         self.all_weights_unit = all_weights_unit
         self.hypotheses = dict(hypotheses)
+
+    @property
+    def one_extra(self):
+        """The flags meet a sufficient condition for one extra (or none)."""
+        return bool(self.unit_weight_edge) or self.all_weights_unit and (
+            self.has_unit_weight or self.zero_weight_anchor_simplicial)
 
     def to_json(self):
         return {
@@ -74,17 +81,43 @@ def check_conditions(h, weights=None):
     has_unit = any(weights[v] == 1 for v in h.vertices)
     zero_anchor = any(weights[a] == weights[b] == 0 and
                       is_simplicial_edge(h, (a, b)) for a, b in h.edges)
-    unit_edges = sorted(f for f in h.edges
-                        if weights[f[0]] == 1 and weights[f[1]] == 1)
+    edge = min((f for f in h.edges if weights[f[0]] == weights[f[1]] == 1),
+               default=None)
     hypotheses = {
         "connected": is_connected(h),
         "has_edge": bool(h.edges),
     }
     return ConditionReport(
-        has_unit, zero_anchor,
-        unit_edges[0] if unit_edges else None,
+        has_unit, zero_anchor, edge,
         all(weights[v] <= 1 for v in h.vertices),
         hypotheses)
+
+
+def _connected_report(h, weights):
+    """The condition report of an instance whose base is connected and has
+    an edge; raises HypothesisNotMet otherwise."""
+    report = check_conditions(h, weights)
+    if not report.hypotheses["has_edge"]:
+        raise HypothesisNotMet("the base graph needs at least one edge")
+    if not report.hypotheses["connected"]:
+        raise HypothesisNotMet("the base graph must be connected")
+    return report
+
+
+def single_extra_realization(h, weights=None):
+    """Realize the combined graph with ONE extra vertex, or none for K2,
+    without search; raises HypothesisNotMet unless the condition report of
+    a connected base says that one extra applies.  Returns the certificate.
+    """
+    report = _connected_report(h, weights)
+    if not report.one_extra:
+        raise HypothesisNotMet(
+            "no vertex of the line graph is simplicial, so one extra cannot "
+            "suffice" if report.all_weights_unit else
+            "one extra needs an edge with weight one at both ends, or no "
+            "weight above one")
+    return _unit_chain(generalized_line_graph(h, weights or {}),
+                       report.unit_weight_edge)
 
 
 def pendant_reduce(graph):
@@ -144,7 +177,7 @@ def classify(h, weights=None, budget=None):
     value is exact whenever a verified witness plus a matching lower bound
     exist, and honestly undetermined otherwise.
     """
-    weights = _connected_weights(h, weights)
+    report = _connected_report(h, weights)
     budget = budget or DEFAULT_BUDGET
 
     two = glg_realization(h, weights)
@@ -153,13 +186,12 @@ def classify(h, weights=None, budget=None):
     evidence = [("two-extra witness: competition number is at most two",
                  "two-extra-construction")]
 
-    report = check_conditions(h, weights)
-    if report.unit_weight_edge is not None or report.all_weights_unit and (
-            report.has_unit_weight or report.zero_weight_anchor_simplicial):
-        # The flags hold exactly when the chain builds a witness.  With no
-        # positive weight they say that L(H) has a simplicial vertex: the
-        # chain then needs one extra, or none for L(K2) = K1.
-        cert = certificates["single_extra"] = _unit_chain(two.combined)
+    if report.one_extra:
+        # With no positive weight the report says that L(H) has a
+        # simplicial vertex: the chain then needs one extra, or none for
+        # L(K2) = K1.
+        cert = certificates["single_extra"] = _unit_chain(
+            two.combined, report.unit_weight_edge)
         if not cert.k:
             evidence.append(("witness with no extra: the line graph of one "
                              "edge", "single-extra-construction"))

@@ -9,7 +9,7 @@ import functools
 import json
 import sys
 
-from .analysis import check_conditions, classify
+from .analysis import check_conditions, classify, single_extra_realization
 from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      CyclicDigraph, GlgError, HypothesisNotMet, InvalidInput,
                      PreconditionViolated, SchemaError)
@@ -18,8 +18,7 @@ from .glg_builder import (cocktail_party, generalized_line_graph,
 from .graph_core import (digraph_from_json, digraph_to_dot, graph_from_json,
                          graph_to_dot, graph_to_json)
 from .oracle import competition_number
-from .realization import (glg_realization, single_extra_realization,
-                          verify_realization)
+from .realization import glg_realization, verify_realization
 from .search import DEFAULT_BUDGET, SearchBudget
 
 

@@ -56,8 +56,9 @@ not a flaw in the scheme.  With no pin every component is rooted as an
 other one, and the cliques left waiting are the extras': for a connected
 base, none for K2, one if L(H) has a simplicial vertex (Opsut), else two.
 
-The one-extra construction reads its case off the combined graph and ends
-in one chain of weight-one blocks.  A weight-one block at s is a partner
+The one-extra construction only builds, in the case that the report of
+analysis.check_conditions decides (the refusals are the report's), and
+ends in one chain of weight-one blocks.  A weight-one block at s is a partner
 pair x, y joined to S_s: y takes the waiting clique, x takes S_s+{y}, and
 S_s+{x} is handed on to the next block; the single extra takes the last.
 x's clique covers the star S_s, so the line body may leave the stars at
@@ -76,25 +77,23 @@ both ends of its pin to the chain.  The cases go in this order.
   No bundle of a heavy vertex contains e, so the heavy blocks can come
   before e's vertex; the blocks at u and v cover S_u and S_v, and those
   are the only cliques with e that the chain places, after e's vertex.
-* Else some weight above one refuses the instance: neither of the paper's
-  sufficient conditions holds.
-* Else some weight is one: the body is the line body pinned at the
-  smallest edge at the first weight-one vertex, and the chain starts with
-  the bundle at the other end of that edge.
-* Else the body is the unpinned line body: no extra for K2, one when L(H)
-  has a simplicial vertex, and otherwise the instance is refused.
+* Else no weight is above one.  If some weight is one, the body is the
+  line body pinned at the smallest edge at the first weight-one vertex,
+  and the chain starts with the bundle at the other end of that edge.
+* Else all weights are zero and L(H) has a simplicial vertex: the body is
+  the unpinned line body, with no extra for K2 and one otherwise.
 """
 
 import collections
 import itertools
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
-                     HypothesisNotMet, InvalidInput, NotAnEdge,
-                     PreconditionViolated, SchemaError, UnknownVertex)
+                     InvalidInput, NotAnEdge, PreconditionViolated,
+                     SchemaError, UnknownVertex)
 from .graph_core import (Digraph, acyclic_ordering, digraph_to_json,
-                         graph_to_json, is_connected, normalize_edge)
-from .glg_builder import (check_weights, cocktail_party,
-                          generalized_line_graph, is_simplicial_edge)
+                         graph_to_json, normalize_edge)
+from .glg_builder import (cocktail_party, generalized_line_graph,
+                          is_simplicial_edge)
 
 
 class RealizationCertificate:
@@ -391,41 +390,15 @@ def glg_realization(h, weights=None, e=None):
 
 
 # ---------------------------------------------------------------------------
-# Single-extra (k = 1) constructions
+# Single-extra (k = 1) construction
 # ---------------------------------------------------------------------------
 
-def _connected_weights(h, weights):
-    """The full weight map of an instance whose base is connected and has
-    an edge; raises HypothesisNotMet otherwise."""
-    weights = check_weights(h, weights or {})
-    if not h.edges:
-        raise HypothesisNotMet("the base graph needs at least one edge")
-    if not is_connected(h):
-        raise HypothesisNotMet("the base graph must be connected")
-    return weights
-
-
-def single_extra_realization(h, weights=None):
-    """Realize the combined graph with ONE extra vertex, or none for K2;
-    h must be connected.
-
-    The one-extra construction of the module docstring, with its case read
-    off the instance: an edge with weight one at both ends, else weights
-    of at most one.  Nothing is searched; raises HypothesisNotMet when
-    neither case builds a witness.  Returns the RealizationCertificate.
-    """
-    weights = _connected_weights(h, weights)
-    return _unit_chain(generalized_line_graph(h, weights))
-
-
-def _unit_chain(combined):
-    """The one-extra body of the module docstring on a built combined
-    graph, certified, in the case the combined graph calls for."""
+def _unit_chain(combined, e):
+    """The one-extra body of the module docstring, certified, with e the
+    report's unit edge or None; one extra must apply (ConstructionFailed)."""
     h = combined.base
     pairs = combined.cocktail_pairs
     units = [x for x in h.vertices if len(pairs[x]) == 1]
-    e = min((f for f in h.edges
-             if len(pairs[f[0]]) == len(pairs[f[1]]) == 1), default=None)
     if e is not None:
         entries, _ = _line_body(combined, e)
         _, clique = entries.pop()
@@ -439,10 +412,6 @@ def _unit_chain(combined):
         entries.append((combined.labels[e], lead[0]))
         waiting = lead[1]
         what = "single-extra realization (unit edge)"
-    elif any(len(pairs[x]) > 1 for x in h.vertices):
-        raise HypothesisNotMet(
-            "one extra needs an edge with weight one at both ends, or no "
-            "weight above one")
     elif units:
         f = min(normalize_edge(units[0], w) for w in h.neighbors(units[0]))
         entries, _ = _line_body(combined, f)
@@ -451,8 +420,8 @@ def _unit_chain(combined):
     else:
         entries, tail = _line_body(combined)
         if len(tail) > 1:
-            raise HypothesisNotMet("no vertex of the line graph is "
-                                   "simplicial, so one extra cannot suffice")
+            raise ConstructionFailed("the line body left %d cliques for "
+                                     "one extra" % len(tail))
         return _certify(entries, tail, combined.graph,
                         "single-extra realization (line graph)")
     for s in reversed(units):

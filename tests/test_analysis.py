@@ -55,7 +55,14 @@ class TestCheckConditions:
         assert report.hypotheses == {"connected": False, "has_edge": True}
 
     def test_json_shape(self):
-        doc = check_conditions(path(2), {"p0": 1, "p1": 1}).to_json()
+        report = check_conditions(path(2), {"p0": 1, "p1": 1})
+        doc = report.to_json()
+        # one_extra is derived from the flags, and stays out of the JSON.
+        assert report.one_extra
+        assert set(doc) == {"kind", "has_unit_weight",
+                            "zero_weight_anchor_simplicial",
+                            "unit_weight_edge", "all_weights_unit",
+                            "hypotheses"}
         assert doc["kind"] == "condition_report"
         assert doc["unit_weight_edge"] == ["p0", "p1"]
         assert doc["all_weights_unit"] is True

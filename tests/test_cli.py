@@ -267,12 +267,22 @@ class TestClassify:
         assert doc["all_weights_unit"] is False
 
     def test_disconnected_base_exits_three(self, capsys, tmp_path):
-        src = write(tmp_path, "disc.json",
-                    {"kind": "vertex_weighted_graph",
-                     "vertices": ["a", "b", "c"], "edges": [["a", "b"]],
-                     "weights": {}})
-        code, _, err = run(capsys, "classify", src)
-        assert code == 3
+        # The README's exit-3 cases for the base itself: no edge
+        # (classify and every realize mode), or not connected (classify
+        # and realize one; realize two builds on any base with an edge).
+        edgeless = {"vertices": ["a", "b"], "edges": []}
+        disconnected = {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}
+        cases = [(edgeless, ("classify",), "at least one edge"),
+                 (edgeless, ("realize", "one"), "at least one edge"),
+                 (edgeless, ("realize", "two"), "at least one edge"),
+                 (disconnected, ("classify",), "must be connected"),
+                 (disconnected, ("realize", "one"), "must be connected")]
+        for base, command, message in cases:
+            src = write(tmp_path, "base.json",
+                        dict(base, kind="vertex_weighted_graph", weights={}))
+            code, _, err = run(capsys, *command, src)
+            assert code == 3, (base, command)
+            assert "hypothesis not met" in err and message in err, err
 
     def test_large_neighborhood_is_undetermined(self, capsys, heavy_leaf):
         code, out, _ = run(capsys, "classify", heavy_leaf, "--json")

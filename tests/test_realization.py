@@ -8,10 +8,10 @@ import glgcomp.search
 from glgcomp.realization import _certify
 from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
                      HypothesisNotMet, InvalidInput, NotAnEdge,
-                     PreconditionViolated, SchemaError, UnknownVertex,
-                     acyclic_ordering, check_conditions, classify,
-                     cocktail_party, competition_graph, cp_realization,
-                     find_realization, generalized_line_graph,
+                     PreconditionViolated, SchemaError, SearchBudget,
+                     UnknownVertex, acyclic_ordering, check_conditions,
+                     classify, cocktail_party, competition_graph,
+                     cp_realization, find_realization, generalized_line_graph,
                      glg_realization, is_connected, simplicial_vertices,
                      single_extra_realization, verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
@@ -464,22 +464,27 @@ class TestSingleExtraEdge:
 class TestOneExtraRule:
     def test_condition_flags_agree_with_the_construction(self):
         # 3,708 instances: every connected base of 2-5 vertices and at most
-        # six edges under every weight map with weights 0-2.  classify's
-        # flag test holds exactly when single_extra_realization succeeds.
-        instances = 0
+        # six edges under every weight map with weights 0-2.  The report's
+        # one_extra holds exactly when single_extra_realization succeeds,
+        # and classify, which searches nothing with max_k = 0, carries the
+        # same single-extra certificate exactly then.  1,513 of them meet
+        # the conditions, so a changed predicate shows in the count.
+        no_search = SearchBudget(max_k=0)
+        instances = applied = 0
         for h in connected_graphs(5, min_edges=1, max_edges=6):
             for combo in itertools.product(range(3), repeat=len(h.vertices)):
                 weights = dict(zip(h.vertices, combo))
-                report = check_conditions(h, weights)
-                applies = report.unit_weight_edge is not None or \
-                    report.all_weights_unit and (
-                        report.has_unit_weight or
-                        report.zero_weight_anchor_simplicial)
+                applies = check_conditions(h, weights).one_extra
+                certificates = classify(h, weights, no_search).certificates
+                assert ("single_extra" in certificates) == applies, weights
                 try:
-                    single_extra_realization(h, weights)
+                    cert = single_extra_realization(h, weights)
                 except HypothesisNotMet:
                     assert not applies, weights
                 else:
                     assert applies, weights
+                    assert certificates["single_extra"].to_json() == \
+                        cert.to_json(), weights
+                    applied += 1
                 instances += 1
-        assert instances == 3708
+        assert (instances, applied) == (3708, 1513)
