@@ -64,7 +64,10 @@ def _write_text(text, path):
 
 def _write_json(doc, path):
     # Without indent, json.dumps runs the C encoder: one line, keys sorted.
-    _write_text(json.dumps(doc, sort_keys=True) + "\n", path)
+    # Every doc is a fresh tree from a to_json, so it holds no cycle to
+    # look for; one would still end in RecursionError, not in wrong output.
+    _write_text(json.dumps(doc, sort_keys=True, check_circular=False) + "\n",
+                path)
 
 
 def _parse_edge(text):

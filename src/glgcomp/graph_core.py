@@ -17,6 +17,10 @@ search passes the whole graph, and the clique-cover number theta of a mask
 is the fewest of that mask's maximal cliques whose union is the mask, found
 by trying k upward from a greedy independent set.  Opsut's bound reads each
 neighbourhood N(v) as adj[v], so no induced subgraph is built.
+
+JSON and DOT list edges and arcs sorted by (first label, second label):
+each pair is bucketed under its first end and the buckets are read in the
+vertex order, so no writer sorts the whole set of tuples.
 """
 
 import heapq
@@ -401,11 +405,24 @@ def opsut_lower_bound(graph):
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _sorted_pairs(vertices, links):
+    """The links as [a, b] lists in sorted(links) order.
+
+    vertices is the sorted label tuple every link's ends come from, so
+    walking it and sorting each first end's bucket of second ends gives
+    the tuple order without comparing whole tuples.
+    """
+    buckets = {v: [] for v in vertices}
+    for a, b in links:
+        buckets[a].append(b)
+    return [[a, b] for a in vertices for b in sorted(buckets[a])]
+
+
 def graph_to_json(graph):
     return {
         "kind": "graph",
         "vertices": list(graph.vertices),
-        "edges": [list(e) for e in sorted(graph.edges)],
+        "edges": _sorted_pairs(graph.vertices, graph.edges),
     }
 
 
@@ -443,7 +460,7 @@ def digraph_to_json(digraph):
     return {
         "kind": "digraph",
         "vertices": list(digraph.vertices),
-        "arcs": [list(a) for a in sorted(digraph.arcs)],
+        "arcs": _sorted_pairs(digraph.vertices, digraph.arcs),
     }
 
 
@@ -470,7 +487,7 @@ def _to_dot(keyword, name, vertices, links, connector, node_attrs):
             lines.append("  %s [%s];" % (_dot_quote(v), body))
         else:
             lines.append("  %s;" % _dot_quote(v))
-    for a, b in sorted(links):
+    for a, b in _sorted_pairs(vertices, links):
         lines.append("  %s %s %s;" % (_dot_quote(a), connector, _dot_quote(b)))
     lines.append("}")
     return "\n".join(lines) + "\n"

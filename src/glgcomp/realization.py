@@ -295,8 +295,11 @@ def _pinned_edge(h, e):
     if not h.edges:
         raise PreconditionViolated("the base graph needs at least one edge")
     if e is None:
-        return min(h.edges, key=lambda f: (
-            h.degree(f[0]) == h.degree(f[1]) == 1, f))
+        e = min(h.edges)
+        if h.degree(e[0]) == h.degree(e[1]) == 1:
+            e = min((f for f in h.edges
+                     if h.degree(f[0]) > 1 or h.degree(f[1]) > 1), default=e)
+        return e
     e = normalize_edge(*e)
     if e not in h.edges:
         raise NotAnEdge("%r is not an edge of the base graph" % (e,))

@@ -5,6 +5,10 @@ are the textbook steps it replaces: the edge bundle of a base vertex, read
 off its neighbours, and the semi-join of a graph with a block along a
 clique.  The line graph semi-joined with one cocktail-party block per
 weighted vertex, in turn, is the combined graph.
+
+The serializers list links by bucketing each pair under its first end.
+sorted_links and to_dot are the writers they replace, which sort the whole
+set of tuples.
 """
 
 from glgcomp import (Graph, UnknownVertex, VertexCollision, edge_label,
@@ -42,3 +46,27 @@ def semi_join(graph, clique, other):
         for w in other.vertices:
             edges.add(normalize_edge(k, w))
     return Graph(vertices, edges)
+
+
+def sorted_links(links):
+    """The JSON edge or arc list: every pair, as a list, in tuple order."""
+    return [list(e) for e in sorted(links)]
+
+
+def to_dot(keyword, name, vertices, links, connector, node_attrs):
+    """DOT text with the links in tuple order."""
+    def quote(label):
+        return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["%s %s {" % (keyword, name)]
+    for v in vertices:
+        attrs = node_attrs.get(v)
+        if attrs:
+            body = ", ".join("%s=%s" % (k, attrs[k]) for k in sorted(attrs))
+            lines.append("  %s [%s];" % (quote(v), body))
+        else:
+            lines.append("  %s;" % quote(v))
+    for a, b in sorted(links):
+        lines.append("  %s %s %s;" % (quote(a), connector, quote(b)))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

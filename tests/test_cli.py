@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from glgcomp.cli import main
+from glgcomp import (check_conditions, classify, glg_realization,
+                     weighted_graph_from_json)
+from glgcomp.cli import _write_json, main
 from corpus import grid
 
 
@@ -288,6 +290,25 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", heavy_leaf, "--json")
         assert code == 0
         assert json.loads(out)["k_value"] == "at-most-two-undetermined"
+
+
+class TestWriteJson:
+    def test_writes_the_sorted_key_dump(self, capsys, tmp_path,
+                                        star_instance):
+        # A two-extra certificate, a classify verdict and a condition report
+        # are written, to a file or to stdout, as one sorted-key line.
+        with open(star_instance) as handle:
+            h, weights = weighted_graph_from_json(json.load(handle))
+        docs = [glg_realization(h, weights).certificate.to_json(),
+                classify(h, weights).to_json(),
+                check_conditions(h, weights).to_json()]
+        out = tmp_path / "doc.json"
+        for doc in docs:
+            expected = json.dumps(doc, sort_keys=True) + "\n"
+            _write_json(doc, str(out))
+            assert out.read_text() == expected
+            _write_json(doc, None)
+            assert capsys.readouterr().out == expected
 
 
 class TestInputErrors:

@@ -23,7 +23,7 @@ from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _adjacency_masks,
                                 maximal_clique_masks)
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
                     cycle_graph, random_chordal, weight_maps)
-from reference import NotAClique, semi_join
+from reference import NotAClique, semi_join, sorted_links, to_dot
 
 
 def complete_graph(n):
@@ -530,3 +530,50 @@ class TestSerialization:
         dot = digraph_to_dot(d, node_attrs={"z": {"shape": "box"}})
         assert '"z" [shape=box]' in dot or '"z" [shape="box"]' in dot
         assert '"a" -> "z"' in dot
+
+
+def assert_links_in_tuple_order(g, d):
+    """Both writers list g's edges and d's arcs as a whole-set sort does."""
+    assert graph_to_json(g)["edges"] == sorted_links(g.edges)
+    assert digraph_to_json(d)["arcs"] == sorted_links(d.arcs)
+    assert graph_to_dot(g) == to_dot("graph", "G", g.vertices, g.edges,
+                                     "--", {})
+    attrs = {v: {"shape": "box"} for v in d.vertices[::2]}
+    assert digraph_to_dot(d, node_attrs=attrs) == to_dot(
+        "digraph", "D", d.vertices, d.arcs, "->", attrs)
+
+
+class TestLinkOrder:
+    # Labels that share prefixes, mix case, hold DOT's escaped characters
+    # or leave ASCII, where a wrong bucket order would show.
+    LABELS = ["a", "a-b", "ab", "a b", "q:v:10:x", "q:v:2:x", "B", "b",
+              "\u00e9t\u00e9", 'x"y', "z\\w"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(alphabet='aAb -:10\u00e9"\\', min_size=1,
+                            max_size=4), min_size=2, max_size=9, unique=True),
+           st.data())
+    def test_random_graphs_and_digraphs(self, labels, data):
+        pairs = list(itertools.permutations(labels, 2))
+        arcs = data.draw(st.lists(st.sampled_from(pairs), max_size=20))
+        g = Graph(labels, arcs)
+        assert_links_in_tuple_order(g, Digraph(labels, arcs))
+
+    def test_prefix_case_and_non_ascii_labels(self):
+        labels = self.LABELS
+        g = Graph(labels, itertools.combinations(labels, 2))
+        d = Digraph(labels, itertools.permutations(labels, 2))
+        assert_links_in_tuple_order(g, d)
+        assert graph_to_json(g)["edges"][:4] == [
+            ["B", "a"], ["B", "a b"], ["B", "a-b"], ["B", "ab"]]
+
+    def test_isolated_vertices_and_in_arcs_only(self):
+        # Every vertex but the first and last is isolated in g; in d, the
+        # heads have in-arcs and no out-arcs, and "q:v:2:x" has none at all.
+        labels = self.LABELS
+        g = Graph(labels, [(labels[-1], labels[0])])
+        d = Digraph(labels, [(t, h) for t in ("q:v:10:x", "b")
+                             for h in ("a", "a b", "\u00e9t\u00e9")])
+        assert_links_in_tuple_order(g, d)
+        assert digraph_to_json(d)["arcs"][0] == ["b", "a"]
+        assert graph_to_json(Graph(labels))["edges"] == []

@@ -353,6 +353,20 @@ class TestGlgRealization:
         with pytest.raises(NotAnEdge):
             glg_realization(h, {}, e=("p0", "p3"))
 
+    def test_default_edge(self):
+        # The smallest edge that is not a component of its own, else the
+        # smallest edge.
+        k4 = ["v0", "v1", "v2", "v3"]
+        h = Graph(k4 + ["a", "b"],
+                  list(itertools.combinations(k4, 2)) + [("a", "b")])
+        assert glg_realization(h).edge == ("v0", "v1")
+        lone = Graph(list("abcdef"), [("e", "f"), ("c", "d"), ("a", "b")])
+        assert glg_realization(lone).edge == ("a", "b")
+        assert glg_realization(lone, {"c": 2}).edge == ("a", "b")
+        for h in connected_graphs(5, min_edges=1):
+            assert glg_realization(h, {h.vertices[-1]: 1}).edge == \
+                min(h.edges)
+
     def test_heavy_weights_isolated_block_and_a_chosen_edge(self):
         # Blocks in vertex order: m = 3, 1, 4, 1, 6 on the path, then m = 2
         # on the isolated vertex "i", whose anchor clique is empty.
