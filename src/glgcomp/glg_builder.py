@@ -29,8 +29,7 @@ import itertools
 
 from .errors import (NonPositiveM, SchemaError, UnknownVertex,
                      VertexCollision)
-from .graph_core import (Graph, _require_list_of_strings, _require_pair_list,
-                         normalize_edge)
+from .graph_core import Graph, _read_links, normalize_edge
 
 
 def edge_label(a, b):
@@ -164,14 +163,7 @@ def generalized_line_graph(h, weights):
 
 
 def weighted_graph_from_json(obj):
-    if not isinstance(obj, dict):
-        raise SchemaError("weighted graph document must be a JSON object")
-    if obj.get("kind", "vertex_weighted_graph") != "vertex_weighted_graph":
-        raise SchemaError("expected kind 'vertex_weighted_graph', got %r"
-                          % obj.get("kind"))
-    vertices = _require_list_of_strings(obj, "vertices")
-    edges = _require_pair_list(obj, "edges") if "edges" in obj else []
-    h = Graph(vertices, edges)
+    h = Graph(*_read_links(obj, "vertex_weighted_graph", "edges"))
     raw_weights = obj.get("weights", {})
     if not isinstance(raw_weights, dict):
         raise SchemaError("field 'weights' must be an object")

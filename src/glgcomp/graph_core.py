@@ -12,15 +12,20 @@ that is only stored, compared or serialized never builds them.
 
 One clique machinery works on vertex bitmasks: bit i stands for the i-th
 vertex in label order, and adj[i] holds its neighbours.  Bron-Kerbosch
-(maximal_clique_masks) lists the maximal cliques inside any vertex mask; the
-search passes the whole graph, and the clique-cover number theta of a mask
-is the fewest of that mask's maximal cliques whose union is the mask, found
-by trying k upward from a greedy independent set.  Opsut's bound reads each
-neighbourhood N(v) as adj[v], so no induced subgraph is built.
+(maximal_clique_masks) lists the maximal cliques inside any vertex mask; it
+walks an explicit stack, so a clique may have more members than Python's
+recursion limit has frames.  The search passes the whole graph, and the
+clique-cover number theta of a mask is the fewest of that mask's maximal
+cliques whose union is the mask, found by trying k upward from a greedy
+independent set.  Opsut's bound reads each neighbourhood N(v) as adj[v], so
+no induced subgraph is built.
 
 JSON and DOT list edges and arcs sorted by (first label, second label):
 each pair is bucketed under its first end and the buckets are read in the
-vertex order, so no writer sorts the whole set of tuples.
+vertex order, so no writer sorts the whole set of tuples.  One reader,
+_read_links, checks the shape of every JSON document, for
+graph_from_json, digraph_from_json and glg_builder.weighted_graph_from_json
+alike; the Graph or Digraph constructor then checks the labels and links.
 """
 
 import heapq
@@ -300,36 +305,33 @@ def maximal_clique_masks(adj, mask):
     positions, read lowest first.
     """
     out = []
-
-    def expand(r, p, x):
+    # One frame per clique member chosen: the clique so far, the P and X it
+    # branches from, and the branch vertices not yet tried.
+    stack = []
+    r, p, x = 0, mask, 0
+    while True:
         if not p and not x:
             out.append(r)
-            return
-        most = -1
-        rest = p | x
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            count = (adj[u] & p).bit_count()
-            if count > most:
-                most, pivot = count, u
-        branch = p & ~adj[pivot]
-        while branch:
-            low = branch & -branch
-            branch ^= low
-            nbrs = adj[low.bit_length() - 1]
-            expand(r | low, p & nbrs, x & nbrs)
-            p ^= low
-            x |= low
-
-    try:
-        expand(0, mask, 0)
-    finally:
-        # expand reaches itself through its closure cell; emptying the cell
-        # frees it, and the state it holds, now rather than at the next
-        # cyclic garbage collection.
-        expand = None
+        else:
+            most = -1
+            rest = p | x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                count = (adj[u] & p).bit_count()
+                if count > most:
+                    most, pivot = count, u
+            stack.append((r, p, x, p & ~adj[pivot]))
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            break
+        r, p, x, branch = stack.pop()
+        low = branch & -branch
+        stack.append((r, p ^ low, x | low, branch ^ low))
+        nbrs = adj[low.bit_length() - 1]
+        r, p, x = r | low, p & nbrs, x & nbrs
     return sorted(out, key=bit_indices)
 
 
@@ -426,34 +428,35 @@ def graph_to_json(graph):
     }
 
 
-def _require_list_of_strings(obj, key):
-    val = obj.get(key)
-    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-        raise SchemaError("field %r must be a list of strings" % (key,))
-    return val
+def _read_links(obj, kind, key):
+    """The vertices and the `key` pairs of a JSON document of this kind.
 
-
-def _require_pair_list(obj, key):
-    val = obj.get(key)
-    if not isinstance(val, list):
+    The document must be an object whose kind, if it names one, is this
+    kind, with a list of string labels under "vertices" and, unless the
+    key is missing (no links), a list of two-string lists under `key`.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("%s document must be a JSON object" % kind)
+    if obj.get("kind", kind) != kind:
+        raise SchemaError("expected kind %r, got %r" % (kind, obj.get("kind")))
+    vertices = obj.get("vertices")
+    if not isinstance(vertices, list) \
+            or not all(isinstance(x, str) for x in vertices):
+        raise SchemaError("field 'vertices' must be a list of strings")
+    links = obj.get(key, [])
+    if not isinstance(links, list):
         raise SchemaError("field %r must be a list of vertex pairs" % (key,))
     pairs = []
-    for item in val:
+    for item in links:
         if (not isinstance(item, list)) or len(item) != 2 \
                 or not all(isinstance(x, str) for x in item):
             raise SchemaError("field %r contains a non-pair entry: %r" % (key, item))
         pairs.append((item[0], item[1]))
-    return pairs
+    return vertices, pairs
 
 
 def graph_from_json(obj):
-    if not isinstance(obj, dict):
-        raise SchemaError("graph document must be a JSON object")
-    if obj.get("kind", "graph") != "graph":
-        raise SchemaError("expected kind 'graph', got %r" % obj.get("kind"))
-    vertices = _require_list_of_strings(obj, "vertices")
-    edges = _require_pair_list(obj, "edges") if "edges" in obj else []
-    return Graph(vertices, edges)
+    return Graph(*_read_links(obj, "graph", "edges"))
 
 
 def digraph_to_json(digraph):
@@ -465,13 +468,7 @@ def digraph_to_json(digraph):
 
 
 def digraph_from_json(obj):
-    if not isinstance(obj, dict):
-        raise SchemaError("digraph document must be a JSON object")
-    if obj.get("kind", "digraph") != "digraph":
-        raise SchemaError("expected kind 'digraph', got %r" % obj.get("kind"))
-    vertices = _require_list_of_strings(obj, "vertices")
-    arcs = _require_pair_list(obj, "arcs") if "arcs" in obj else []
-    return Digraph(vertices, arcs)
+    return Digraph(*_read_links(obj, "digraph", "arcs"))
 
 
 def _dot_quote(label):

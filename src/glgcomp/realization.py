@@ -5,16 +5,18 @@ Every witness, built here or found by search, is a "body": a list of
 in-neighborhood assigned to that vertex and must lie among earlier entries,
 followed by a tail of cliques for the extra vertices.  Reading the cliques
 as in-neighborhoods yields an acyclic digraph whose competition graph is the
-union of those cliques' pairwise edges.  One check, _check_body, verifies a
-body in one walk: no label repeats, each clique lies among earlier entries
-(so the body order is an acyclic ordering), every base vertex is placed,
-the others number k, and the cliques' pairs are exactly the target's edges,
-with no graph built for either side.  _certify names the extras, runs that
-check on the entries it holds and only then wraps them in a Digraph; every
-construction returns its certificate, so a flaw in a scheme surfaces as
-ConstructionFailed rather than a bad witness.  verify_realization, for
-digraphs from outside, computes or validates an ordering and runs the same
-check on each vertex with its in-neighborhood, in that order.
+union of those cliques' pairwise edges.  Each check has one owner.  The
+Digraph constructor refuses a repeated label, a loop arc and an arc end
+that is not a vertex.  _check_body, given a body of such a digraph, checks
+the rest in one walk: each clique lies among earlier entries (so the body
+order is an acyclic ordering), every base vertex is placed, the others
+number k, and the cliques' pairs are exactly the target's edges, with no
+graph built for either side.  _certify names the extras, wraps the entries
+in a Digraph and runs that check on them; every construction returns its
+certificate, so a flaw in a scheme surfaces as ConstructionFailed rather
+than a bad witness.  verify_realization, for digraphs from outside,
+computes or validates an ordering and runs the same check on each vertex
+with its in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -88,8 +90,7 @@ import collections
 import itertools
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
-                     InvalidInput, NotAnEdge, PreconditionViolated,
-                     SchemaError, UnknownVertex)
+                     InvalidInput, NotAnEdge, PreconditionViolated)
 from .graph_core import (Digraph, acyclic_ordering, digraph_to_json,
                          graph_to_json, normalize_edge)
 from .glg_builder import (cocktail_party, generalized_line_graph,
@@ -124,26 +125,19 @@ def _check_body(entries, base, k):
     extras, sorted.
 
     entries is the list of (vertex, in-neighborhood) entries in placement
-    order.  One walk checks that no label repeats and that each clique
-    lies among earlier entries, and collects the cliques' sorted pairs;
-    then every base vertex must be placed, the other vertices must number
-    k, and the pairs must be exactly base.edges.  Raises SchemaError,
-    UnknownVertex or InvalidInput for a malformed body and
-    CompetitionMismatch, listing missing and extra edges, for a wrong one.
+    order of a Digraph, whose constructor has refused repeated labels,
+    loops and arc ends that are not vertices.  One walk checks that each
+    clique lies among earlier entries and collects the cliques' sorted
+    pairs; then every base vertex must be placed, the other vertices must
+    number k, and the pairs must be exactly base.edges.  Raises
+    InvalidInput for a malformed body and CompetitionMismatch, listing
+    missing and extra edges, for a wrong one.
     """
     placed = set()
     pairs = set()
     for v, clique in entries:
-        if v in placed:
-            raise SchemaError("duplicate vertex labels")
         if not placed.issuperset(clique):
             late = set(clique) - placed
-            if v in late:
-                raise SchemaError("loop arc at %r is not allowed" % (v,))
-            unknown = late - {u for u, _ in entries}
-            if unknown:
-                raise UnknownVertex("arc tail %r is not a vertex"
-                                    % (min(unknown),))
             raise InvalidInput("not an acyclic ordering: %r comes before its "
                                "in-neighbor %r" % (v, min(late)))
         placed.add(v)
@@ -204,17 +198,18 @@ def _certify(entries, tail, base, what):
     """The certificate of a body: its (vertex, clique) entries in order,
     then one extra per clique of `tail`, named by fresh_labels above.
 
-    The entries are checked once (_check_body), with the body order as the
-    ordering, and only then wrapped in a Digraph; any failure is a flaw in
-    the construction (`what`), raised as ConstructionFailed.
+    The entries are wrapped in a Digraph, whose constructor checks labels
+    and arcs, and then checked as its body (_check_body), with the body
+    order as the ordering; any failure is a flaw in the construction
+    (`what`), raised as ConstructionFailed.
     """
     extras = fresh_labels(base.vertices, len(tail))
     entries = list(entries) + list(zip(extras, tail))
     order = [label for label, _ in entries]
     try:
-        added = _check_body(entries, base, len(tail))
         digraph = Digraph(order, [(x, label) for label, clique in entries
                                   for x in clique])
+        added = _check_body(entries, base, len(tail))
     except GlgError as exc:
         raise ConstructionFailed("%s produced an invalid witness: %s"
                                  % (what, exc)) from exc

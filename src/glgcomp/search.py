@@ -53,8 +53,10 @@ combination applies it to its own cliques, starting from the vertices
 with no edge.  The edges a clique covers, those joining each member to
 an earlier one, are read off the incidence masks.  Each call caches these
 covers per clique mask and the candidate cliques per free-vertex mask.
-The memo and the caches belong to one call and are released when it
-returns, raises or runs out of budget.
+The depth-first walk keeps one frame per taken vertex on an explicit
+stack, so a witness may have more vertices than Python's recursion limit
+has frames.  The memo and the caches belong to one call and are released
+when it returns, raises or runs out of budget.
 """
 
 import itertools
@@ -163,61 +165,69 @@ def find_realization(graph, k, budget=None):
     isolated = _union(1 << i for i in range(n) if not adj[i])
     memo = {}
     nodes = 0
-    path = []
-    tail_no = 0
 
-    def dfs(taken, covered, ready):
-        """Extend `path` backwards from the taken vertices, `ready` being
-        the free ones whose edges are all covered; on success leave the
-        witness on it and return True."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceeded(
-                "realization search exceeded %d nodes in combination %d of "
-                "%d of the extras' cliques" % (max_nodes, tail_no, len(tails)))
-        if taken == full:
-            return True
-        if not ready:
-            return False
-        # Dominance: skip when an earlier visit of this taken set covered
-        # a superset; otherwise keep only the Pareto-maximal covered sets.
+    def dominated(taken, covered):
+        """Dominance: True when an earlier visit of this taken set covered
+        a superset; otherwise keep only the Pareto-maximal covered sets."""
         kept = memo.get(taken)
         if kept is None:
             memo[taken] = [covered]
-        else:
-            for c in kept:
-                if covered & ~c == 0:
-                    return False
-            kept[:] = [c for c in kept if c & ~covered]
-            kept.append(covered)
-        low = ready & -ready
-        i = low.bit_length() - 1
-        candidates = clique_candidates(full & ~taken & ~ready)
-        taken |= low
-        ready ^= low
-        for cm, cover in candidates:
-            grown = covered | cover
-            path.append((i, cm))
-            if dfs(taken, grown, ready_after(ready, cm, grown)):
+            return False
+        for c in kept:
+            if covered & ~c == 0:
                 return True
-            path.pop()
+        kept[:] = [c for c in kept if c & ~covered]
+        kept.append(covered)
         return False
 
-    try:
-        for tail_no, (tail, covered) in enumerate(tails, 1):
-            placed = _union(cm for cm, _ in tail)
-            if dfs(0, covered, ready_after(isolated, placed, covered)):
-                body = tuple((vs[i], members(cm)) for i, cm in reversed(path))
-                tail = [members(cm) for cm, _ in tail]
-                tail += [frozenset()] * (k - len(tail))
-                return body, tuple(tail)
-        return None
-    finally:
-        # dfs reaches itself through its closure cell; emptying the cell
-        # breaks that cycle, so the memo and the caches are freed now rather
-        # than at the next cyclic garbage collection.
-        dfs = None
+    def extend(covered, ready, tail_no):
+        """Take vertices backwards from the empty taken set, depth first,
+        `ready` being the free ones whose edges `covered` holds; return the
+        witness as (vertex index, clique mask) pairs in taking order, or
+        None when this combination of the extras' cliques has none."""
+        nonlocal nodes
+        taken = 0
+        path = []
+        # One frame per taken vertex: its index, the state it leaves for
+        # the children, and the clique candidates not yet tried.
+        stack = []
+        while True:
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetExceeded(
+                    "realization search exceeded %d nodes in combination %d "
+                    "of %d of the extras' cliques"
+                    % (max_nodes, tail_no, len(tails)))
+            if taken == full:
+                return path
+            if ready and not dominated(taken, covered):
+                low = ready & -ready
+                candidates = clique_candidates(full & ~taken & ~ready)
+                stack.append((low.bit_length() - 1, taken | low, covered,
+                              ready ^ low, iter(candidates)))
+            while stack:
+                i, taken, covered, ready, candidates = stack[-1]
+                step = next(candidates, None)
+                if step is not None:
+                    break
+                stack.pop()
+            else:
+                return None
+            cm, cover = step
+            del path[len(stack) - 1:]
+            path.append((i, cm))
+            covered |= cover
+            ready = ready_after(ready, cm, covered)
+
+    for tail_no, (tail, covered) in enumerate(tails, 1):
+        placed = _union(cm for cm, _ in tail)
+        path = extend(covered, ready_after(isolated, placed, covered), tail_no)
+        if path is not None:
+            body = tuple((vs[i], members(cm)) for i, cm in reversed(path))
+            tail = [members(cm) for cm, _ in tail]
+            tail += [frozenset()] * (k - len(tail))
+            return body, tuple(tail)
+    return None
 
 
 def _union(masks):

@@ -259,7 +259,12 @@ class TestClassify:
     def test_bigger_budget_resolves_it(self):
         roomy = SearchBudget(max_total_vertices=14, max_nodes=5_000_000)
         verdict = classify(star(4), {"v2": 4}, budget=roomy)
-        assert verdict.k_value in (EXACTLY_ONE, EXACTLY_TWO)
+        assert verdict.k_value == EXACTLY_ONE
+        assert verdict.evidence[-1][1] == "oracle"
+        witness = verdict.certificates["oracle_witness"]
+        assert witness.k == 1
+        verify_realization(witness.digraph,
+                           generalized_line_graph(star(4), {"v2": 4}).graph, 1)
 
     def test_hypotheses_are_enforced(self):
         with pytest.raises(HypothesisNotMet):

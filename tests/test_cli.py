@@ -200,6 +200,16 @@ class TestCompnum:
         code, _, err = run(capsys, "compnum", heavy_leaf)
         assert code == 5 and "lower bound 1" in err
 
+    def test_path_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # The search places the 1,200 vertices one level below the last.
+        verts = ["p%04d" % i for i in range(1200)]
+        src = write(tmp_path, "path1200.json", {
+            "kind": "graph", "vertices": verts,
+            "edges": [[a, b] for a, b in zip(verts, verts[1:])]})
+        code, out, _ = run(capsys, "compnum", src, "--max-vertices", "2000",
+                           "--json")
+        assert code == 0 and json.loads(out)["value"] == 1
+
 
 class TestVerify:
     def test_valid_witness(self, capsys, tmp_path, star_instance,

@@ -16,7 +16,8 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, InvalidInput,
                      generalized_line_graph, glg_realization,
                      graph_from_json, graph_to_dot, graph_to_json, is_clique,
                      is_connected, normalize_edge, opsut_lower_bound,
-                     simplicial_vertices, verify_realization)
+                     simplicial_vertices, verify_realization,
+                     weighted_graph_from_json)
 from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _adjacency_masks,
                                 _clique_cover_number,
                                 _greedy_independent_set_size, bit_indices,
@@ -306,6 +307,12 @@ class TestMaximalCliquesMatchNetworkx:
             self.check(Graph(verts, [e for e in itertools.combinations(verts, 2)
                                      if rng.random() < p]))
 
+    def test_clique_deeper_than_the_recursion_limit(self):
+        # K_1100: each member is chosen one level below the last.
+        full = (1 << 1100) - 1
+        adj = [full ^ (1 << i) for i in range(1100)]
+        assert maximal_clique_masks(adj, full) == [full]
+
 
 class TestConnectivity:
     def test_connected(self):
@@ -444,11 +451,11 @@ def order_a_three_cycle():
 
 
 class TestRecursionLeavesNoCycles:
-    # Bron-Kerbosch and the search recurse through closures that reach
-    # themselves through their cells; those cells are emptied on return, so
-    # nothing waits for the cyclic collector.  The clique-cover search
-    # recurses through a module-level function, which holds no cell, and
-    # the cycle witness of acyclic_ordering is found by a loop.
+    # Nothing these calls leave waits for the cyclic collector.
+    # Bron-Kerbosch and the search walk explicit stacks, and no closure of
+    # theirs reaches itself.  The clique-cover search recurses through a
+    # module-level function, which holds no cell, and the cycle witness of
+    # acyclic_ordering is found by a loop.
     @pytest.mark.parametrize("call", [
         lambda: maximal_clique_masks(*c4_masks()),
         lambda: _clique_cover_number(*c4_masks()),
@@ -530,6 +537,49 @@ class TestSerialization:
         dot = digraph_to_dot(d, node_attrs={"z": {"shape": "box"}})
         assert '"z" [shape=box]' in dot or '"z" [shape="box"]' in dot
         assert '"a" -> "z"' in dot
+
+
+# Each document reader: its kind, its links key, and the links it reads.
+READERS = [
+    ("graph", "edges", lambda doc: graph_from_json(doc).edges),
+    ("digraph", "arcs", lambda doc: digraph_from_json(doc).arcs),
+    ("vertex_weighted_graph", "edges",
+     lambda doc: weighted_graph_from_json(doc)[0].edges),
+]
+
+# Documents every reader refuses, given its kind and links key.
+MALFORMED = {
+    "not an object": lambda kind, key: [kind],
+    "wrong kind": lambda kind, key: {"kind": "tree", "vertices": []},
+    "vertices not a list": lambda kind, key: {"kind": kind, "vertices": "ab"},
+    "vertex not a string": lambda kind, key: {"kind": kind,
+                                              "vertices": ["a", 1]},
+    "links not a list": lambda kind, key: {"kind": kind, "vertices": ["a"],
+                                           key: "ab"},
+    "link not a pair": lambda kind, key: {"kind": kind, "vertices": ["a"],
+                                          key: [["a"]]},
+    "link end not a string": lambda kind, key: {"kind": kind,
+                                                "vertices": ["a"],
+                                                key: [["a", 1]]},
+}
+
+
+@pytest.mark.parametrize("kind, key, read", READERS,
+                         ids=[kind for kind, _, _ in READERS])
+class TestDocumentReaders:
+    def test_missing_kind_is_the_readers_own(self, kind, key, read):
+        doc = {"vertices": ["a", "b"], key: [["a", "b"]]}
+        assert read(doc) == {("a", "b")}
+
+    def test_missing_links_are_none(self, kind, key, read):
+        assert read({"kind": kind, "vertices": ["a", "b"]}) == frozenset()
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_refuses_a_malformed_document(self, kind, key, read, case):
+        with pytest.raises(SchemaError) as exc:
+            read(MALFORMED[case](kind, key))
+        if case == "not an object":
+            assert str(exc.value) == "%s document must be a JSON object" % kind
 
 
 def assert_links_in_tuple_order(g, d):

@@ -166,6 +166,12 @@ class TestRealizationSearch:
     def test_refutation_returns_none(self):
         assert realization_search(cycle_graph(4), 1) is None
 
+    def test_path_deeper_than_the_recursion_limit(self):
+        # Each of the 1,200 vertices is placed one level below the last.
+        found = realization_search(path(1200), 1,
+                                   SearchBudget(max_nodes=10 ** 6))
+        assert found.k == 1 and len(found.ordering) == 1201
+
 
 class TestCompetitionNumber:
     # Frozen values: a path needs one extra, chordless cycles need two,
