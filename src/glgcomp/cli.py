@@ -137,10 +137,7 @@ def cmd_compnum(args):
 def cmd_verify(args):
     if args.k < 0:
         raise SchemaError("--k takes a non-negative integer")
-    dobj = _load(args.digraph)
-    if dobj["kind"] != "digraph":
-        raise SchemaError("%s: expected kind 'digraph'" % args.digraph)
-    digraph = digraph_from_json(dobj)
+    digraph = digraph_from_json(_load(args.digraph))
     graph = _as_graph(_load(args.graph), args.graph)
     try:
         cert = verify_realization(digraph, graph, args.k)

@@ -5,18 +5,21 @@ Every witness, built here or found by search, is a "body": a list of
 in-neighborhood assigned to that vertex and must lie among earlier entries,
 followed by a tail of cliques for the extra vertices.  Reading the cliques
 as in-neighborhoods yields an acyclic digraph whose competition graph is the
-union of those cliques' pairwise edges.  Each check has one owner.  The
-Digraph constructor refuses a repeated label, a loop arc and an arc end
-that is not a vertex.  _check_body, given a body of such a digraph, checks
-the rest in one walk: each clique lies among earlier entries (so the body
-order is an acyclic ordering), every base vertex is placed, the others
-number k, and the cliques' pairs are exactly the target's edges, with no
-graph built for either side.  _certify names the extras, wraps the entries
-in a Digraph and runs that check on them; every construction returns its
-certificate, so a flaw in a scheme surfaces as ConstructionFailed rather
-than a bad witness.  verify_realization, for digraphs from outside,
-computes or validates an ordering and runs the same check on each vertex
-with its in-neighborhood, in that order.
+union of those cliques' pairwise edges.  Each check has one owner:
+_check_body checks a body in one walk and a few set tests.  Each clique
+lies among earlier entries (so the body order is an acyclic ordering, and
+no clique holds a loop or a label that no entry has), the labels are
+distinct, every base vertex is placed, the others are strings numbering
+k, and the cliques' pairs are exactly the target's edges, with no graph
+built for either side.  _certify names the extras and runs that check on
+the entries, and the certificate keeps them: the body is its own
+representation, written to JSON as it stands, and the Digraph is built
+only when the certificate's digraph is read.  Every construction returns
+its certificate, so a flaw in a scheme surfaces as ConstructionFailed
+rather than a bad witness.  verify_realization, for digraphs from outside
+(whose constructor has checked their labels and arcs), computes or
+validates an ordering and runs the same check on each vertex with its
+in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -90,29 +93,48 @@ import collections
 import itertools
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
-                     InvalidInput, NotAnEdge, PreconditionViolated)
-from .graph_core import (Digraph, acyclic_ordering, digraph_to_json,
+                     InvalidInput, NotAnEdge, PreconditionViolated,
+                     SchemaError, UnknownVertex)
+from .graph_core import (Digraph, _sorted_pairs, acyclic_ordering,
                          graph_to_json, normalize_edge)
 from .glg_builder import (cocktail_party, generalized_line_graph,
                           is_simplicial_edge)
 
 
 class RealizationCertificate:
-    """A checked witness that C(D) equals a base graph plus isolated extras."""
+    """A checked witness that C(D) equals a base graph plus isolated extras.
 
-    __slots__ = ("digraph", "base", "k", "added", "ordering")
+    It stores the checked body: entries lists every vertex of D, the
+    extras included, with its in-neighborhood, in the order of ordering.
+    digraph builds D from the entries on first read and keeps it; to_json
+    writes D's arcs straight from the entries.
+    """
 
-    def __init__(self, digraph, base, k, added, ordering):
-        self.digraph = digraph
+    __slots__ = ("entries", "base", "k", "added", "ordering", "_digraph")
+
+    def __init__(self, entries, base, k, added, ordering, digraph=None):
+        self.entries = entries
         self.base = base
         self.k = k
         self.added = tuple(added)
         self.ordering = tuple(ordering)
+        self._digraph = digraph
+
+    def _arcs(self):
+        return ((x, v) for v, clique in self.entries for x in clique)
+
+    @property
+    def digraph(self):
+        if self._digraph is None:
+            self._digraph = Digraph(self.ordering, self._arcs())
+        return self._digraph
 
     def to_json(self):
+        vertices = sorted(self.ordering)
         return {
             "kind": "realization_certificate",
-            "digraph": digraph_to_json(self.digraph),
+            "digraph": {"kind": "digraph", "vertices": vertices,
+                        "arcs": _sorted_pairs(vertices, self._arcs())},
             "base_graph": graph_to_json(self.base),
             "k": self.k,
             "added": list(self.added),
@@ -125,27 +147,42 @@ def _check_body(entries, base, k):
     extras, sorted.
 
     entries is the list of (vertex, in-neighborhood) entries in placement
-    order of a Digraph, whose constructor has refused repeated labels,
-    loops and arc ends that are not vertices.  One walk checks that each
-    clique lies among earlier entries and collects the cliques' sorted
-    pairs; then every base vertex must be placed, the other vertices must
-    number k, and the pairs must be exactly base.edges.  Raises
-    InvalidInput for a malformed body and CompetitionMismatch, listing
-    missing and extra edges, for a wrong one.
+    order.  One walk checks that each clique lies among earlier entries
+    and collects the cliques' sorted pairs; a clique that does not is
+    refused as a loop, as naming a label that no entry has, or as out of
+    order.  Then the labels must be distinct, every base vertex must be
+    placed, the other vertices must be strings (the base's labels are)
+    numbering k, and the pairs must be exactly base.edges.  Raises
+    SchemaError for a loop or a repeated or non-string label, UnknownVertex
+    for an unknown in-neighbor, InvalidInput for the other malformed
+    bodies, and CompetitionMismatch, listing missing and extra edges, for a
+    wrong one.
     """
     placed = set()
     pairs = set()
     for v, clique in entries:
         if not placed.issuperset(clique):
             late = set(clique) - placed
+            if v in late:
+                raise SchemaError("loop arc at %r is not allowed" % (v,))
+            unknown = late.difference(u for u, _ in entries)
+            if unknown:
+                raise UnknownVertex("arc tail %r is not a vertex"
+                                    % (min(unknown),))
             raise InvalidInput("not an acyclic ordering: %r comes before its "
                                "in-neighbor %r" % (v, min(late)))
         placed.add(v)
         pairs.update(itertools.combinations(sorted(clique), 2))
+    if len(placed) != len(entries):
+        raise SchemaError("duplicate vertex labels")
     if not placed.issuperset(base.vertices):
         raise InvalidInput("digraph is missing base vertices: %r"
                            % sorted(set(base.vertices) - placed))
-    added = sorted(placed.difference(base.vertices))
+    added = placed.difference(base.vertices)
+    for z in added:
+        if not isinstance(z, str):
+            raise SchemaError("vertex labels must be strings, got %r" % (z,))
+    added = sorted(added)
     if len(added) != k:
         raise InvalidInput("expected %d extra vertices, found %d" % (k, len(added)))
     # The extras are isolated in the target, so its edges are base.edges.
@@ -175,9 +212,9 @@ def verify_realization(digraph, base, k, ordering=None):
         if sorted(ordering) != list(digraph.vertices):
             raise InvalidInput("supplied ordering does not list every vertex "
                                "of the digraph once")
-    added = _check_body([(v, digraph.in_neighbors(v)) for v in ordering],
-                        base, k)
-    return RealizationCertificate(digraph, base, k, added, ordering)
+    entries = [(v, digraph.in_neighbors(v)) for v in ordering]
+    added = _check_body(entries, base, k)
+    return RealizationCertificate(entries, base, k, added, ordering, digraph)
 
 
 def fresh_labels(taken, count):
@@ -198,22 +235,20 @@ def _certify(entries, tail, base, what):
     """The certificate of a body: its (vertex, clique) entries in order,
     then one extra per clique of `tail`, named by fresh_labels above.
 
-    The entries are wrapped in a Digraph, whose constructor checks labels
-    and arcs, and then checked as its body (_check_body), with the body
-    order as the ordering; any failure is a flaw in the construction
-    (`what`), raised as ConstructionFailed.
+    The entries are checked as a body (_check_body), with the body order as
+    the ordering, and kept as the certificate's; no Digraph is built.  Any
+    failure is a flaw in the construction (`what`), raised as
+    ConstructionFailed.
     """
     extras = fresh_labels(base.vertices, len(tail))
     entries = list(entries) + list(zip(extras, tail))
-    order = [label for label, _ in entries]
     try:
-        digraph = Digraph(order, [(x, label) for label, clique in entries
-                                  for x in clique])
         added = _check_body(entries, base, len(tail))
     except GlgError as exc:
         raise ConstructionFailed("%s produced an invalid witness: %s"
                                  % (what, exc)) from exc
-    return RealizationCertificate(digraph, base, len(tail), added, order)
+    return RealizationCertificate(entries, base, len(tail), added,
+                                  [label for label, _ in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +381,22 @@ class GlgRealization:
     whose in-neighborhood is exactly that endpoint's incident edge bundle.
     When some weight is positive those two vertices are real (the first
     block's leading pair); otherwise they are the extra pair `added`.
-    digraph and added are those of the certificate.
+    added is the certificate's, and digraph reads through to the
+    certificate's, built on first read.
     """
 
-    __slots__ = ("digraph", "combined", "edge", "pinned", "added",
-                 "certificate")
+    __slots__ = ("combined", "edge", "pinned", "added", "certificate")
 
     def __init__(self, certificate, combined, edge, pinned):
-        self.digraph = certificate.digraph
         self.combined = combined
         self.edge = edge
         self.pinned = dict(pinned)
         self.added = certificate.added
         self.certificate = certificate
+
+    @property
+    def digraph(self):
+        return self.certificate.digraph
 
 
 def glg_realization(h, weights=None, e=None):

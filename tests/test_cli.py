@@ -357,3 +357,13 @@ class TestInputErrors:
         p.write_text("not json at all")
         code, _, _ = run(capsys, "classify", str(p))
         assert code == 2
+
+    def test_graph_document_as_the_digraph(self, capsys, tmp_path,
+                                           star_instance):
+        # The digraph reader owns the kind check: a graph document in the
+        # digraph's place is an input error naming the kind it expected.
+        target = str(tmp_path / "target.json")
+        run(capsys, "build", "glg", star_instance, "-o", target)
+        code, out, err = run(capsys, "verify", target, target, "--k", "1")
+        assert code == 2 and out == ""
+        assert "expected kind 'digraph'" in err

@@ -1,19 +1,23 @@
 import itertools
+import os
 import sys
 
 import pytest
 
 import glgcomp.oracle
 import glgcomp.search
+from glgcomp import cli
 from glgcomp.realization import _certify
 from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
                      HypothesisNotMet, InvalidInput, NotAnEdge,
                      PreconditionViolated, SchemaError, SearchBudget,
                      UnknownVertex, acyclic_ordering, check_conditions,
                      classify, cocktail_party, competition_graph,
-                     cp_realization, find_realization, generalized_line_graph,
-                     glg_realization, is_connected, simplicial_vertices,
-                     single_extra_realization, verify_realization)
+                     competition_number, cp_realization, digraph_to_json,
+                     find_realization, generalized_line_graph,
+                     glg_realization, is_connected, realization_search,
+                     simplicial_vertices, single_extra_realization,
+                     verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
 from reference import incident_edge_clique
 
@@ -149,8 +153,11 @@ class TestCertify:
         ([("a", EMPTY), ("b", EMPTY), ("w", EMPTY), ("c", AB)], [BC],
          InvalidInput),
         ([("a", EMPTY), ("b", EMPTY)], [AB], InvalidInput),
+        ([("a", EMPTY), ("b", EMPTY), (7, EMPTY), ("c", AB)], [BC],
+         SchemaError),
     ], ids=["later vertex", "unknown vertex", "own vertex", "repeated label",
-            "missing edge", "extra edge", "extras count", "missing vertex"])
+            "missing edge", "extra edge", "extras count", "missing vertex",
+            "non-string label"])
     def test_refuses_a_flawed_body(self, body, tail, cause):
         with pytest.raises(ConstructionFailed) as exc:
             _certify(body, tail, self.base, "test")
@@ -315,6 +322,85 @@ class TestGraphBuilds:
             del calls[:]
             classify(path(4), weights)
             assert len(calls) == 1, weights
+
+
+    @staticmethod
+    def count_digraphs(monkeypatch):
+        built = []
+        init = Digraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Digraph, "__init__", counting_init)
+        return built
+
+    def test_constructions_build_no_digraph(self, monkeypatch, tmp_path,
+                                            fixtures_dir):
+        built = self.count_digraphs(monkeypatch)
+        glg_realization(path(4), {"p0": 1, "p2": 2, "p3": 3})
+        single_extra_realization(path(4), {"p0": 1, "p1": 1, "p3": 2})
+        cp_realization(3)
+        assert realization_search(path(3), 1) is not None
+        out = str(tmp_path / "cert.json")
+        assert cli.main(["realize", "two",
+                         os.path.join(fixtures_dir, "star_leaf2.json"),
+                         "-o", out]) == 0
+        assert built == []
+
+    def test_certificate_digraph_is_built_once(self, monkeypatch):
+        cert = glg_realization(path(4), {"p2": 2}).certificate
+        built = self.count_digraphs(monkeypatch)
+        d = cert.digraph
+        assert built == [d]
+        assert cert.digraph is d
+        assert built == [d]
+
+    def test_verify_builds_no_digraph_beyond_its_input(self, monkeypatch):
+        r = glg_realization(path(4), {"p2": 2})
+        combined = generalized_line_graph(path(4), {"p2": 2})
+        d = r.digraph
+        built = self.count_digraphs(monkeypatch)
+        cert = verify_realization(d, combined.graph, 2)
+        assert cert.digraph is d
+        cert.to_json()
+        assert built == []
+
+
+class TestCertificateJson:
+    # The certificate writes its digraph's JSON from its body; it must be
+    # the document digraph_to_json writes from the Digraph itself.
+    @staticmethod
+    def check(cert):
+        assert cert.to_json()["digraph"] == digraph_to_json(cert.digraph)
+
+    def test_constructions_on_small_weighted_bases(self):
+        for h in connected_graphs(5, min_edges=1):
+            for values in itertools.product(range(3),
+                                            repeat=len(h.vertices)):
+                weights = dict(zip(h.vertices, values))
+                self.check(glg_realization(h, weights).certificate)
+                try:
+                    self.check(single_extra_realization(h, weights))
+                except HypothesisNotMet:
+                    pass
+        for m in range(1, 6):
+            self.check(cp_realization(m))
+
+    def test_search_witnesses(self):
+        for g in connected_graphs(5, min_edges=1):
+            self.check(competition_number(g)[1])
+
+    def test_supplied_non_lexicographic_ordering(self):
+        for h in connected_graphs(5, min_edges=1):
+            r = glg_realization(h, {h.vertices[0]: 2})
+            ordering = r.certificate.ordering
+            assert list(ordering) != sorted(ordering)
+            cert = verify_realization(r.digraph, r.combined.graph, 2,
+                                      ordering)
+            assert cert.ordering == ordering
+            self.check(cert)
 
 
 class TestGlgRealization:
