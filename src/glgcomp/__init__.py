@@ -7,9 +7,8 @@ classifier with checkable evidence.
 
 from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      CyclicDigraph, EmptyGraph, GlgError, HypothesisNotMet,
-                     InvalidInput, NonPositiveM, NotAnEdge, NotConnected,
-                     PreconditionViolated, SchemaError, UnknownVertex,
-                     VertexCollision)
+                     InvalidInput, NonPositiveM, NotAnEdge, SchemaError,
+                     UnknownVertex, VertexCollision)
 from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
                          digraph_from_json, digraph_to_dot, digraph_to_json,
                          graph_from_json, graph_to_dot, graph_to_json,

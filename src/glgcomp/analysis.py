@@ -17,7 +17,7 @@ edge and some weight above one, so no unweighted base is searched.
 
 import heapq
 
-from .errors import BudgetExceeded, HypothesisNotMet, NotConnected
+from .errors import BudgetExceeded, HypothesisNotMet
 from .glg_builder import (check_weights, generalized_line_graph,
                           is_simplicial_edge)
 from .graph_core import is_connected, simplicial_vertices
@@ -132,7 +132,7 @@ def pendant_reduce(graph):
     vertices are left, so a popped vertex is still a pendant.
     """
     if not is_connected(graph):
-        raise NotConnected("pendant reduction requires a connected graph")
+        raise HypothesisNotMet("pendant reduction requires a connected graph")
     degree = {v: graph.degree(v) for v in graph.vertices}
     pendants = [v for v, d in degree.items() if d == 1]
     heapq.heapify(pendants)

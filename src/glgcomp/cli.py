@@ -12,7 +12,7 @@ import sys
 from .analysis import check_conditions, classify, single_extra_realization
 from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      CyclicDigraph, GlgError, HypothesisNotMet, InvalidInput,
-                     PreconditionViolated, SchemaError)
+                     SchemaError)
 from .glg_builder import (cocktail_party, generalized_line_graph,
                           weighted_graph_from_json)
 from .graph_core import (digraph_from_json, digraph_to_dot, graph_from_json,
@@ -24,9 +24,11 @@ from .search import DEFAULT_BUDGET, SearchBudget
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as handle:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting
+        # deeper than the decoder's recursion ends in RecursionError.
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("%s: not valid JSON (%s)" % (path, exc)) from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("%s: expected an object with a 'kind' field" % path)
@@ -240,7 +242,7 @@ def main(argv=None):
             return 2
     try:
         return args.func(args)
-    except (HypothesisNotMet, PreconditionViolated) as exc:
+    except HypothesisNotMet as exc:
         print("hypothesis not met: %s" % exc, file=sys.stderr)
         return 3
     except ConstructionFailed as exc:

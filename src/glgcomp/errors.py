@@ -42,15 +42,14 @@ class CompetitionMismatch(GlgError):
 
 
 class InvalidInput(GlgError):
-    """An operation received inputs violating its preconditions."""
-
-
-class PreconditionViolated(InvalidInput):
-    """A structural precondition of a construction does not hold."""
+    """A witness does not realize its target: a clique out of order, a base
+    vertex missing, or the wrong number of extras."""
 
 
 class HypothesisNotMet(GlgError):
-    """The instance does not satisfy the hypotheses of the requested result."""
+    """The instance does not satisfy the hypotheses of the requested result:
+    a base that is not connected or has no edge, or a base and a pinned edge
+    that a construction cannot serve."""
 
 
 class EmptyGraph(GlgError):
@@ -59,10 +58,6 @@ class EmptyGraph(GlgError):
 
 class NonPositiveM(GlgError):
     """Cocktail party graphs require m >= 1."""
-
-
-class NotConnected(InvalidInput):
-    """The operation requires a connected graph."""
 
 
 class BudgetExceeded(GlgError):

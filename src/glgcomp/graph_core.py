@@ -232,7 +232,7 @@ def acyclic_ordering(digraph):
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in sorted(digraph.out_neighbors(v)):
+        for w in digraph.out_neighbors(v):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)

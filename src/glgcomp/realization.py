@@ -17,9 +17,9 @@ representation, written to JSON as it stands, and the Digraph is built
 only when the certificate's digraph is read.  Every construction returns
 its certificate, so a flaw in a scheme surfaces as ConstructionFailed
 rather than a bad witness.  verify_realization, for digraphs from outside
-(whose constructor has checked their labels and arcs), computes or
-validates an ordering and runs the same check on each vertex with its
-in-neighborhood, in that order.
+(whose constructor has checked their labels and arcs), computes the
+lexicographically smallest acyclic ordering and runs the same check on each
+vertex with its in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -56,8 +56,8 @@ two wait when a component begins, and one with two or more edges takes
 them at its first two positions and ends with only its own handed cliques
 waiting.  Cliques are left over only when e is a lone edge and two wait
 for its one position; then the construction refuses the pin with
-PreconditionViolated: the refusal is a property of the base and the pin,
-not a flaw in the scheme.  With no pin every component is rooted as an
+HypothesisNotMet: the refusal is a property of the base and the pin, not a
+flaw in the scheme.  With no pin every component is rooted as an
 other one, and the cliques left waiting are the extras': for a connected
 base, none for K2, one if L(H) has a simplicial vertex (Opsut), else two.
 
@@ -93,8 +93,8 @@ import collections
 import itertools
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
-                     InvalidInput, NotAnEdge, PreconditionViolated,
-                     SchemaError, UnknownVertex)
+                     HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
+                     UnknownVertex)
 from .graph_core import (Digraph, _sorted_pairs, acyclic_ordering,
                          graph_to_json, normalize_edge)
 from .glg_builder import (cocktail_party, generalized_line_graph,
@@ -195,23 +195,17 @@ def _check_body(entries, base, k):
     return added
 
 
-def verify_realization(digraph, base, k, ordering=None):
+def verify_realization(digraph, base, k):
     """Check that digraph is acyclic and C(digraph) = base plus k isolated.
 
-    Returns a RealizationCertificate; raises CyclicDigraph with a cycle
-    witness, InvalidInput for missing base vertices, a wrong number of
-    extras or a supplied ordering that is not an acyclic ordering, or
-    CompetitionMismatch listing missing/extra edges.  A supplied ordering
-    is validated instead of computed.  The digraph is checked as the body
-    of its vertices and in-neighborhoods in ordering order (_check_body).
+    Returns a RealizationCertificate whose ordering is acyclic_ordering's,
+    the lexicographically smallest; raises CyclicDigraph with a cycle
+    witness, InvalidInput for missing base vertices or a wrong number of
+    extras, or CompetitionMismatch listing missing/extra edges.  The digraph
+    is checked as the body of its vertices and in-neighborhoods in that
+    order (_check_body).
     """
-    if ordering is None:
-        ordering = acyclic_ordering(digraph)
-    else:
-        ordering = tuple(ordering)
-        if sorted(ordering) != list(digraph.vertices):
-            raise InvalidInput("supplied ordering does not list every vertex "
-                               "of the digraph once")
+    ordering = acyclic_ordering(digraph)
     entries = [(v, digraph.in_neighbors(v)) for v in ordering]
     added = _check_body(entries, base, k)
     return RealizationCertificate(entries, base, k, added, ordering, digraph)
@@ -313,7 +307,7 @@ def _line_body(combined, e=None):
             waiting.extend(stars)
         waiting.extend(handed)
     if pinned and waiting:
-        raise PreconditionViolated(
+        raise HypothesisNotMet(
             "edge %r is a component of its own, and the other components "
             "hand on more cliques than its one position can take" % (e,))
     return body, list(waiting)
@@ -323,7 +317,7 @@ def _pinned_edge(h, e):
     """The base edge whose endpoint bundles get pinned: e, or else the
     smallest edge that is not a component of its own, if there is one."""
     if not h.edges:
-        raise PreconditionViolated("the base graph needs at least one edge")
+        raise HypothesisNotMet("the base graph needs at least one edge")
     if e is None:
         e = min(h.edges)
         if h.degree(e[0]) == h.degree(e[1]) == 1:

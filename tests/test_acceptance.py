@@ -161,16 +161,14 @@ def test_06_shipped_witness_fixture(report):
     h, weights = weighted_graph_from_json(load_fixture("star_leaf2.json"))
     digraph = digraph_from_json(load_fixture("star_leaf2_digraph.json"))
     target = generalized_line_graph(h, weights).graph
-    ordering = ["q:v2:1:x", "q:v2:2:y", "e:v1-v2", "q:v2:2:x", "q:v2:1:y",
-                "e:v1-v3", "e:v1-v4", "z"]
-    cert = verify_realization(digraph, target, 1, ordering=ordering)
+    cert = verify_realization(digraph, target, 1)
     assert cert.k == 1
     assert competition_number(target)[0] == 1
     report_flags = check_conditions(h, weights)
     assert report_flags.unit_weight_edge is None
     assert report_flags.all_weights_unit is False
     report(6, "shipped digraph fixture verifies at one extra", True,
-           "stated ordering validates; oracle agrees; no unit edge")
+           "oracle agrees; no unit edge")
 
 
 def test_07_single_extra_sweep(report):

@@ -230,10 +230,21 @@ class TestVerify:
         assert code == 1 and "missing edge" in err
 
     def test_wrong_k(self, capsys, tmp_path, star_instance, star_digraph):
+        # Both witnesses that do not realize their target but are acyclic
+        # and cover its edges: a wrong number of extras, and a base vertex
+        # the digraph lacks.  A loop rather than parametrize keeps the id.
         target = str(tmp_path / "target.json")
         run(capsys, "build", "glg", star_instance, "-o", target)
-        code, _, _ = run(capsys, "verify", star_digraph, target, "--k", "2")
-        assert code == 1
+        doc = json.loads(open(target).read())
+        doc["vertices"].append("w")
+        missing = write(tmp_path, "missing.json", doc)
+        cases = [(target, "2", "expected 2 extra vertices, found 1"),
+                 (missing, "1", "digraph is missing base vertices: ['w']")]
+        for graph, k, message in cases:
+            code, out, err = run(capsys, "verify", star_digraph, graph,
+                                 "--k", k)
+            assert code == 1 and out == "", message
+            assert err == "INVALID: %s\n" % message
 
     def test_long_directed_cycle_is_invalid(self, capsys, tmp_path):
         # Deeper than the recursion limit; its competition graph is edgeless.
@@ -353,10 +364,13 @@ class TestInputErrors:
         assert code == 2 and "non-negative" in err
 
     def test_not_json(self, capsys, tmp_path):
+        # Not JSON, not UTF-8, and nested deeper than the decoder can go.
         p = tmp_path / "junk.json"
-        p.write_text("not json at all")
-        code, _, _ = run(capsys, "classify", str(p))
-        assert code == 2
+        for junk in (b"not json at all", b"\xff\xfe{}", b"[" * 100000):
+            p.write_bytes(junk)
+            code, out, err = run(capsys, "classify", str(p))
+            assert code == 2 and out == "", junk[:10]
+            assert "not valid JSON" in err
 
     def test_graph_document_as_the_digraph(self, capsys, tmp_path,
                                            star_instance):
