@@ -17,10 +17,11 @@ ever needs to parse a label back apart or rebuild a bundle, and
 is_simplicial_edge tells from the base graph alone when an edge vertex of
 L(H) is simplicial.
 
-generalized_line_graph builds the combined graph in one pass: it collects
-the line-graph edges, each block's cocktail-party edges and the block's
-join to its anchor's edge bundle into one edge list and constructs the
-Graph once.  That graph equals the line graph semi-joined with one block
+generalized_line_graph builds the combined graph in one pass: it labels
+the base's sorted edge pairs, collects the line-graph edges, each block's
+cocktail-party edges and the block's join to its anchor's edge bundle
+into one edge list and constructs the Graph once; a zero-weight vertex
+adds nothing.  That graph equals the line graph semi-joined with one block
 per weighted vertex in turn; tests/reference.py keeps that semi-join as
 the reference definition the tests check the builder against.
 """
@@ -45,7 +46,7 @@ def cocktail_label(v, level, side):
 
 def _edge_labels(h):
     """Each edge of h (a sorted tuple) -> its line-graph vertex label."""
-    labels = {e: edge_label(*e) for e in h.edges}
+    labels = {e: "e:%s-%s" % e for e in h.edges}
     if len(set(labels.values())) != len(labels):
         raise VertexCollision("edge labels collide; rename base vertices")
     return labels
@@ -58,11 +59,6 @@ def _bundles(h, labels):
         bundles[e[0]].append(label)
         bundles[e[1]].append(label)
     return {v: frozenset(b) for v, b in bundles.items()}
-
-
-def _clique_edges(cliques):
-    """Every pair within each clique."""
-    return [pair for c in cliques for pair in itertools.combinations(c, 2)]
 
 
 def is_simplicial_edge(h, f):
@@ -86,7 +82,7 @@ def cocktail_party(m):
     Returns (graph, pairs) where pairs lists the m non-adjacent partner
     pairs in level order, named x1..xm / y1..ym.
     """
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise NonPositiveM("cocktail-party size must be a positive integer, got %r" % (m,))
     pairs = [("x%d" % l, "y%d" % l) for l in range(1, m + 1)]
     vertices = [v for pair in pairs for v in pair]
@@ -146,12 +142,15 @@ def generalized_line_graph(h, weights):
     labels = _edge_labels(h)
     bundles = _bundles(h, labels)
     vertices = list(labels.values())
-    edges = _clique_edges(bundles.values())
+    edges = [p for b in bundles.values() for p in itertools.combinations(b, 2)]
     cocktail_pairs = {}
     for v in h.vertices:
-        # Labels "q:v:l:side" are distinct across (v, l, side), and never
-        # start like an edge label "e:...".
-        pairs = [(cocktail_label(v, l, "x"), cocktail_label(v, l, "y"))
+        if not weights[v]:
+            cocktail_pairs[v] = []
+            continue
+        # Labels "q:v:l:side", as cocktail_label writes them, are distinct
+        # across (v, l, side), and never start like an edge label "e:...".
+        pairs = [("q:%s:%d:x" % (v, l), "q:%s:%d:y" % (v, l))
                  for l in range(1, weights[v] + 1)]
         cocktail_pairs[v] = pairs
         block = [q for pair in pairs for q in pair]

@@ -8,7 +8,8 @@ Graph and Digraph check their input in bulk: the pairs are built in one
 comprehension and their ends checked with one subset test.  Only when that
 fails do they scan the links one at a time, so an error still names the
 first offending edge or arc.  Neighborhoods are built on first use: a graph
-that is only stored, compared or serialized never builds them.
+that is only stored, compared or serialized never builds them; once built,
+they are read without a call to Graph._adjacency.
 
 One clique machinery works on vertex bitmasks: bit i stands for the i-th
 vertex in label order, and adj[i] holds its neighbours.  Bron-Kerbosch
@@ -137,14 +138,14 @@ class Graph:
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 
     def has_vertex(self, v):
-        return v in self._adjacency()
+        return v in (self._adj or self._adjacency())
 
     def has_edge(self, a, b):
         return normalize_edge(a, b) in self.edges
 
     def neighbors(self, v):
         try:
-            return self._adjacency()[v]
+            return (self._adj or self._adjacency())[v]
         except KeyError:
             raise UnknownVertex("no vertex %r" % (v,)) from None
 
@@ -265,9 +266,12 @@ def is_clique(graph, subset):
 def simplicial_vertices(graph):
     """Vertices whose (open) neighborhood induces a clique.
 
+    N(v) is one iff N(u) & N(v) has len(N(v)) - 1 members for each u in N(v).
     Isolated vertices qualify: the empty set counts as a clique.
     """
-    return tuple(v for v in graph.vertices if is_clique(graph, graph.neighbors(v)))
+    adj = graph._adjacency()
+    return tuple(v for v in graph.vertices
+                 if all(len(adj[v] & adj[u]) == len(adj[v]) - 1 for u in adj[v]))
 
 
 def is_connected(graph):

@@ -172,7 +172,8 @@ def _check_body(entries, base, k):
             raise InvalidInput("not an acyclic ordering: %r comes before its "
                                "in-neighbor %r" % (v, min(late)))
         placed.add(v)
-        pairs.update(itertools.combinations(sorted(clique), 2))
+        if len(clique) > 1:
+            pairs.update(itertools.combinations(sorted(clique), 2))
     if len(placed) != len(entries):
         raise SchemaError("duplicate vertex labels")
     if not placed.issuperset(base.vertices):
@@ -249,24 +250,27 @@ def _certify(entries, tail, base, what):
 # Line-graph realization (two extras with pinned in-neighborhoods)
 # ---------------------------------------------------------------------------
 
-def _schedule(combined, root):
+def _schedule(combined, adj, root):
     """The star schedule rooted at a base edge: (edges, released), its
-    component's edges in order and the stars each position releases."""
-    h = combined.base
+    component's edges in order and the stars (at most one) each position
+    releases; adj is the base's neighbour map."""
     dist = dict.fromkeys(root, 0)
     frontier = list(root)
     for x in frontier:  # grows while it is read: a BFS queue
-        for y in h.neighbors(x):
+        d = dist[x] + 1
+        for y in adj[x]:
             if y not in dist:
-                dist[y] = dist[x] + 1
+                dist[y] = d
                 frontier.append(y)
-    edges = {(x, y) for x in dist for y in h.neighbors(x) if x < y} - {root}
-    edges = sorted(edges, key=lambda f: (-min(dist[f[0]], dist[f[1]]), f))
+    keyed = sorted([(-min(dist[x], dist[y]), (x, y))
+                    for x in dist for y in adj[x] if x < y and (x, y) != root])
+    edges = [f for _, f in keyed]
     edges.append(root)
     last = {x: i for i, f in enumerate(edges) for x in f}
-    released = [[combined.incident_labels(w) for w in f
-                 if last[w] == i and w not in root and h.degree(w) >= 2]
-                for i, f in enumerate(edges)]
+    released = [()] * len(edges)
+    for w, i in last.items():
+        if w not in root and len(adj[w]) >= 2:
+            released[i] = (combined.incident_labels(w),)
     return edges, released
 
 
@@ -278,32 +282,34 @@ def _line_body(combined, e=None):
     stars, the handed-on cliques and the entries' labels are those the
     combined graph holds.  With a pinned base edge e nothing is left
     waiting, and two extras can take the edge bundles at its endpoints.
+    The base's neighbour sets are read once, for every schedule.
     """
     h = combined.base
-    pinned = [] if e is None else [_schedule(combined, e) + ([],)]
+    adj = h._adjacency()
+    pinned = [] if e is None else [_schedule(combined, adj, e) + ([],)]
     seen = {x for edges, _, _ in pinned for f in edges for x in f}
     chain = []
-    for f in sorted(h.edges, reverse=True):
+    for f in sorted([f for f in h.edges if f[0] not in seen], reverse=True):
         if f[0] in seen:
             continue
-        edges, released = _schedule(combined, f)
+        edges, released = _schedule(combined, adj, f)
         seen.update(x for g in edges for x in g)
         root = min((g for g in edges if is_simplicial_edge(h, g)),
                    default=None)
         if root is None:
             handed = [combined.incident_labels(x) for x in f]
         else:
-            edges, released = _schedule(combined, root)
+            edges, released = _schedule(combined, adj, root)
             clique = frozenset().union(*map(combined.incident_labels, root))
             handed = [clique] if len(clique) > 1 else []
         chain.append((edges, released, handed))
     chain.sort(key=lambda part: -len(part[2]))
     waiting = collections.deque()
     body = []
+    labels, empty = combined.labels, frozenset()
     for edges, released, handed in chain + pinned:
         for f, stars in zip(edges, released):
-            body.append((combined.labels[f],
-                         waiting.popleft() if waiting else frozenset()))
+            body.append((labels[f], waiting.popleft() if waiting else empty))
             waiting.extend(stars)
         waiting.extend(handed)
     if pinned and waiting:

@@ -108,6 +108,9 @@ class TestCocktailParty:
         assert set(g.vertices) == {"x1", "x2", "y1", "y2"}
         with pytest.raises(NonPositiveM):
             cocktail_party(0)
+        # bool is an int subclass, but True is not a block size.
+        with pytest.raises(NonPositiveM):
+            cocktail_party(True)
 
 
 class TestWeights:
