@@ -17,13 +17,15 @@ ever needs to parse a label back apart or rebuild a bundle, and
 is_simplicial_edge tells from the base graph alone when an edge vertex of
 L(H) is simplicial.
 
-generalized_line_graph builds the combined graph in one pass: it labels
-the base's sorted edge pairs, collects the line-graph edges, each block's
-cocktail-party edges and the block's join to its anchor's edge bundle
-into one edge list and constructs the Graph once; a zero-weight vertex
-adds nothing.  That graph equals the line graph semi-joined with one block
-per weighted vertex in turn; tests/reference.py keeps that semi-join as
-the reference definition the tests check the builder against.
+generalized_line_graph writes the combined graph's adjacency masks (see
+graph_core) and builds no edge tuple.  It labels the base's sorted edge
+pairs and the blocks, sorts the labels, and sets star(v) to the bits of
+v's edge bundle and of v's block, a clique of the combined graph.  An edge
+vertex e:a-b is adjacent to star(a) | star(b) but itself, and a block
+vertex to star(v) but itself and its partner; a zero-weight vertex adds
+no block.  That graph equals the line graph semi-joined with one block per
+weighted vertex in turn; tests/reference.py keeps that semi-join as the
+reference definition the tests check the builder against.
 """
 
 import itertools
@@ -142,23 +144,37 @@ def generalized_line_graph(h, weights):
     labels = _edge_labels(h)
     bundles = _bundles(h, labels)
     vertices = list(labels.values())
-    edges = [p for b in bundles.values() for p in itertools.combinations(b, 2)]
     cocktail_pairs = {}
+    blocks = {}
     for v in h.vertices:
         if not weights[v]:
             cocktail_pairs[v] = []
             continue
         # Labels "q:v:l:side", as cocktail_label writes them, are distinct
         # across (v, l, side), and never start like an edge label "e:...".
-        pairs = [("q:%s:%d:x" % (v, l), "q:%s:%d:y" % (v, l))
-                 for l in range(1, weights[v] + 1)]
-        cocktail_pairs[v] = pairs
-        block = [q for pair in pairs for q in pair]
-        vertices += block
-        edges += _block_edges(pairs)
-        edges += [(a, q) for a in bundles[v] for q in block]
-    return CombinedGraph(Graph(vertices, edges), h, labels, cocktail_pairs,
-                         bundles)
+        pairs = cocktail_pairs[v] = [
+            ("q:%s:%d:x" % (v, l), "q:%s:%d:y" % (v, l))
+            for l in range(1, weights[v] + 1)]
+        blocks[v] = [q for pair in pairs for q in pair]
+        vertices += blocks[v]
+    vertices.sort()
+    bits = {q: 1 << i for i, q in enumerate(vertices)}
+    star = {v: sum(map(bits.__getitem__, bundles[v])) for v in h.vertices}
+    for v, block in blocks.items():
+        star[v] += sum(map(bits.__getitem__, block))
+    masks = {}
+    for (a, b), label in labels.items():
+        masks[label] = (star[a] | star[b]) ^ bits[label]
+    for v, pairs in cocktail_pairs.items():
+        for x, y in pairs:
+            masks[x] = masks[y] = star[v] ^ (bits[x] | bits[y])
+    # tuple() of a list, not of a map: CPython allocates a tuple from an
+    # iterator of unknown length for 10 items and resizes it, and once
+    # released it joins the free list of its final size, so each op on a
+    # graph of 11-19 vertices would keep one more (up to 2,000 a size).
+    graph = Graph._from_masks(tuple(vertices),
+                              tuple([masks[q] for q in vertices]), bits)
+    return CombinedGraph(graph, h, labels, cocktail_pairs, bundles)
 
 
 def weighted_graph_from_json(obj):

@@ -11,6 +11,16 @@ first offending edge or arc.  Neighborhoods are built on first use: a graph
 that is only stored, compared or serialized never builds them; once built,
 they are read without a call to Graph._adjacency.
 
+A Graph has two representations, each built from the other on first use:
+its edge set and its adjacency masks, one int per vertex in label order,
+bit i standing for vertices[i].  The label index maps each label to its
+bit.  A graph from Graph(vertices, edges) holds edges; one that
+glg_builder writes through Graph._from_masks, the only constructor that
+checks nothing, holds masks, and builds its edge set only when `edges` is
+read.  An int is as wide as its highest bit, so for N vertices the masks
+take at most N^2/8 bytes and the label index's bits about N^2/16: some
+50 MB together for the 19,804 vertices of a 100x100 grid's line graph.
+
 One clique machinery works on vertex bitmasks: bit i stands for the i-th
 vertex in label order, and adj[i] holds its neighbours.  Bron-Kerbosch
 (maximal_clique_masks) lists the maximal cliques inside any vertex mask; it
@@ -23,10 +33,12 @@ no induced subgraph is built.
 
 JSON and DOT list edges and arcs sorted by (first label, second label):
 each pair is bucketed under its first end and the buckets are read in the
-vertex order, so no writer sorts the whole set of tuples.  One reader,
-_read_links, checks the shape of every JSON document, for
-graph_from_json, digraph_from_json and glg_builder.weighted_graph_from_json
-alike; the Graph or Digraph constructor then checks the labels and links.
+vertex order, so no writer sorts the whole set of tuples, and the JSON of
+a graph with masks lists each vertex's later neighbours, vertex by vertex,
+with no edge set built.  One reader, _read_links, checks the shape of
+every JSON document, for graph_from_json, digraph_from_json and
+glg_builder.weighted_graph_from_json alike; the Graph or Digraph
+constructor then checks the labels and links.
 """
 
 import heapq
@@ -103,9 +115,10 @@ def _bulk_links(vset, links, normalize):
 
 
 class Graph:
-    """Simple undirected graph; adjacency is built on first use."""
+    """Simple undirected graph, held as edges, as adjacency masks, or both;
+    each is built from the other on first use, as are the neighbourhoods."""
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "_edges", "_masks", "_bits", "_adj")
 
     def __init__(self, vertices, edges=()):
         vset = _label_set(vertices)
@@ -114,8 +127,36 @@ class Graph:
         if es is None:
             es = {_checked_edge(pair, vset) for pair in edges}
         self.vertices = tuple(sorted(vset))
-        self.edges = frozenset(es)
-        self._adj = None
+        self._edges = frozenset(es)
+        self._masks = self._bits = self._adj = None
+
+    @classmethod
+    def _from_masks(cls, vertices, masks, bits):
+        """The graph on the sorted label tuple `vertices` whose i-th vertex
+        is adjacent to the set bits of masks[i]; bits maps each label to
+        1 << its position.  Nothing is checked: the caller built all three
+        from labels that were checked already."""
+        graph = cls.__new__(cls)
+        graph.vertices = vertices
+        graph._masks = masks
+        graph._bits = bits
+        graph._edges = graph._adj = None
+        return graph
+
+    @property
+    def edges(self):
+        """The edges as a frozenset of sorted pairs."""
+        if self._edges is None:
+            self._edges = frozenset(
+                map(tuple, _mask_pairs(self.vertices, self._masks)))
+        return self._edges
+
+    def _label_bits(self):
+        """Each label -> 1 << its position in vertices; also the label index
+        that membership tests read."""
+        if self._bits is None:
+            self._bits = {v: 1 << i for i, v in enumerate(self.vertices)}
+        return self._bits
 
     def _adjacency(self):
         if self._adj is None:
@@ -160,6 +201,27 @@ class Graph:
                 raise UnknownVertex("no vertex %r" % (v,))
         edges = [e for e in self.edges if e[0] in sub and e[1] in sub]
         return Graph(sorted(sub), edges)
+
+
+def _mask_pairs(vertices, masks):
+    """The edges of the adjacency masks as [a, b] lists, in sorted order
+    when vertices is: vertices[i] with each later neighbour, i upward.
+
+    Each mask is read from its highest bit down, so clearing a bit
+    shortens the int; a mask whose low bits are local but which reaches a
+    far label costs one long operation per far bit, not one per bit.
+    """
+    out = []
+    for i in range(len(masks) - 1, -1, -1):
+        a = vertices[i]
+        above = i + 1
+        rest = masks[i] >> above
+        while rest:
+            top = rest.bit_length() - 1
+            out.append([a, vertices[above + top]])
+            rest ^= 1 << top
+    out.reverse()
+    return out
 
 
 class Digraph:
@@ -341,13 +403,16 @@ def maximal_clique_masks(adj, mask):
 
 def _adjacency_masks(graph):
     """adj[i] has bit j set iff the i-th and j-th vertices (label order)
-    are adjacent."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    adj = [0] * len(index)
-    for a, b in graph.edges:
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-    return adj
+    are adjacent.  Built from the edges on first use and kept on the
+    graph, as a tuple so that no caller can change it."""
+    if graph._masks is None:
+        bits = graph._label_bits()
+        adj = dict.fromkeys(graph.vertices, 0)
+        for a, b in graph._edges:
+            adj[a] |= bits[b]
+            adj[b] |= bits[a]
+        graph._masks = tuple(adj.values())
+    return graph._masks
 
 
 def _clique_cover_number(adj, mask):
@@ -425,11 +490,11 @@ def _sorted_pairs(vertices, links):
 
 
 def graph_to_json(graph):
-    return {
-        "kind": "graph",
-        "vertices": list(graph.vertices),
-        "edges": _sorted_pairs(graph.vertices, graph.edges),
-    }
+    if graph._masks is None:
+        edges = _sorted_pairs(graph.vertices, graph._edges)
+    else:
+        edges = _mask_pairs(graph.vertices, graph._masks)
+    return {"kind": "graph", "vertices": list(graph.vertices), "edges": edges}
 
 
 def _read_links(obj, kind, key):

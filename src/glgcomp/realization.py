@@ -11,15 +11,18 @@ lies among earlier entries (so the body order is an acyclic ordering, and
 no clique holds a loop or a label that no entry has), the labels are
 distinct, every base vertex is placed, the others are strings numbering
 k, and the cliques' pairs are exactly the target's edges, with no graph
-built for either side.  _certify names the extras and runs that check on
-the entries, and the certificate keeps them: the body is its own
-representation, written to JSON as it stands, and the Digraph is built
-only when the certificate's digraph is read.  Every construction returns
-its certificate, so a flaw in a scheme surfaces as ConstructionFailed
-rather than a bad witness.  verify_realization, for digraphs from outside
-(whose constructor has checked their labels and arcs), computes the
-lexicographically smallest acyclic ordering and runs the same check on each
-vertex with its in-neighborhood, in that order.
+built for either side: each clique's bitmask is ORed into its members'
+covers, which must equal the target's adjacency masks, and pairs are
+listed only when they differ.  _certify names the extras against the
+target's label index and runs that check on the entries, and the
+certificate keeps them: the body is its own representation, written to
+JSON as it stands, and the Digraph is built only when the certificate's
+digraph is read.  Every construction returns its certificate, so a flaw
+in a scheme surfaces as ConstructionFailed rather than a bad witness.
+verify_realization, for digraphs from outside (whose constructor has
+checked their labels and arcs), computes the lexicographically smallest
+acyclic ordering and runs the same check on each vertex with its
+in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -91,12 +94,13 @@ both ends of its pin to the chain.  The cases go in this order.
 
 import collections
 import itertools
+import operator
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
                      UnknownVertex)
-from .graph_core import (Digraph, _sorted_pairs, acyclic_ordering,
-                         graph_to_json, normalize_edge)
+from .graph_core import (Digraph, _adjacency_masks, _sorted_pairs,
+                         acyclic_ordering, graph_to_json, normalize_edge)
 from .glg_builder import (cocktail_party, generalized_line_graph,
                           is_simplicial_edge)
 
@@ -148,18 +152,23 @@ def _check_body(entries, base, k):
 
     entries is the list of (vertex, in-neighborhood) entries in placement
     order.  One walk checks that each clique lies among earlier entries
-    and collects the cliques' sorted pairs; a clique that does not is
-    refused as a loop, as naming a label that no entry has, or as out of
-    order.  Then the labels must be distinct, every base vertex must be
+    and ORs the bitmask of each clique of two or more members into the
+    cover of each member; a clique that does not lie among earlier entries
+    is refused as a loop, as naming a label that no entry has, or as out
+    of order.  Then the labels must be distinct, every base vertex must be
     placed, the other vertices must be strings (the base's labels are)
-    numbering k, and the pairs must be exactly base.edges.  Raises
-    SchemaError for a loop or a repeated or non-string label, UnknownVertex
-    for an unknown in-neighbor, InvalidInput for the other malformed
-    bodies, and CompetitionMismatch, listing missing and extra edges, for a
-    wrong one.
+    numbering k, and each base vertex's cover, less its own bit, must be
+    its adjacency mask in base, with no clique of two or more members
+    holding a label outside base: so the cliques' pairs are exactly
+    base.edges.  Raises SchemaError for a loop or a repeated or non-string
+    label, UnknownVertex for an unknown in-neighbor, InvalidInput for the
+    other malformed bodies, and CompetitionMismatch, listing missing and
+    extra edges, for a wrong one; only then are the cliques' pairs listed.
     """
+    bits = base._label_bits()
+    cover = dict(bits)  # base vertex -> its own bit | its cliques' masks
+    stray = False  # some clique of two or more holds a non-base label
     placed = set()
-    pairs = set()
     for v, clique in entries:
         if not placed.issuperset(clique):
             late = set(clique) - placed
@@ -173,7 +182,13 @@ def _check_body(entries, base, k):
                                "in-neighbor %r" % (v, min(late)))
         placed.add(v)
         if len(clique) > 1:
-            pairs.update(itertools.combinations(sorted(clique), 2))
+            try:
+                mask = sum(map(bits.__getitem__, clique))
+            except KeyError:
+                stray = True
+                continue
+            for x in clique:
+                cover[x] |= mask
     if len(placed) != len(entries):
         raise SchemaError("duplicate vertex labels")
     if not placed.issuperset(base.vertices):
@@ -187,7 +202,11 @@ def _check_body(entries, base, k):
     if len(added) != k:
         raise InvalidInput("expected %d extra vertices, found %d" % (k, len(added)))
     # The extras are isolated in the target, so its edges are base.edges.
-    if pairs != base.edges:
+    covers = map(operator.xor, cover.values(), bits.values())
+    if stray or any(map(operator.ne, covers, _adjacency_masks(base))):
+        pairs = set()
+        for _, clique in entries:
+            pairs.update(itertools.combinations(sorted(clique), 2))
         missing = base.edges - pairs
         extra = pairs - base.edges
         raise CompetitionMismatch(
@@ -213,29 +232,28 @@ def verify_realization(digraph, base, k):
 
 
 def fresh_labels(taken, count):
-    """`count` labels of the form z1, z2, ... avoiding the taken set."""
-    taken = set(taken)
+    """`count` labels of the form z1, z2, ... not in the container taken."""
     out = []
     i = 1
     while len(out) < count:
         cand = "z%d" % i
         if cand not in taken:
             out.append(cand)
-            taken.add(cand)
         i += 1
     return out
 
 
 def _certify(entries, tail, base, what):
     """The certificate of a body: its (vertex, clique) entries in order,
-    then one extra per clique of `tail`, named by fresh_labels above.
+    then one extra per clique of `tail`, named by fresh_labels above
+    against the base's label index.
 
     The entries are checked as a body (_check_body), with the body order as
     the ordering, and kept as the certificate's; no Digraph is built.  Any
     failure is a flaw in the construction (`what`), raised as
     ConstructionFailed.
     """
-    extras = fresh_labels(base.vertices, len(tail))
+    extras = fresh_labels(base._label_bits(), len(tail))
     entries = list(entries) + list(zip(extras, tail))
     try:
         added = _check_body(entries, base, len(tail))

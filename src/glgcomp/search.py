@@ -42,27 +42,31 @@ n + 1 of them; running out names the extras' combination the search was
 in.
 
 Vertices, edges and cliques are bitmasks, and each vertex has a mask of
-its incident edges.  A trace with an edge is a clique of G[R - E], and it
-is maximal among the traces exactly when no vertex of R - E is joined to
-all of its members.  One rule gives every ready set: the ready set only
-grows with the covered set, and a vertex whose last uncovered edge some
-cliques cover lies in one of them, so the new ready set is the old one
-plus those members of the cliques just placed whose edges are all
-covered.  A child applies it to the clique just placed; each extras'
-combination applies it to its own cliques, starting from the vertices
-with no edge.  The edges a clique covers, those joining each member to
-an earlier one, are read off the incidence masks.  Each call caches these
-covers per clique mask and the candidate cliques per free-vertex mask.
-The depth-first walk keeps one frame per taken vertex on an explicit
-stack, so a witness may have more vertices than Python's recursion limit
-has frames.  The memo and the caches belong to one call and are released
-when it returns, raises or runs out of budget.
+its incident edges.  The vertex masks are the graph's own adjacency
+masks, and edge j is the j-th pair read off them, in sorted(graph.edges)
+order, so the graph's edge set is not built.  A trace with an edge is a
+clique of G[R - E], and it is maximal among the traces exactly when no
+vertex of R - E is joined to all of its members.  One rule gives every
+ready set: the ready set only grows with the covered set, and a vertex
+whose last uncovered edge some cliques cover lies in one of them, so the
+new ready set is the old one plus those members of the cliques just
+placed whose edges are all covered.  A child applies it to the clique
+just placed; each extras' combination applies it to its own cliques,
+starting from the vertices with no edge.  The edges a clique covers,
+those joining each member to an earlier one, are read off the incidence
+masks.  Each call caches these covers per clique mask and the candidate
+cliques per free-vertex mask.  The depth-first walk keeps one frame
+per taken vertex on an explicit stack, so a witness may have more vertices
+than Python's recursion limit has frames.  The memo and the caches
+belong to one call and are released when it returns, raises or runs out
+of budget.
 """
 
 import itertools
 
 from .errors import BudgetExceeded
-from .graph_core import _adjacency_masks, bit_indices, maximal_clique_masks
+from .graph_core import (_adjacency_masks, _mask_pairs, bit_indices,
+                         maximal_clique_masks)
 
 
 class SearchBudget:
@@ -91,12 +95,11 @@ def find_realization(graph, k, budget=None):
     max_nodes = budget.max_nodes
     vs = graph.vertices
     n = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
     adj = _adjacency_masks(graph)
     incident = [0] * n
-    for j, (a, b) in enumerate(sorted(graph.edges)):
-        incident[index[a]] |= 1 << j
-        incident[index[b]] |= 1 << j
+    for j, (a, b) in enumerate(_mask_pairs(range(n), adj)):
+        incident[a] |= 1 << j
+        incident[b] |= 1 << j
     full = (1 << n) - 1
 
     def members(vmask):

@@ -1,18 +1,20 @@
 """Reference definitions the tests check generalized_line_graph against.
 
-The builder collects every edge of the combined graph in one pass.  These
-are the textbook steps it replaces: the edge bundle of a base vertex, read
-off its neighbours, and the semi-join of a graph with a block along a
-clique.  The line graph semi-joined with one cocktail-party block per
-weighted vertex, in turn, is the combined graph.
+The builder writes the combined graph's adjacency masks in one pass.
+These are the textbook steps it replaces: the edge bundle of a base
+vertex, read off its neighbours, and the semi-join of a graph with a block
+along a clique.  The line graph semi-joined with one cocktail-party block
+per weighted vertex, in turn, is the combined graph (combined_graph).
 
 The serializers list links by bucketing each pair under its first end.
 sorted_links and to_dot are the writers they replace, which sort the whole
 set of tuples.
 """
 
-from glgcomp import (Graph, UnknownVertex, VertexCollision, edge_label,
-                     is_clique, normalize_edge)
+import itertools
+
+from glgcomp import (Graph, UnknownVertex, VertexCollision, cocktail_label,
+                     cocktail_party, edge_label, is_clique, normalize_edge)
 
 
 class NotAClique(Exception):
@@ -46,6 +48,26 @@ def semi_join(graph, clique, other):
         for w in other.vertices:
             edges.add(normalize_edge(k, w))
     return Graph(vertices, edges)
+
+
+def combined_graph(h, weights):
+    """The line graph of h, built from its edge pairs that share an end,
+    semi-joined in vertex order with one cocktail-party block per
+    positively weighted vertex, along that vertex's edge bundle."""
+    pairs = [(edge_label(*e), edge_label(*f))
+             for e, f in itertools.combinations(sorted(h.edges), 2)
+             if set(e) & set(f)]
+    current = Graph([edge_label(*e) for e in h.edges], pairs)
+    for v in h.vertices:
+        if weights.get(v):
+            block, plain = cocktail_party(weights[v])
+            name = {p: cocktail_label(v, level, side)
+                    for level, pair in enumerate(plain, 1)
+                    for side, p in zip("xy", pair)}
+            block = Graph(map(name.get, block.vertices),
+                          [(name[a], name[b]) for a, b in block.edges])
+            current = semi_join(current, incident_edge_clique(h, v), block)
+    return current
 
 
 def sorted_links(links):

@@ -11,7 +11,9 @@ a change in which instances take one extra.
 SMALL holds, per connected atlas base of 2-5 vertices, the digest over
 all of its weight maps with weights 0-2 in product order.  RANDOM holds
 the digests of `random_instances()`, in order: seeded random sparse bases
-of 8-20 vertices with up to four weighted vertices.
+of 8-20 vertices with up to four weighted vertices.  HEAVY holds those of
+`heavy_instances()`: complete bases of 6-10 vertices with weights up to 6,
+where the blocks and the cliques placed for them are largest.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import json
 import random
 
 from corpus import connected_graphs, random_connected
-from glgcomp import (HypothesisNotMet, glg_realization,
+from glgcomp import (Graph, HypothesisNotMet, glg_realization,
                      single_extra_realization)
 
 SMALL = {
@@ -65,6 +67,18 @@ RANDOM = [
     "dc71c99a0d5093e4", "1f1ea1c3673c2511", "c531a1bc178389c3",
 ]
 
+HEAVY = [
+    "a7d4920b2f8df47a", "cc923a80b2bfb97b", "8854dfd01980600f",
+    "aeba3db68acd9a0c", "280dcf5a3e08b8ef", "c1e5695418045168",
+    "63277ad231c809be", "53d23282724ffd37", "eb7b5e5cdef2349b",
+    "9d05ebc146bd5348", "0a314be951a1c0ba", "1f1c50d4f7dd0d6d",
+    "f97f7e6a83301123", "5022c51d8c2c56de", "6610dd6430cc8ed5",
+    "7bc8b27f48baa4c7", "6cd1ff6c764e7838", "04fa0632b928dce4",
+    "3ae5a0fc3564c0e0", "f3c270b1d84b141e", "ff92bd8ed857bc4e",
+    "d2e8f978c6a3aa96", "2884e610a3c6ea3d", "76d9c61265461919",
+    "339c89b0f076980a",
+]
+
 
 def certificate_lines(h, weights):
     """The two lines one instance adds to its digest."""
@@ -102,6 +116,20 @@ def random_instances():
     return out
 
 
+def heavy_instances():
+    """25 complete bases on k0..k(n-1), five for each n of 6-10: one with
+    every weight 6, then four with each weight drawn from 0-6."""
+    rng = random.Random(20241)
+    out = []
+    for n in range(6, 11):
+        verts = ["k%d" % i for i in range(n)]
+        h = Graph(verts, itertools.combinations(verts, 2))
+        out.append((h, dict.fromkeys(verts, 6)))
+        for _ in range(4):
+            out.append((h, {v: rng.randint(0, 6) for v in verts}))
+    return out
+
+
 def test_small_bases():
     got = {}
     for h in connected_graphs(5, min_edges=1):
@@ -116,3 +144,7 @@ def test_random_sparse_bases():
     got = [digest(certificate_lines(h, w)) for h, w in random_instances()]
     assert got == RANDOM
 
+
+def test_heavy_complete_bases():
+    got = [digest(certificate_lines(h, w)) for h, w in heavy_instances()]
+    assert got == HEAVY

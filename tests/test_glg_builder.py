@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,8 +8,9 @@ from glgcomp import (Graph, NonPositiveM, SchemaError, UnknownVertex,
                      cocktail_party, edge_label, generalized_line_graph,
                      is_simplicial_edge, simplicial_vertices,
                      weighted_graph_from_json)
+from glgcomp.graph_core import _adjacency_masks
 from corpus import atlas_graphs, connected_graphs, weight_maps
-from reference import incident_edge_clique, semi_join
+from reference import combined_graph, incident_edge_clique, semi_join
 
 
 def star(n):
@@ -196,6 +198,47 @@ class TestGeneralizedLineGraph:
         g = combined.graph
         assert set(g.vertices) == {"e:a-b", "q:c:1:x", "q:c:1:y"}
         assert g.edges == frozenset()
+
+
+def mask_instances():
+    """Every atlas base of at most 5 vertices with every weight map of
+    weights 0-2, then K5-K8, each with all weights 6 and with three seeded
+    weight maps of weights 0-6."""
+    for h in atlas_graphs(5):
+        for values in itertools.product(range(3), repeat=len(h.vertices)):
+            yield h, dict(zip(h.vertices, values))
+    rng = random.Random(24)
+    for n in range(5, 9):
+        verts = ["k%d" % i for i in range(n)]
+        h = Graph(verts, itertools.combinations(verts, 2))
+        yield h, dict.fromkeys(verts, 6)
+        for _ in range(3):
+            yield h, {v: rng.randint(0, 6) for v in verts}
+
+
+class TestAdjacencyMasks:
+    def test_builder_masks_match_the_edge_built_graphs(self):
+        # The masks the builder writes against those built from the edges,
+        # of its own graph and of the semi-join reference.
+        count = 0
+        for h, weights in mask_instances():
+            g = generalized_line_graph(h, weights).graph
+            masks = _adjacency_masks(g)
+            assert isinstance(masks, tuple)
+            assert masks == _adjacency_masks(Graph(g.vertices, g.edges))
+            reference = combined_graph(h, weights)
+            assert reference.vertices == g.vertices
+            assert masks == _adjacency_masks(reference)
+            count += 1
+        assert count > 9000
+
+    def test_masks_and_edges_build_each_other(self):
+        g = generalized_line_graph(path(4), {"p1": 2}).graph
+        assert g._edges is None
+        h = Graph(g.vertices, g.edges)
+        assert h._masks is None
+        assert _adjacency_masks(h) == _adjacency_masks(g)
+        assert h == g and hash(h) == hash(g)
 
 
 class TestWeightedJson:

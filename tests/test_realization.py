@@ -7,7 +7,7 @@ import pytest
 import glgcomp.oracle
 import glgcomp.search
 from glgcomp import cli
-from glgcomp.realization import _certify
+from glgcomp.realization import _certify, _check_body
 from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
                      HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
                      SearchBudget, UnknownVertex, acyclic_ordering,
@@ -151,6 +151,39 @@ class TestCertify:
         assert type(exc.value.__cause__) is cause
 
 
+def fs(*labels):
+    return frozenset(labels)
+
+
+class TestCheckBodyMismatch:
+    # The path a-b-c with two extras y and z placed among its vertices.
+    # The edge check compares adjacency masks, and a mismatch lists the
+    # cliques' pairs that base lacks and the base edges no clique holds.
+    base = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+    @pytest.mark.parametrize("entries, missing, extra", [
+        ([("a", EMPTY), ("b", EMPTY), ("y", EMPTY), ("c", AB),
+          ("z", EMPTY)], {("b", "c")}, set()),
+        ([("a", EMPTY), ("b", EMPTY), ("c", AB), ("y", BC),
+          ("z", fs("a", "c"))], set(), {("a", "c")}),
+        ([("a", EMPTY), ("b", EMPTY), ("y", EMPTY), ("c", AB),
+          ("z", fs("c", "y"))], {("b", "c")}, {("c", "y")}),
+        ([("a", EMPTY), ("b", EMPTY), ("y", EMPTY), ("c", fs("a", "b", "y")),
+          ("z", BC)], set(), {("a", "y"), ("b", "y")}),
+    ], ids=["missing edge", "extra edge", "two-clique with an extra",
+            "extra in a clique that also covers an edge"])
+    def test_mismatch_sets(self, entries, missing, extra):
+        with pytest.raises(CompetitionMismatch) as exc:
+            _check_body(entries, self.base, 2)
+        assert exc.value.missing == missing
+        assert exc.value.extra == extra
+
+    def test_a_one_member_clique_may_hold_an_extra(self):
+        entries = [("a", EMPTY), ("y", EMPTY), ("b", fs("y")), ("c", AB),
+                   ("z", BC)]
+        assert _check_body(entries, self.base, 2) == ["y", "z"]
+
+
 def line_graph_realization(h, e=None):
     """glg_realization with all weights zero, which realizes the line graph
     of h, as (digraph, z1, z2) with z1 pinned to the smaller endpoint."""
@@ -273,6 +306,16 @@ class TestGraphBuilds:
         weights = {"p0": 1, "p2": 2, "p3": 3}
         r = glg_realization(h, weights)
         built = self.count_graphs(monkeypatch)
+        # The builder writes the combined graph's adjacency masks and
+        # constructs it from them, so count those graphs too.
+        from_masks = Graph._from_masks
+
+        def counting_from_masks(*args):
+            graph = from_masks(*args)
+            built.append(graph)
+            return graph
+
+        monkeypatch.setattr(Graph, "_from_masks", counting_from_masks)
         combined = generalized_line_graph(h, weights)
         assert len(built) == 1
         verify_realization(r.digraph, combined.graph, 2)
