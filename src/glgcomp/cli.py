@@ -16,7 +16,7 @@ from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
 from .glg_builder import (cocktail_party, generalized_line_graph,
                           weighted_graph_from_json)
 from .graph_core import (digraph_from_json, digraph_to_dot, graph_from_json,
-                         graph_to_dot, graph_to_json)
+                         graph_json_text, graph_to_dot)
 from .oracle import competition_number
 from .realization import glg_realization, verify_realization
 from .search import DEFAULT_BUDGET, SearchBudget
@@ -62,8 +62,9 @@ def _write_text(text, path):
 
 def _write_json(doc, path):
     # Without indent, json.dumps runs the C encoder: one line, keys sorted.
-    # Every doc is a fresh tree from a to_json, so it holds no cycle to
-    # look for; one would still end in RecursionError, not in wrong output.
+    # Each doc is a tree built for this call, so it holds no cycle to look
+    # for; one would still end in RecursionError, not in wrong output.
+    # Graphs and certificates write their own text, as this would.
     _write_text(json.dumps(doc, sort_keys=True, check_circular=False) + "\n",
                 path)
 
@@ -100,7 +101,7 @@ def cmd_build(args):
     else:
         h, weights = _as_weighted(_load(args.input), args.input)
         result = generalized_line_graph(h, weights).graph
-    _write_json(graph_to_json(result), args.output)
+    _write_text(graph_json_text(result) + "\n", args.output)
     if args.dot:
         _write_text(graph_to_dot(result), args.dot)
     return 0
@@ -116,7 +117,7 @@ def cmd_realize(args):
         if args.edge:
             raise SchemaError("--edge applies only to the 'two' mode")
         cert = single_extra_realization(h, weights)
-    _write_json(cert.to_json(), args.output)
+    _write_text(cert.json_text() + "\n", args.output)
     if args.dot:
         _write_text(digraph_to_dot(cert.digraph,
                                    node_attrs=_added_node_attrs(cert.added)),
@@ -128,7 +129,7 @@ def cmd_compnum(args):
     graph = _as_graph(_load(args.input), args.input)
     k, cert = competition_number(graph, _budget(args))
     if args.witness:
-        _write_json(cert.to_json(), args.witness)
+        _write_text(cert.json_text() + "\n", args.witness)
     if args.json:
         _write_json({"kind": "competition_number", "value": k}, None)
     else:
@@ -152,7 +153,7 @@ def cmd_verify(args):
                 print("extra edge: %s -- %s" % edge, file=sys.stderr)
         return 1
     if args.json:
-        _write_json(cert.to_json(), None)
+        _write_text(cert.json_text() + "\n", None)
     else:
         print("valid realization with %d extra vertices: %s"
               % (cert.k, ", ".join(cert.added) or "(none)"))

@@ -32,17 +32,25 @@ independent set.  Opsut's bound reads each neighbourhood N(v) as adj[v], so
 no induced subgraph is built.
 
 JSON and DOT list edges and arcs sorted by (first label, second label):
-each pair is bucketed under its first end and the buckets are read in the
-vertex order, so no writer sorts the whole set of tuples, and the JSON of
-a graph with masks lists each vertex's later neighbours, vertex by vertex,
-with no edge set built.  One reader, _read_links, checks the shape of
-every JSON document, for graph_from_json, digraph_from_json and
+each first end's second ends come from its bucket, sorted, or from its
+mask, and the first ends are read in the vertex order, so no writer
+sorts the whole set of tuples.  A graph's JSON is written as text
+(graph_json_text), byte for byte what json.dumps(..., sort_keys=True)
+writes, and graph_to_json is that text parsed: each label is encoded
+once by json's own encode_basestring_ascii, and each first end's row of
+pairs is one join (_pairs_text), with no list or string per pair; a
+graph with masks has its edges read off the masks, with no edge set
+built.  The realization certificate writes its text from the same rows.
+One reader, _read_links, checks the shape of every JSON document, for
+graph_from_json, digraph_from_json and
 glg_builder.weighted_graph_from_json alike; the Graph or Digraph
 constructor then checks the labels and links.
 """
 
 import heapq
 import itertools
+import json
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import CyclicDigraph, EmptyGraph, SchemaError, UnknownVertex
 
@@ -147,8 +155,7 @@ class Graph:
     def edges(self):
         """The edges as a frozenset of sorted pairs."""
         if self._edges is None:
-            self._edges = frozenset(
-                map(tuple, _mask_pairs(self.vertices, self._masks)))
+            self._edges = frozenset(_mask_pairs(self.vertices, self._masks))
         return self._edges
 
     def _label_bits(self):
@@ -203,25 +210,33 @@ class Graph:
         return Graph(sorted(sub), edges)
 
 
-def _mask_pairs(vertices, masks):
-    """The edges of the adjacency masks as [a, b] lists, in sorted order
-    when vertices is: vertices[i] with each later neighbour, i upward.
+def _mask_rows(vertices, masks):
+    """Each vertex's later neighbours in the adjacency masks: for each i,
+    the list of vertices[j] for the set bits j > i of masks[i], j upward.
 
     Each mask is read from its highest bit down, so clearing a bit
     shortens the int; a mask whose low bits are local but which reaches a
     far label costs one long operation per far bit, not one per bit.
     """
-    out = []
-    for i in range(len(masks) - 1, -1, -1):
-        a = vertices[i]
+    rows = []
+    for i, mask in enumerate(masks):
         above = i + 1
-        rest = masks[i] >> above
+        rest = mask >> above
+        row = []
         while rest:
             top = rest.bit_length() - 1
-            out.append([a, vertices[above + top]])
+            row.append(vertices[above + top])
             rest ^= 1 << top
-    out.reverse()
-    return out
+        row.reverse()
+        rows.append(row)
+    return rows
+
+
+def _mask_pairs(vertices, masks):
+    """The edges of the adjacency masks as (a, b) pairs, in sorted order
+    when vertices is: vertices[i] with each later neighbour, i upward."""
+    return [(a, b) for a, row in zip(vertices, _mask_rows(vertices, masks))
+            for b in row]
 
 
 class Digraph:
@@ -476,8 +491,9 @@ def opsut_lower_bound(graph):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _sorted_pairs(vertices, links):
-    """The links as [a, b] lists in sorted(links) order.
+def _sorted_rows(vertices, links):
+    """Each vertex's second ends among the links, sorted: one list per
+    vertex, in the order of vertices.
 
     vertices is the sorted label tuple every link's ends come from, so
     walking it and sorting each first end's bucket of second ends gives
@@ -486,15 +502,59 @@ def _sorted_pairs(vertices, links):
     buckets = {v: [] for v in vertices}
     for a, b in links:
         buckets[a].append(b)
-    return [[a, b] for a in vertices for b in sorted(buckets[a])]
+    return [sorted(bs) for bs in buckets.values()]
+
+
+def _sorted_pairs(vertices, links):
+    """The links as [a, b] lists in sorted(links) order."""
+    return [[a, b] for a, row in zip(vertices, _sorted_rows(vertices, links))
+            for b in row]
+
+
+def _pairs_text(rows):
+    """The JSON text of a list of [a, b] pairs, written row by row: rows
+    yields (a, bs), a first end's JSON string and the JSON strings of its
+    second ends in order.  Each row is one join, with no list or string
+    made per pair; a row with no second ends writes nothing."""
+    out = []
+    for a, bs in rows:
+        if bs:
+            opener = "[" + a + ", "
+            out.append(opener + ("], " + opener).join(bs) + "]")
+    return "[" + ", ".join(out) + "]"
+
+
+def _graph_text(graph, codes):
+    """The JSON text of graph_to_json(graph), with each label written as
+    codes[label], its JSON string.
+
+    The edges are read from whichever representation the graph holds:
+    the edge set (_sorted_rows) or the masks (_mask_rows).
+    """
+    vertices = graph.vertices
+    enc = list(map(codes.__getitem__, vertices))
+    if graph._masks is None:
+        rows = [list(map(codes.__getitem__, row))
+                for row in _sorted_rows(vertices, graph._edges)]
+    else:
+        rows = _mask_rows(enc, graph._masks)
+    return '{"edges": %s, "kind": "graph", "vertices": [%s]}' % (
+        _pairs_text(zip(enc, rows)), ", ".join(enc))
+
+
+def _json_codes(labels):
+    """Each label -> its JSON string, escaped as json.dumps escapes it."""
+    return dict(zip(labels, map(_json_string, labels)))
+
+
+def graph_json_text(graph):
+    """The graph's JSON document as text, byte for byte what
+    json.dumps(..., sort_keys=True) writes for it."""
+    return _graph_text(graph, _json_codes(graph.vertices))
 
 
 def graph_to_json(graph):
-    if graph._masks is None:
-        edges = _sorted_pairs(graph.vertices, graph._edges)
-    else:
-        edges = _mask_pairs(graph.vertices, graph._masks)
-    return {"kind": "graph", "vertices": list(graph.vertices), "edges": edges}
+    return json.loads(graph_json_text(graph))
 
 
 def _read_links(obj, kind, key):

@@ -15,10 +15,14 @@ built for either side: each clique's bitmask is ORed into its members'
 covers, which must equal the target's adjacency masks, and pairs are
 listed only when they differ.  _certify names the extras against the
 target's label index and runs that check on the entries, and the
-certificate keeps them: the body is its own representation, written to
-JSON as it stands, and the Digraph is built only when the certificate's
-digraph is read.  Every construction returns its certificate, so a flaw
-in a scheme surfaces as ConstructionFailed rather than a bad witness.
+certificate keeps them: the body is its own representation, and the
+Digraph is built only when the certificate's digraph is read.  Its one
+JSON writer, json_text, writes the document as text straight from the
+entries (each tail's heads, sorted) and the base graph's rows
+(graph_core._graph_text), byte for byte what json.dumps(...,
+sort_keys=True) writes; to_json parses that text.  Every construction
+returns its certificate, so a flaw in a scheme surfaces as
+ConstructionFailed rather than a bad witness.
 verify_realization, for digraphs from outside (whose constructor has
 checked their labels and arcs), computes the lexicographically smallest
 acyclic ordering and runs the same check on each vertex with its
@@ -94,13 +98,14 @@ both ends of its pin to the chain.  The cases go in this order.
 
 import collections
 import itertools
+import json
 import operator
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
                      UnknownVertex)
-from .graph_core import (Digraph, _adjacency_masks, _sorted_pairs,
-                         acyclic_ordering, graph_to_json, normalize_edge)
+from .graph_core import (Digraph, _adjacency_masks, _graph_text, _json_codes,
+                         _pairs_text, acyclic_ordering, normalize_edge)
 from .glg_builder import (cocktail_party, generalized_line_graph,
                           is_simplicial_edge)
 
@@ -110,8 +115,9 @@ class RealizationCertificate:
 
     It stores the checked body: entries lists every vertex of D, the
     extras included, with its in-neighborhood, in the order of ordering.
-    digraph builds D from the entries on first read and keeps it; to_json
-    writes D's arcs straight from the entries.
+    digraph builds D from the entries on first read and keeps it;
+    json_text writes the document straight from the entries and the base,
+    and to_json is that text, parsed.
     """
 
     __slots__ = ("entries", "base", "k", "added", "ordering", "_digraph")
@@ -124,26 +130,39 @@ class RealizationCertificate:
         self.ordering = tuple(ordering)
         self._digraph = digraph
 
-    def _arcs(self):
-        return ((x, v) for v, clique in self.entries for x in clique)
-
     @property
     def digraph(self):
         if self._digraph is None:
-            self._digraph = Digraph(self.ordering, self._arcs())
+            self._digraph = Digraph(self.ordering,
+                                    ((x, v) for v, clique in self.entries
+                                     for x in clique))
         return self._digraph
 
-    def to_json(self):
+    def json_text(self):
+        """The certificate document as JSON text, exactly as
+        json.dumps(..., sort_keys=True) writes it: each label is encoded
+        once, the arcs are read into per-tail buckets of heads, and the
+        base edges from the base graph.  The heads are read in label
+        order, so each bucket fills sorted."""
         vertices = sorted(self.ordering)
-        return {
-            "kind": "realization_certificate",
-            "digraph": {"kind": "digraph", "vertices": vertices,
-                        "arcs": _sorted_pairs(vertices, self._arcs())},
-            "base_graph": graph_to_json(self.base),
-            "k": self.k,
-            "added": list(self.added),
-            "ordering": list(self.ordering),
-        }
+        codes = _json_codes(vertices)
+        cliques = dict(self.entries)
+        heads = {v: [] for v in vertices}
+        for v in vertices:
+            head = codes[v]
+            for x in cliques[v]:
+                heads[x].append(head)
+        arcs = _pairs_text(zip(codes.values(), heads.values()))
+        return ('{"added": [%s], "base_graph": %s, "digraph": {"arcs": %s, '
+                '"kind": "digraph", "vertices": [%s]}, "k": %s, '
+                '"kind": "realization_certificate", "ordering": [%s]}'
+                % (", ".join(map(codes.__getitem__, self.added)),
+                   _graph_text(self.base, codes), arcs,
+                   ", ".join(codes.values()), json.dumps(self.k),
+                   ", ".join(map(codes.__getitem__, self.ordering))))
+
+    def to_json(self):
+        return json.loads(self.json_text())
 
 
 def _check_body(entries, base, k):

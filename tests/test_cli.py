@@ -331,6 +331,20 @@ class TestWriteJson:
             _write_json(doc, None)
             assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("command", [("realize", "two"), ("build", "glg")])
+    def test_escaped_labels(self, capsys, tmp_path, command):
+        # Labels JSON escapes, a non-BMP one included (a surrogate pair).
+        labels = ['a"b', "c\\d", "e\nf", "\u00e9", "\U0001f600"]
+        src = write(tmp_path, "base.json",
+                    {"kind": "vertex_weighted_graph", "vertices": labels,
+                     "edges": [list(e) for e in zip(labels, labels[1:])],
+                     "weights": {labels[1]: 2, labels[4]: 1}})
+        out = tmp_path / "out.json"
+        code, _, _ = run(capsys, *command, src, "-o", str(out))
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):

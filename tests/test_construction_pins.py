@@ -6,7 +6,8 @@ instance: `json.dumps(certificate.to_json(), sort_keys=True)` of
 `glg_realization`, then that of `single_extra_realization`, or "-" where
 it refuses the instance (HypothesisNotMet).  So any change to a
 certificate's digraph, ordering, extras or base shows up here, and so does
-a change in which instances take one extra.
+a change in which instances take one extra.  Each certificate's
+`json_text()` must also be that line, byte for byte.
 
 SMALL holds, per connected atlas base of 2-5 vertices, the digest over
 all of its weight maps with weights 0-2 in product order.  RANDOM holds
@@ -80,16 +81,23 @@ HEAVY = [
 ]
 
 
+def certificate_line(cert):
+    """json.dumps of the certificate's document, which its own text writer
+    must write byte for byte."""
+    line = json.dumps(cert.to_json(), sort_keys=True)
+    assert cert.json_text() == line
+    return line
+
+
 def certificate_lines(h, weights):
     """The two lines one instance adds to its digest."""
-    lines = [json.dumps(glg_realization(h, weights).certificate.to_json(),
-                        sort_keys=True)]
+    lines = [certificate_line(glg_realization(h, weights).certificate)]
     try:
         cert = single_extra_realization(h, weights)
     except HypothesisNotMet:
         lines.append("-")
     else:
-        lines.append(json.dumps(cert.to_json(), sort_keys=True))
+        lines.append(certificate_line(cert))
     return lines
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import sys
 
@@ -14,7 +15,8 @@ from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
                      check_conditions, classify, cocktail_party,
                      competition_graph, competition_number, cp_realization,
                      digraph_to_json, find_realization,
-                     generalized_line_graph, glg_realization, is_connected,
+                     generalized_line_graph, glg_realization,
+                     graph_json_text, graph_to_json, is_connected,
                      realization_search, simplicial_vertices,
                      single_extra_realization, verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
@@ -421,6 +423,39 @@ class TestCertificateJson:
     def test_search_witnesses(self):
         for g in connected_graphs(5, min_edges=1):
             self.check(competition_number(g)[1])
+
+
+class TestEscapedLabels:
+    # Base labels that JSON escapes: a quote, a backslash, a newline, a
+    # non-ASCII letter and a non-BMP character (a surrogate pair under
+    # ensure_ascii); none holds "-", so no two edge labels collide.
+    LABELS = ['a"b', "c\\d", "e\nf", "\u00e9", "\U0001f600"]
+
+    @staticmethod
+    def check(text, doc):
+        assert json.loads(text) == doc
+        assert json.dumps(doc, sort_keys=True) == text
+
+    @staticmethod
+    def graph_doc(g):
+        return {"kind": "graph", "vertices": list(g.vertices),
+                "edges": [list(e) for e in sorted(g.edges)]}
+
+    def test_certificates_and_graphs(self):
+        h = Graph(self.LABELS, zip(self.LABELS, self.LABELS[1:]))
+        weights = {self.LABELS[1]: 2, self.LABELS[4]: 1}
+        combined = generalized_line_graph(h, weights)
+        cert = glg_realization(h, weights).certificate
+        as_edges = Graph(combined.graph.vertices, combined.graph.edges)
+        for c in (cert, verify_realization(cert.digraph, combined.graph, 2),
+                  verify_realization(cert.digraph, as_edges, 2)):
+            doc = c.to_json()
+            self.check(c.json_text(), doc)
+            assert doc["digraph"] == digraph_to_json(c.digraph)
+            assert doc["base_graph"] == self.graph_doc(c.base)
+        for g in (h, combined.graph, as_edges):
+            self.check(graph_json_text(g), graph_to_json(g))
+            assert graph_to_json(g) == self.graph_doc(g)
 
 
 class TestGlgRealization:
