@@ -16,6 +16,7 @@ edge and some weight above one, so no unweighted base is searched.
 """
 
 import heapq
+import json
 
 from .errors import BudgetExceeded, HypothesisNotMet
 from .glg_builder import (check_weights, generalized_line_graph,
@@ -159,15 +160,22 @@ class Verdict:
         self.evidence = list(evidence)
         self.certificates = dict(certificates)
 
+    def json_text(self):
+        """The verdict document as JSON text, exactly as
+        json.dumps(..., sort_keys=True) writes it, with each certificate's
+        own text spliced in."""
+        certificates = ", ".join(
+            "%s: %s" % (json.dumps(name), self.certificates[name].json_text())
+            for name in sorted(self.certificates))
+        evidence = json.dumps([{"claim": claim, "source": source}
+                               for claim, source in self.evidence],
+                              sort_keys=True)
+        return ('{"certificates": {%s}, "evidence": %s, "k_value": %s, '
+                '"kind": "verdict"}'
+                % (certificates, evidence, json.dumps(self.k_value)))
+
     def to_json(self):
-        return {
-            "kind": "verdict",
-            "k_value": self.k_value,
-            "evidence": [{"claim": claim, "source": source}
-                         for claim, source in self.evidence],
-            "certificates": {name: cert.to_json()
-                             for name, cert in self.certificates.items()},
-        }
+        return json.loads(self.json_text())
 
 
 def classify(h, weights=None, budget=None):

@@ -64,7 +64,7 @@ def _write_json(doc, path):
     # Without indent, json.dumps runs the C encoder: one line, keys sorted.
     # Each doc is a tree built for this call, so it holds no cycle to look
     # for; one would still end in RecursionError, not in wrong output.
-    # Graphs and certificates write their own text, as this would.
+    # Graphs, certificates and verdicts write their own text, as this would.
     _write_text(json.dumps(doc, sort_keys=True, check_circular=False) + "\n",
                 path)
 
@@ -168,7 +168,7 @@ def cmd_classify(args):
         return 0
     verdict = classify(h, weights, _budget(args))
     if args.json:
-        _write_json(verdict.to_json(), None)
+        _write_text(verdict.json_text() + "\n", None)
     else:
         print("verdict: %s" % verdict.k_value)
         for claim, source in verdict.evidence:

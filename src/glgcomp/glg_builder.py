@@ -17,13 +17,14 @@ ever needs to parse a label back apart or rebuild a bundle, and
 is_simplicial_edge tells from the base graph alone when an edge vertex of
 L(H) is simplicial.
 
-generalized_line_graph writes the combined graph's adjacency masks (see
-graph_core) and builds no edge tuple.  It labels the base's sorted edge
-pairs and the blocks, sorts the labels, and sets star(v) to the bits of
-v's edge bundle and of v's block, a clique of the combined graph.  An edge
-vertex e:a-b is adjacent to star(a) | star(b) but itself, and a block
-vertex to star(v) but itself and its partner; a zero-weight vertex adds
-no block.  That graph equals the line graph semi-joined with one block per
+generalized_line_graph writes the combined graph's rows (see graph_core)
+and builds no edge tuple.  It labels the base's sorted edge pairs and the
+blocks, sorts the labels, and sets star(v) to the positions of v's edge
+bundle and of v's block, a clique of the combined graph.  An edge
+vertex e:a-b is adjacent to star(a) and star(b) but itself, which is the
+one position they share, and both vertices of a block level to star(v)
+but the two of them, so they share one row; a zero-weight vertex adds no
+block.  That graph equals the line graph semi-joined with one block per
 weighted vertex in turn; tests/reference.py keeps that semi-join as the
 reference definition the tests check the builder against.
 """
@@ -158,22 +159,31 @@ def generalized_line_graph(h, weights):
         blocks[v] = [q for pair in pairs for q in pair]
         vertices += blocks[v]
     vertices.sort()
-    bits = {q: 1 << i for i, q in enumerate(vertices)}
-    star = {v: sum(map(bits.__getitem__, bundles[v])) for v in h.vertices}
+    index = dict(zip(vertices, range(len(vertices))))
+    # An edge vertex's row is sorted whole, so only a block's star is.
+    star = {v: list(map(index.__getitem__, bundles[v])) for v in h.vertices}
     for v, block in blocks.items():
-        star[v] += sum(map(bits.__getitem__, block))
-    masks = {}
+        star[v] = sorted(star[v] + list(map(index.__getitem__, block)))
+    rows = [None] * len(vertices)
     for (a, b), label in labels.items():
-        masks[label] = (star[a] | star[b]) ^ bits[label]
-    for v, pairs in cocktail_pairs.items():
-        for x, y in pairs:
-            masks[x] = masks[y] = star[v] ^ (bits[x] | bits[y])
+        # The stars at a and b share the edge vertex and nothing else.
+        i = index[label]
+        row = star[a] + star[b]
+        row.remove(i)
+        row.remove(i)
+        row.sort()
+        rows[i] = tuple(row)
+    for v in blocks:
+        for x, y in cocktail_pairs[v]:
+            row = star[v].copy()
+            row.remove(index[x])
+            row.remove(index[y])
+            rows[index[x]] = rows[index[y]] = tuple(row)
     # tuple() of a list, not of a map: CPython allocates a tuple from an
     # iterator of unknown length for 10 items and resizes it, and once
     # released it joins the free list of its final size, so each op on a
     # graph of 11-19 vertices would keep one more (up to 2,000 a size).
-    graph = Graph._from_masks(tuple(vertices),
-                              tuple([masks[q] for q in vertices]), bits)
+    graph = Graph._from_rows(tuple(vertices), index, tuple(rows))
     return CombinedGraph(graph, h, labels, cocktail_pairs, bundles)
 
 

@@ -7,22 +7,23 @@ lexicographically so every operation is deterministic.
 Graph and Digraph check their input in bulk: the pairs are built in one
 comprehension and their ends checked with one subset test.  Only when that
 fails do they scan the links one at a time, so an error still names the
-first offending edge or arc.  Neighborhoods are built on first use: a graph
-that is only stored, compared or serialized never builds them; once built,
-they are read without a call to Graph._adjacency.
+first offending edge or arc.
 
-A Graph has two representations, each built from the other on first use:
-its edge set and its adjacency masks, one int per vertex in label order,
-bit i standing for vertices[i].  The label index maps each label to its
-bit.  A graph from Graph(vertices, edges) holds edges; one that
-glg_builder writes through Graph._from_masks, the only constructor that
-checks nothing, holds masks, and builds its edge set only when `edges` is
-read.  An int is as wide as its highest bit, so for N vertices the masks
-take at most N^2/8 bytes and the label index's bits about N^2/16: some
-50 MB together for the 19,804 vertices of a 100x100 grid's line graph.
+A Graph has one representation: its sorted label tuple, the label index
+(each label -> its position) and one row per vertex, the sorted tuple of
+its neighbours' positions, so it takes memory linear in vertices plus
+edges.  Graph(vertices, edges) builds the rows after its checks;
+glg_builder writes them through Graph._from_rows, the only constructor
+that checks nothing.  Degrees, edge and clique tests, equality, hashing,
+induced subgraphs and connectivity read the rows.  The edge set and the
+neighbour sets, which the simplicial test reads, are views, each built
+from the rows on first use: a graph that is only stored, compared or
+serialized builds neither.
 
 One clique machinery works on vertex bitmasks: bit i stands for the i-th
-vertex in label order, and adj[i] holds its neighbours.  Bron-Kerbosch
+vertex in label order, and adj[i] holds its neighbours.  A mask is as
+wide as its highest bit, so _bitmasks builds them from the rows for one
+call, only for the search and Opsut's bound.  Bron-Kerbosch
 (maximal_clique_masks) lists the maximal cliques inside any vertex mask; it
 walks an explicit stack, so a clique may have more members than Python's
 recursion limit has frames.  The search passes the whole graph, and the
@@ -31,22 +32,22 @@ cliques whose union is the mask, found by trying k upward from a greedy
 independent set.  Opsut's bound reads each neighbourhood N(v) as adj[v], so
 no induced subgraph is built.
 
-JSON and DOT list edges and arcs sorted by (first label, second label):
-each first end's second ends come from its bucket, sorted, or from its
-mask, and the first ends are read in the vertex order, so no writer
-sorts the whole set of tuples.  A graph's JSON is written as text
-(graph_json_text), byte for byte what json.dumps(..., sort_keys=True)
-writes, and graph_to_json is that text parsed: each label is encoded
-once by json's own encode_basestring_ascii, and each first end's row of
-pairs is one join (_pairs_text), with no list or string per pair; a
-graph with masks has its edges read off the masks, with no edge set
-built.  The realization certificate writes its text from the same rows.
-One reader, _read_links, checks the shape of every JSON document, for
-graph_from_json, digraph_from_json and
+JSON and DOT list edges and arcs sorted by (first label, second label): a
+graph's edges are each row's tail past the vertex's own position, rows
+in label order (_tails), and a digraph's arcs come from per-tail buckets,
+each sorted, so no writer sorts the whole set of tuples.  A graph's JSON
+is written as text (graph_json_text), byte for byte what
+json.dumps(..., sort_keys=True) writes, and graph_to_json is that text
+parsed: each label is encoded once by json's own encode_basestring_ascii,
+and each first end's row of pairs is one join (_pairs_text), with no list
+or string per pair.  The realization certificate writes its text from the
+same rows.  One reader, _read_links, checks the shape of every JSON
+document, for graph_from_json, digraph_from_json and
 glg_builder.weighted_graph_from_json alike; the Graph or Digraph
 constructor then checks the labels and links.
 """
 
+import bisect
 import heapq
 import itertools
 import json
@@ -123,10 +124,12 @@ def _bulk_links(vset, links, normalize):
 
 
 class Graph:
-    """Simple undirected graph, held as edges, as adjacency masks, or both;
-    each is built from the other on first use, as are the neighbourhoods."""
+    """Simple undirected graph, held as rows: the i-th vertex's row is the
+    sorted tuple of its neighbours' positions in the label order.  The edge
+    set and the neighbour sets are views, each built from the rows on first
+    use."""
 
-    __slots__ = ("vertices", "_edges", "_masks", "_bits", "_adj")
+    __slots__ = ("vertices", "_index", "_rows", "_edges", "_adj")
 
     def __init__(self, vertices, edges=()):
         vset = _label_set(vertices)
@@ -135,19 +138,25 @@ class Graph:
         if es is None:
             es = {_checked_edge(pair, vset) for pair in edges}
         self.vertices = tuple(sorted(vset))
-        self._edges = frozenset(es)
-        self._masks = self._bits = self._adj = None
+        index = self._index = dict(zip(self.vertices, range(len(vset))))
+        rows = [[] for _ in self.vertices]
+        for a, b in es:
+            i, j = index[a], index[b]
+            rows[i].append(j)
+            rows[j].append(i)
+        self._rows = tuple([tuple(sorted(row)) for row in rows])
+        self._edges = self._adj = None
 
     @classmethod
-    def _from_masks(cls, vertices, masks, bits):
+    def _from_rows(cls, vertices, index, rows):
         """The graph on the sorted label tuple `vertices` whose i-th vertex
-        is adjacent to the set bits of masks[i]; bits maps each label to
-        1 << its position.  Nothing is checked: the caller built all three
-        from labels that were checked already."""
+        is adjacent to the positions in rows[i], a sorted tuple; index maps
+        each label to its position.  Nothing is checked: the caller built
+        all three from labels that were checked already."""
         graph = cls.__new__(cls)
         graph.vertices = vertices
-        graph._masks = masks
-        graph._bits = bits
+        graph._index = index
+        graph._rows = rows
         graph._edges = graph._adj = None
         return graph
 
@@ -155,41 +164,36 @@ class Graph:
     def edges(self):
         """The edges as a frozenset of sorted pairs."""
         if self._edges is None:
-            self._edges = frozenset(_mask_pairs(self.vertices, self._masks))
+            self._edges = frozenset(_edge_pairs(self))
         return self._edges
 
-    def _label_bits(self):
-        """Each label -> 1 << its position in vertices; also the label index
-        that membership tests read."""
-        if self._bits is None:
-            self._bits = {v: 1 << i for i, v in enumerate(self.vertices)}
-        return self._bits
-
     def _adjacency(self):
+        """Each label -> the frozenset of its neighbours' labels."""
         if self._adj is None:
-            adj = {v: set() for v in self.vertices}
-            for a, b in self.edges:
-                adj[a].add(b)
-                adj[b].add(a)
-            self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
+            vs = self.vertices
+            self._adj = {v: frozenset(map(vs.__getitem__, row))
+                         for v, row in zip(vs, self._rows)}
         return self._adj
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self._rows))
 
     def __repr__(self):
-        return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
+        return "Graph(%d vertices, %d edges)" % (
+            len(self.vertices), sum(map(len, self._rows)) // 2)
 
     def has_vertex(self, v):
-        return v in (self._adj or self._adjacency())
+        return v in self._index
 
     def has_edge(self, a, b):
-        return normalize_edge(a, b) in self.edges
+        a, b = normalize_edge(a, b)
+        index = self._index
+        return a in index and b in index and index[b] in self._rows[index[a]]
 
     def neighbors(self, v):
         try:
@@ -198,45 +202,37 @@ class Graph:
             raise UnknownVertex("no vertex %r" % (v,)) from None
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        try:
+            return len(self._rows[self._index[v]])
+        except KeyError:
+            raise UnknownVertex("no vertex %r" % (v,)) from None
 
     def induced(self, subset):
         sub = set(subset)
-        adj = self._adjacency()
         for v in sub:
-            if v not in adj:
+            if v not in self._index:
                 raise UnknownVertex("no vertex %r" % (v,))
-        edges = [e for e in self.edges if e[0] in sub and e[1] in sub]
-        return Graph(sorted(sub), edges)
+        vertices = tuple(sorted(sub))
+        old = list(map(self._index.__getitem__, vertices))
+        new = dict(zip(old, range(len(old))))  # old position -> new one
+        rows = tuple([tuple([new[j] for j in self._rows[i] if j in new])
+                      for i in old])
+        return Graph._from_rows(vertices, dict(zip(vertices, range(len(old)))),
+                                rows)
 
 
-def _mask_rows(vertices, masks):
-    """Each vertex's later neighbours in the adjacency masks: for each i,
-    the list of vertices[j] for the set bits j > i of masks[i], j upward.
-
-    Each mask is read from its highest bit down, so clearing a bit
-    shortens the int; a mask whose low bits are local but which reaches a
-    far label costs one long operation per far bit, not one per bit.
-    """
-    rows = []
-    for i, mask in enumerate(masks):
-        above = i + 1
-        rest = mask >> above
-        row = []
-        while rest:
-            top = rest.bit_length() - 1
-            row.append(vertices[above + top])
-            rest ^= 1 << top
-        row.reverse()
-        rows.append(row)
-    return rows
+def _tails(graph):
+    """Each vertex's later neighbours: its row past its own position.
+    Read in label order, the tails list the edges in sorted(graph.edges)
+    order."""
+    return [row[bisect.bisect(row, i):] for i, row in enumerate(graph._rows)]
 
 
-def _mask_pairs(vertices, masks):
-    """The edges of the adjacency masks as (a, b) pairs, in sorted order
-    when vertices is: vertices[i] with each later neighbour, i upward."""
-    return [(a, b) for a, row in zip(vertices, _mask_rows(vertices, masks))
-            for b in row]
+def _edge_pairs(graph):
+    """The edges as (a, b) label pairs, in sorted order."""
+    vs = graph.vertices
+    return [(vs[i], vs[j])
+            for i, tail in enumerate(_tails(graph)) for j in tail]
 
 
 class Digraph:
@@ -334,10 +330,9 @@ def is_clique(graph, subset):
     for v in sub:
         if not graph.has_vertex(v):
             raise UnknownVertex("no vertex %r" % (v,))
-    for a, b in itertools.combinations(sub, 2):
-        if (a, b) not in graph.edges:
-            return False
-    return True
+    members = frozenset(map(graph._index.__getitem__, sub))
+    return all(len(members.intersection(graph._rows[i])) == len(sub) - 1
+               for i in members)
 
 
 def simplicial_vertices(graph):
@@ -355,14 +350,13 @@ def is_connected(graph):
     """True iff the graph is connected (the empty graph counts as connected)."""
     if not graph.vertices:
         return True
-    seen = {graph.vertices[0]}
-    frontier = [graph.vertices[0]]
+    seen = {0}
+    frontier = [0]
     while frontier:
-        v = frontier.pop()
-        for w in graph.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
+        for j in graph._rows[frontier.pop()]:
+            if j not in seen:
+                seen.add(j)
+                frontier.append(j)
     return len(seen) == len(graph.vertices)
 
 
@@ -416,18 +410,12 @@ def maximal_clique_masks(adj, mask):
     return sorted(out, key=bit_indices)
 
 
-def _adjacency_masks(graph):
+def _bitmasks(graph):
     """adj[i] has bit j set iff the i-th and j-th vertices (label order)
-    are adjacent.  Built from the edges on first use and kept on the
-    graph, as a tuple so that no caller can change it."""
-    if graph._masks is None:
-        bits = graph._label_bits()
-        adj = dict.fromkeys(graph.vertices, 0)
-        for a, b in graph._edges:
-            adj[a] |= bits[b]
-            adj[b] |= bits[a]
-        graph._masks = tuple(adj.values())
-    return graph._masks
+    are adjacent.  Built from the rows for one call of the search or of
+    Opsut's bound; no graph keeps them, since a mask is as wide as its
+    highest bit."""
+    return [sum(map((1).__lshift__, row)) for row in graph._rows]
 
 
 def _clique_cover_number(adj, mask):
@@ -481,7 +469,7 @@ def opsut_lower_bound(graph):
     """
     if not graph.vertices:
         raise EmptyGraph("opsut_lower_bound is undefined on the empty graph")
-    adj = _adjacency_masks(graph)
+    adj = _bitmasks(graph)
     return min(_greedy_independent_set_size(adj, nbhd)
                if nbhd.bit_count() > DEFAULT_SIZE_GUARD
                else _clique_cover_number(adj, nbhd) for nbhd in adj)
@@ -491,9 +479,8 @@ def opsut_lower_bound(graph):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _sorted_rows(vertices, links):
-    """Each vertex's second ends among the links, sorted: one list per
-    vertex, in the order of vertices.
+def _sorted_pairs(vertices, links):
+    """The links as [a, b] lists in sorted(links) order.
 
     vertices is the sorted label tuple every link's ends come from, so
     walking it and sorting each first end's bucket of second ends gives
@@ -502,13 +489,7 @@ def _sorted_rows(vertices, links):
     buckets = {v: [] for v in vertices}
     for a, b in links:
         buckets[a].append(b)
-    return [sorted(bs) for bs in buckets.values()]
-
-
-def _sorted_pairs(vertices, links):
-    """The links as [a, b] lists in sorted(links) order."""
-    return [[a, b] for a, row in zip(vertices, _sorted_rows(vertices, links))
-            for b in row]
+    return [[a, b] for a, bs in buckets.items() for b in sorted(bs)]
 
 
 def _pairs_text(rows):
@@ -526,18 +507,9 @@ def _pairs_text(rows):
 
 def _graph_text(graph, codes):
     """The JSON text of graph_to_json(graph), with each label written as
-    codes[label], its JSON string.
-
-    The edges are read from whichever representation the graph holds:
-    the edge set (_sorted_rows) or the masks (_mask_rows).
-    """
-    vertices = graph.vertices
-    enc = list(map(codes.__getitem__, vertices))
-    if graph._masks is None:
-        rows = [list(map(codes.__getitem__, row))
-                for row in _sorted_rows(vertices, graph._edges)]
-    else:
-        rows = _mask_rows(enc, graph._masks)
+    codes[label], its JSON string: each vertex's row of edges is its tail."""
+    enc = list(map(codes.__getitem__, graph.vertices))
+    rows = [list(map(enc.__getitem__, tail)) for tail in _tails(graph)]
     return '{"edges": %s, "kind": "graph", "vertices": [%s]}' % (
         _pairs_text(zip(enc, rows)), ", ".join(enc))
 
@@ -604,7 +576,7 @@ def _dot_quote(label):
     return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _to_dot(keyword, name, vertices, links, connector, node_attrs):
+def _to_dot(keyword, name, vertices, pairs, connector, node_attrs):
     lines = ["%s %s {" % (keyword, name)]
     for v in vertices:
         attrs = node_attrs.get(v)
@@ -613,7 +585,7 @@ def _to_dot(keyword, name, vertices, links, connector, node_attrs):
             lines.append("  %s [%s];" % (_dot_quote(v), body))
         else:
             lines.append("  %s;" % _dot_quote(v))
-    for a, b in _sorted_pairs(vertices, links):
+    for a, b in pairs:
         lines.append("  %s %s %s;" % (_dot_quote(a), connector, _dot_quote(b)))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -621,10 +593,11 @@ def _to_dot(keyword, name, vertices, links, connector, node_attrs):
 
 def graph_to_dot(graph):
     """Deterministic DOT text for an undirected graph."""
-    return _to_dot("graph", "G", graph.vertices, graph.edges, "--", {})
+    return _to_dot("graph", "G", graph.vertices, _edge_pairs(graph), "--", {})
 
 
 def digraph_to_dot(digraph, node_attrs=None):
     """Deterministic DOT text for a digraph."""
-    return _to_dot("digraph", "D", digraph.vertices, digraph.arcs, "->",
+    return _to_dot("digraph", "D", digraph.vertices,
+                   _sorted_pairs(digraph.vertices, digraph.arcs), "->",
                    node_attrs or {})

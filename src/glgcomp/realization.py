@@ -11,17 +11,17 @@ lies among earlier entries (so the body order is an acyclic ordering, and
 no clique holds a loop or a label that no entry has), the labels are
 distinct, every base vertex is placed, the others are strings numbering
 k, and the cliques' pairs are exactly the target's edges, with no graph
-built for either side: each clique's bitmask is ORed into its members'
-covers, which must equal the target's adjacency masks, and pairs are
-listed only when they differ.  _certify names the extras against the
-target's label index and runs that check on the entries, and the
-certificate keeps them: the body is its own representation, and the
-Digraph is built only when the certificate's digraph is read.  Its one
-JSON writer, json_text, writes the document as text straight from the
-entries (each tail's heads, sorted) and the base graph's rows
-(graph_core._graph_text), byte for byte what json.dumps(...,
-sort_keys=True) writes; to_json parses that text.  Every construction
-returns its certificate, so a flaw in a scheme surfaces as
+built for either side: each clique's set of positions is added to its
+members' covers, each of which must be the member's row in the target
+plus its own position, and pairs are listed only when they differ.
+_certify names the extras against the target's label index and runs that
+check on the entries, and the certificate keeps them: the body is its own
+representation, and the Digraph is built only when the certificate's
+digraph is read.  Its one JSON writer, json_text, writes the document as
+text straight from the entries (each tail's heads, sorted) and the base
+graph's rows (graph_core._graph_text), byte for byte what
+json.dumps(..., sort_keys=True) writes; to_json parses that text.  Every
+construction returns its certificate, so a flaw in a scheme surfaces as
 ConstructionFailed rather than a bad witness.
 verify_realization, for digraphs from outside (whose constructor has
 checked their labels and arcs), computes the lexicographically smallest
@@ -99,13 +99,12 @@ both ends of its pin to the chain.  The cases go in this order.
 import collections
 import itertools
 import json
-import operator
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
                      UnknownVertex)
-from .graph_core import (Digraph, _adjacency_masks, _graph_text, _json_codes,
-                         _pairs_text, acyclic_ordering, normalize_edge)
+from .graph_core import (Digraph, _graph_text, _json_codes, _pairs_text,
+                         acyclic_ordering, normalize_edge)
 from .glg_builder import (cocktail_party, generalized_line_graph,
                           is_simplicial_edge)
 
@@ -171,23 +170,25 @@ def _check_body(entries, base, k):
 
     entries is the list of (vertex, in-neighborhood) entries in placement
     order.  One walk checks that each clique lies among earlier entries
-    and ORs the bitmask of each clique of two or more members into the
-    cover of each member; a clique that does not lie among earlier entries
-    is refused as a loop, as naming a label that no entry has, or as out
-    of order.  Then the labels must be distinct, every base vertex must be
-    placed, the other vertices must be strings (the base's labels are)
-    numbering k, and each base vertex's cover, less its own bit, must be
-    its adjacency mask in base, with no clique of two or more members
-    holding a label outside base: so the cliques' pairs are exactly
-    base.edges.  Raises SchemaError for a loop or a repeated or non-string
-    label, UnknownVertex for an unknown in-neighbor, InvalidInput for the
-    other malformed bodies, and CompetitionMismatch, listing missing and
-    extra edges, for a wrong one; only then are the cliques' pairs listed.
+    and adds the positions of each clique of two or more members, once
+    however often it recurs, to the cover of each member; a clique that
+    does not lie among earlier entries is refused as a loop, as naming a
+    label that no entry has, or as out of order.  Then the labels must be
+    distinct, every base vertex must be placed, the other vertices must be
+    strings (the base's labels are) numbering k, and each base vertex's
+    cover, less its own position, must be its row in base, with no clique
+    of two or more members holding a label outside base: so the cliques'
+    pairs are exactly base.edges.  Raises SchemaError for a loop or a
+    repeated or non-string label, UnknownVertex for an unknown in-neighbor,
+    InvalidInput for the other malformed bodies, and CompetitionMismatch,
+    listing missing and extra edges, for a wrong one; only then are the
+    cliques' pairs listed.
     """
-    bits = base._label_bits()
-    cover = dict(bits)  # base vertex -> its own bit | its cliques' masks
+    index = base._index
+    cover = [{i} for i in range(len(index))]  # own position | its cliques'
     stray = False  # some clique of two or more holds a non-base label
     placed = set()
+    seen = set()  # the cliques already added: a repeat adds no pair
     for v, clique in entries:
         if not placed.issuperset(clique):
             late = set(clique) - placed
@@ -200,14 +201,15 @@ def _check_body(entries, base, k):
             raise InvalidInput("not an acyclic ordering: %r comes before its "
                                "in-neighbor %r" % (v, min(late)))
         placed.add(v)
-        if len(clique) > 1:
+        if len(clique) > 1 and clique not in seen:
+            seen.add(clique)
             try:
-                mask = sum(map(bits.__getitem__, clique))
+                members = frozenset(map(index.__getitem__, clique))
             except KeyError:
                 stray = True
                 continue
-            for x in clique:
-                cover[x] |= mask
+            for i in members:
+                cover[i] |= members
     if len(placed) != len(entries):
         raise SchemaError("duplicate vertex labels")
     if not placed.issuperset(base.vertices):
@@ -221,8 +223,11 @@ def _check_body(entries, base, k):
     if len(added) != k:
         raise InvalidInput("expected %d extra vertices, found %d" % (k, len(added)))
     # The extras are isolated in the target, so its edges are base.edges.
-    covers = map(operator.xor, cover.values(), bits.values())
-    if stray or any(map(operator.ne, covers, _adjacency_masks(base))):
+    # Each cover holds its own position, so the covers are the rows plus
+    # those exactly when each holds its row and they are one longer each.
+    rows = base._rows
+    if stray or not all(map(set.issuperset, cover, rows)) \
+            or sum(map(len, cover)) != sum(map(len, rows)) + len(rows):
         pairs = set()
         for _, clique in entries:
             pairs.update(itertools.combinations(sorted(clique), 2))
@@ -272,7 +277,7 @@ def _certify(entries, tail, base, what):
     failure is a flaw in the construction (`what`), raised as
     ConstructionFailed.
     """
-    extras = fresh_labels(base._label_bits(), len(tail))
+    extras = fresh_labels(base._index, len(tail))
     entries = list(entries) + list(zip(extras, tail))
     try:
         added = _check_body(entries, base, len(tail))

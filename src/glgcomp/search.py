@@ -42,9 +42,9 @@ n + 1 of them; running out names the extras' combination the search was
 in.
 
 Vertices, edges and cliques are bitmasks, and each vertex has a mask of
-its incident edges.  The vertex masks are the graph's own adjacency
-masks, and edge j is the j-th pair read off them, in sorted(graph.edges)
-order, so the graph's edge set is not built.  A trace with an edge is a
+its incident edges.  The vertex masks are built from the graph's rows
+for this call; edge j is the j-th pair of the rows' tails, in
+sorted(graph.edges) order, with no edge set built.  A trace with an edge is a
 clique of G[R - E], and it is maximal among the traces exactly when no
 vertex of R - E is joined to all of its members.  One rule gives every
 ready set: the ready set only grows with the covered set, and a vertex
@@ -65,7 +65,7 @@ of budget.
 import itertools
 
 from .errors import BudgetExceeded
-from .graph_core import (_adjacency_masks, _mask_pairs, bit_indices,
+from .graph_core import (_bitmasks, _tails, bit_indices,
                          maximal_clique_masks)
 
 
@@ -95,9 +95,10 @@ def find_realization(graph, k, budget=None):
     max_nodes = budget.max_nodes
     vs = graph.vertices
     n = len(vs)
-    adj = _adjacency_masks(graph)
+    adj = _bitmasks(graph)
     incident = [0] * n
-    for j, (a, b) in enumerate(_mask_pairs(range(n), adj)):
+    pairs = [(a, b) for a, tail in enumerate(_tails(graph)) for b in tail]
+    for j, (a, b) in enumerate(pairs):
         incident[a] |= 1 << j
         incident[b] |= 1 << j
     full = (1 << n) - 1

@@ -1,6 +1,6 @@
 """Reference definitions the tests check generalized_line_graph against.
 
-The builder writes the combined graph's adjacency masks in one pass.
+The builder writes the combined graph's rows in one pass.
 These are the textbook steps it replaces: the edge bundle of a base
 vertex, read off its neighbours, and the semi-join of a graph with a block
 along a clique.  The line graph semi-joined with one cocktail-party block

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import glgcomp
 from glgcomp import (check_conditions, classify, glg_realization,
                      weighted_graph_from_json)
 from glgcomp.cli import _write_json, main
@@ -172,6 +175,50 @@ class TestRealize:
         assert code == 2
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux")
+class TestMemoryAtScale:
+    # realize two on the 200 x 200 grid with weight one at two corners
+    # (79,604 combined vertices), in a process of its own that prints its
+    # own peak RSS, so no other test's memory counts.  The graph's rows
+    # take memory linear in its links: the run peaks at about 170 MB on
+    # Linux with CPython 3.11, where adjacency masks in label order took
+    # 1.34 GB.
+    PEAK_KB = 256 * 1024
+    SCRIPT = ("import resource, sys; from glgcomp.cli import main; "
+              "code = main(['realize', 'two'] + sys.argv[1:]); "
+              "print(code, "
+              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+    def test_two_extra_on_the_200_grid(self, tmp_path):
+        n = 200
+        vs = ["g%03d_%03d" % (i, j) for i in range(n) for j in range(n)]
+        edges = [[vs[i * n + j], vs[i * n + j + 1]]
+                 for i in range(n) for j in range(n - 1)]
+        edges += [[vs[i * n + j], vs[i * n + j + n]]
+                  for i in range(n - 1) for j in range(n)]
+        src = write(tmp_path, "grid200.json",
+                    {"kind": "vertex_weighted_graph", "vertices": vs,
+                     "edges": edges, "weights": {vs[0]: 1, vs[-1]: 1}})
+        out = tmp_path / "cert.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(glgcomp.__file__)))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, src,
+                               "-o", str(out)],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        head = b'{"added": ["z1", "z2"], '
+        tail = b'"q:g199_199:1:y", "z1", "z2"]}\n'
+        with open(out, "rb") as handle:
+            assert handle.read(len(head)) == head
+            handle.seek(-len(tail), os.SEEK_END)
+            assert handle.read() == tail
+        assert peak_kb < self.PEAK_KB, peak_kb
+
+
 class TestCompnum:
     def test_plain_and_json_output(self, capsys, fixtures_dir):
         src = os.path.join(fixtures_dir, "c4.json")
@@ -331,18 +378,24 @@ class TestWriteJson:
             _write_json(doc, None)
             assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("command", [("realize", "two"), ("build", "glg")])
+    @pytest.mark.parametrize("command", [("realize", "two"), ("build", "glg"),
+                                         ("classify",)])
     def test_escaped_labels(self, capsys, tmp_path, command):
         # Labels JSON escapes, a non-BMP one included (a surrogate pair).
+        # The classify verdict, written to stdout, splices in the text of
+        # its certificates.
         labels = ['a"b', "c\\d", "e\nf", "\u00e9", "\U0001f600"]
         src = write(tmp_path, "base.json",
                     {"kind": "vertex_weighted_graph", "vertices": labels,
                      "edges": [list(e) for e in zip(labels, labels[1:])],
                      "weights": {labels[1]: 2, labels[4]: 1}})
         out = tmp_path / "out.json"
-        code, _, _ = run(capsys, *command, src, "-o", str(out))
+        if command == ("classify",):
+            code, text, _ = run(capsys, "classify", src, "--json")
+        else:
+            code, _, _ = run(capsys, *command, src, "-o", str(out))
+            text = out.read_text(encoding="utf-8")
         assert code == 0
-        text = out.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 

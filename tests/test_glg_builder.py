@@ -8,7 +8,7 @@ from glgcomp import (Graph, NonPositiveM, SchemaError, UnknownVertex,
                      cocktail_party, edge_label, generalized_line_graph,
                      is_simplicial_edge, simplicial_vertices,
                      weighted_graph_from_json)
-from glgcomp.graph_core import _adjacency_masks
+from glgcomp.graph_core import graph_json_text, graph_to_dot
 from corpus import atlas_graphs, connected_graphs, weight_maps
 from reference import combined_graph, incident_edge_clique, semi_join
 
@@ -216,29 +216,39 @@ def mask_instances():
             yield h, {v: rng.randint(0, 6) for v in verts}
 
 
-class TestAdjacencyMasks:
-    def test_builder_masks_match_the_edge_built_graphs(self):
-        # The masks the builder writes against those built from the edges,
-        # of its own graph and of the semi-join reference.
+class TestBuilderRows:
+    def test_builder_rows_match_the_edge_built_graphs(self):
+        # The rows the builder writes against those Graph builds from the
+        # edges, of its own graph and of the semi-join reference; every
+        # reader of the builder's graph against the edge-built graph's.
         count = 0
         for h, weights in mask_instances():
             g = generalized_line_graph(h, weights).graph
-            masks = _adjacency_masks(g)
-            assert isinstance(masks, tuple)
-            assert masks == _adjacency_masks(Graph(g.vertices, g.edges))
+            rows = g._rows
+            assert isinstance(rows, tuple)
+            assert all(isinstance(row, tuple) for row in rows)
+            built = Graph(g.vertices, g.edges)
+            assert rows == built._rows
             reference = combined_graph(h, weights)
             assert reference.vertices == g.vertices
-            assert masks == _adjacency_masks(reference)
+            assert rows == reference._rows
+            assert g.edges == built.edges == reference.edges
+            assert all(g.neighbors(v) == built.neighbors(v)
+                       for v in g.vertices)
+            assert graph_json_text(g) == graph_json_text(built)
+            assert graph_to_dot(g) == graph_to_dot(built)
+            assert g == built and hash(g) == hash(built)
             count += 1
         assert count > 9000
 
-    def test_masks_and_edges_build_each_other(self):
+    def test_row_graph_and_edge_graph_build_no_view_from_each_other(self):
         g = generalized_line_graph(path(4), {"p1": 2}).graph
-        assert g._edges is None
+        assert g._edges is None and g._adj is None
         h = Graph(g.vertices, g.edges)
-        assert h._masks is None
-        assert _adjacency_masks(h) == _adjacency_masks(g)
+        assert h._edges is None and h._adj is None
         assert h == g and hash(h) == hash(g)
+        assert graph_json_text(h) == graph_json_text(g)
+        assert h._edges is None and h._adj is None
 
 
 class TestWeightedJson:

@@ -17,8 +17,7 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, SchemaError,
                      graph_from_json, graph_to_dot, graph_to_json, is_clique,
                      is_connected, normalize_edge, opsut_lower_bound,
                      simplicial_vertices, weighted_graph_from_json)
-from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _adjacency_masks,
-                                _clique_cover_number,
+from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _clique_cover_number,
                                 _greedy_independent_set_size, bit_indices,
                                 maximal_clique_masks)
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
@@ -36,6 +35,13 @@ def path_graph(n):
     return Graph(verts, zip(verts, verts[1:]))
 
 
+def adjacency_masks(g):
+    """adj[i] has bit j set iff the i-th and j-th vertices of g are
+    adjacent, read off its neighbour sets."""
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    return [sum(map(bit.__getitem__, g.neighbors(v))) for v in g.vertices]
+
+
 def full_mask(g):
     return (1 << len(g.vertices)) - 1
 
@@ -44,12 +50,12 @@ def maximal_cliques(g):
     """The maximal cliques of g as label sets, in maximal_clique_masks's
     order (sorted by their members read in label order)."""
     return [frozenset(g.vertices[i] for i in bit_indices(m))
-            for m in maximal_clique_masks(_adjacency_masks(g), full_mask(g))]
+            for m in maximal_clique_masks(adjacency_masks(g), full_mask(g))]
 
 
 def clique_cover_number(g):
     """theta of the whole vertex set of g."""
-    return _clique_cover_number(_adjacency_masks(g), full_mask(g))
+    return _clique_cover_number(adjacency_masks(g), full_mask(g))
 
 
 class TestGraphBasics:
@@ -380,7 +386,7 @@ class TestCoverNumbers:
         for g in graphs:
             theta = clique_cover_reference(g)
             full = frozenset(g.vertices)
-            adj, mask = _adjacency_masks(g), full_mask(g)
+            adj, mask = adjacency_masks(g), full_mask(g)
             assert _clique_cover_number(adj, mask) == theta(full)
             if g.vertices:
                 assert opsut_lower_bound(g) == min(
@@ -443,7 +449,7 @@ def c4_target():
 
 def c4_masks():
     g = c4_target()
-    return _adjacency_masks(g), full_mask(g)
+    return adjacency_masks(g), full_mask(g)
 
 
 def order_a_three_cycle():

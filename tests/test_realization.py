@@ -159,7 +159,7 @@ def fs(*labels):
 
 class TestCheckBodyMismatch:
     # The path a-b-c with two extras y and z placed among its vertices.
-    # The edge check compares adjacency masks, and a mismatch lists the
+    # The edge check compares covers with rows, and a mismatch lists the
     # cliques' pairs that base lacks and the base edges no clique holds.
     base = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
@@ -172,8 +172,12 @@ class TestCheckBodyMismatch:
           ("z", fs("c", "y"))], {("b", "c")}, {("c", "y")}),
         ([("a", EMPTY), ("b", EMPTY), ("y", EMPTY), ("c", fs("a", "b", "y")),
           ("z", BC)], set(), {("a", "y"), ("b", "y")}),
+        # The covers have the rows' sizes, but b's lacks c.
+        ([("a", EMPTY), ("b", EMPTY), ("c", AB), ("y", fs("a", "c")),
+          ("z", EMPTY)], {("b", "c")}, {("a", "c")}),
     ], ids=["missing edge", "extra edge", "two-clique with an extra",
-            "extra in a clique that also covers an edge"])
+            "extra in a clique that also covers an edge",
+            "an edge swapped for a non-edge"])
     def test_mismatch_sets(self, entries, missing, extra):
         with pytest.raises(CompetitionMismatch) as exc:
             _check_body(entries, self.base, 2)
@@ -308,16 +312,16 @@ class TestGraphBuilds:
         weights = {"p0": 1, "p2": 2, "p3": 3}
         r = glg_realization(h, weights)
         built = self.count_graphs(monkeypatch)
-        # The builder writes the combined graph's adjacency masks and
-        # constructs it from them, so count those graphs too.
-        from_masks = Graph._from_masks
+        # The builder writes the combined graph's rows and constructs it
+        # from them, so count those graphs too.
+        from_rows = Graph._from_rows
 
-        def counting_from_masks(*args):
-            graph = from_masks(*args)
+        def counting_from_rows(*args):
+            graph = from_rows(*args)
             built.append(graph)
             return graph
 
-        monkeypatch.setattr(Graph, "_from_masks", counting_from_masks)
+        monkeypatch.setattr(Graph, "_from_rows", counting_from_rows)
         combined = generalized_line_graph(h, weights)
         assert len(built) == 1
         verify_realization(r.digraph, combined.graph, 2)
