@@ -130,7 +130,9 @@ def pendant_reduce(graph):
     does not affect the result.  One pass: a heap holds the current
     pendants, and a deletion lowers only its live neighbour's degree.  In a
     connected graph that neighbour keeps an edge while more than two
-    vertices are left, so a popped vertex is still a pendant.
+    vertices are left, so a popped vertex is still a pendant.  When none
+    is deleted, reduced is graph itself: a Graph is immutable, so no copy
+    is made.
     """
     if not is_connected(graph):
         raise HypothesisNotMet("pendant reduction requires a connected graph")
@@ -147,6 +149,8 @@ def pendant_reduce(graph):
                 degree[u] -= 1
                 if degree[u] == 1:
                     heapq.heappush(pendants, u)
+    if not removed:
+        return graph, ()
     return graph.induced(degree), tuple(removed)
 
 

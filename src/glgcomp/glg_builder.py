@@ -12,10 +12,16 @@ Vertex naming:
     level are partners (the unique non-adjacent pairs within a block).
 
 This module owns the line-graph facts: CombinedGraph carries each edge's
-label, each vertex's edge bundle and each block's partner pairs, so nothing
-ever needs to parse a label back apart or rebuild a bundle, and
+vertex, each base vertex's edge bundle and each block's partner pairs, so
+nothing ever needs to parse a label back apart or rebuild a bundle, and
 is_simplicial_edge tells from the base graph alone when an edge vertex of
-L(H) is simplicial.
+L(H) is simplicial.  It names each vertex by its position in the combined
+graph's sorted label tuple, the identity the constructions' bodies use
+(see realization): edge_positions maps each base edge to its position,
+bundles each base vertex to the frozenset of its edge bundle's positions,
+and pairs each base vertex to its block's partner pairs as positions.
+labels, cocktail_pairs and incident_labels(v) give the same by label, for
+callers that name vertices by label.
 
 generalized_line_graph writes the combined graph's rows (see graph_core)
 and builds no edge tuple.  It labels the base's sorted edge pairs and the
@@ -45,23 +51,6 @@ def cocktail_label(v, level, side):
     if side not in ("x", "y"):
         raise SchemaError("cocktail side must be 'x' or 'y', got %r" % (side,))
     return "q:%s:%d:%s" % (v, level, side)
-
-
-def _edge_labels(h):
-    """Each edge of h (a sorted tuple) -> its line-graph vertex label."""
-    labels = {e: "e:%s-%s" % e for e in h.edges}
-    if len(set(labels.values())) != len(labels):
-        raise VertexCollision("edge labels collide; rename base vertices")
-    return labels
-
-
-def _bundles(h, labels):
-    """Each vertex of h -> the labels of its incident edges."""
-    bundles = {v: [] for v in h.vertices}
-    for e, label in labels.items():
-        bundles[e[0]].append(label)
-        bundles[e[1]].append(label)
-    return {v: frozenset(b) for v, b in bundles.items()}
 
 
 def is_simplicial_edge(h, f):
@@ -105,7 +94,7 @@ def check_weights(h, weights):
 
     Returns a total dict (missing vertices get weight 0).
     """
-    full = {v: 0 for v in h.vertices}
+    full = dict.fromkeys(h.vertices, 0)
     for v, m in weights.items():
         if v not in full:
             raise UnknownVertex("weighted vertex %r is not in the base graph" % (v,))
@@ -116,75 +105,94 @@ def check_weights(h, weights):
 
 
 class CombinedGraph:
-    """A built line graph with cocktail-party blocks, its base graph, each
-    base edge's label, and each base vertex's cocktail-party pairs and
-    edge bundle."""
+    """A built line graph with cocktail-party blocks and its base graph,
+    with each vertex named by its position in graph.vertices: each base
+    edge's position (edge_positions), each base vertex's edge bundle as a
+    frozenset of positions (bundles) and its block's partner pairs as
+    position pairs by level (pairs, empty for weight zero).  labels,
+    cocktail_pairs and incident_labels(v) are the same by label."""
 
-    __slots__ = ("graph", "base", "labels", "cocktail_pairs", "_bundles")
+    __slots__ = ("graph", "base", "labels", "edge_positions", "bundles",
+                 "pairs")
 
-    def __init__(self, graph, base, labels, cocktail_pairs, bundles):
+    def __init__(self, graph, base, labels, edge_positions, bundles, pairs):
         self.graph = graph
         self.base = base
         self.labels = labels  # base edge (sorted tuple) -> its vertex label
-        self.cocktail_pairs = cocktail_pairs  # base vertex -> list of (x, y)
-        self._bundles = bundles  # base vertex -> frozenset of edge labels
+        self.edge_positions = edge_positions  # base edge -> its position
+        self.bundles = bundles  # base vertex -> frozenset of positions
+        self.pairs = pairs  # base vertex -> sequence of (x, y) positions
+
+    @property
+    def cocktail_pairs(self):
+        """Each base vertex -> its block's partner pairs (x, y) by label."""
+        vs = self.graph.vertices
+        return {v: [(vs[x], vs[y]) for x, y in pairs]
+                for v, pairs in self.pairs.items()}
 
     def incident_labels(self, v):
         """The line-graph vertices of the edges at v, a clique of the line
         graph since these edges pairwise share v."""
         try:
-            return self._bundles[v]
+            bundle = self.bundles[v]
         except KeyError:
             raise UnknownVertex("no vertex %r" % (v,)) from None
+        return frozenset(map(self.graph.vertices.__getitem__, bundle))
 
 
 def generalized_line_graph(h, weights):
     """Build the combined graph for base graph h and the given vertex
     weights; with no positive weight it is the line graph of h."""
     weights = check_weights(h, weights)
-    labels = _edge_labels(h)
-    bundles = _bundles(h, labels)
+    labels = {e: "e:%s-%s" % e for e in h.edges}
     vertices = list(labels.values())
-    cocktail_pairs = {}
     blocks = {}
     for v in h.vertices:
-        if not weights[v]:
-            cocktail_pairs[v] = []
-            continue
-        # Labels "q:v:l:side", as cocktail_label writes them, are distinct
-        # across (v, l, side), and never start like an edge label "e:...".
-        pairs = cocktail_pairs[v] = [
-            ("q:%s:%d:x" % (v, l), "q:%s:%d:y" % (v, l))
-            for l in range(1, weights[v] + 1)]
-        blocks[v] = [q for pair in pairs for q in pair]
-        vertices += blocks[v]
+        if weights[v]:
+            # Labels "q:v:l:side", as cocktail_label writes them, are
+            # distinct across (v, l, side), and never start like an edge
+            # label "e:...".  Each level's x comes just before its y.
+            blocks[v] = ["q:%s:%d:%s" % (v, l, side)
+                         for l in range(1, weights[v] + 1) for side in "xy"]
+            vertices += blocks[v]
     vertices.sort()
     index = dict(zip(vertices, range(len(vertices))))
-    # An edge vertex's row is sorted whole, so only a block's star is.
-    star = {v: list(map(index.__getitem__, bundles[v])) for v in h.vertices}
+    if len(index) != len(vertices):
+        # Only edge labels can collide: the edges {"a-b", "c"} and
+        # {"a", "b-c"} are both "e:a-b-c".
+        raise VertexCollision("edge labels collide; rename base vertices")
+    positions = {e: index[label] for e, label in labels.items()}
+    star = {v: [] for v in h.vertices}
+    for (a, b), i in positions.items():
+        star[a].append(i)
+        star[b].append(i)
+    bundles = {v: frozenset(s) for v, s in star.items()}
+    pairs = dict.fromkeys(h.vertices, ())
     for v, block in blocks.items():
-        star[v] = sorted(star[v] + list(map(index.__getitem__, block)))
+        block = list(map(index.__getitem__, block))
+        pairs[v] = list(zip(block[::2], block[1::2]))
+        # An edge vertex's row is sorted whole, so only a block's star is.
+        star[v] = sorted(star[v] + block)
     rows = [None] * len(vertices)
-    for (a, b), label in labels.items():
+    for (a, b), i in positions.items():
         # The stars at a and b share the edge vertex and nothing else.
-        i = index[label]
         row = star[a] + star[b]
         row.remove(i)
         row.remove(i)
         row.sort()
         rows[i] = tuple(row)
     for v in blocks:
-        for x, y in cocktail_pairs[v]:
+        for x, y in pairs[v]:
             row = star[v].copy()
-            row.remove(index[x])
-            row.remove(index[y])
-            rows[index[x]] = rows[index[y]] = tuple(row)
+            row.remove(x)
+            row.remove(y)
+            rows[x] = rows[y] = tuple(row)
     # tuple() of a list, not of a map: CPython allocates a tuple from an
     # iterator of unknown length for 10 items and resizes it, and once
     # released it joins the free list of its final size, so each op on a
     # graph of 11-19 vertices would keep one more (up to 2,000 a size).
     graph = Graph._from_rows(tuple(vertices), index, tuple(rows))
-    return CombinedGraph(graph, h, labels, cocktail_pairs, bundles)
+    return CombinedGraph(graph, h, labels, positions, bundles, pairs)
 
 
 def weighted_graph_from_json(obj):

@@ -505,24 +505,19 @@ def _pairs_text(rows):
     return "[" + ", ".join(out) + "]"
 
 
-def _graph_text(graph, codes):
-    """The JSON text of graph_to_json(graph), with each label written as
-    codes[label], its JSON string: each vertex's row of edges is its tail."""
-    enc = list(map(codes.__getitem__, graph.vertices))
+def _graph_text(graph, enc):
+    """The JSON text of graph_to_json(graph), with the label at position i
+    written as enc[i], its JSON string: each vertex's row of edges is its
+    tail."""
     rows = [list(map(enc.__getitem__, tail)) for tail in _tails(graph)]
     return '{"edges": %s, "kind": "graph", "vertices": [%s]}' % (
         _pairs_text(zip(enc, rows)), ", ".join(enc))
 
 
-def _json_codes(labels):
-    """Each label -> its JSON string, escaped as json.dumps escapes it."""
-    return dict(zip(labels, map(_json_string, labels)))
-
-
 def graph_json_text(graph):
     """The graph's JSON document as text, byte for byte what
     json.dumps(..., sort_keys=True) writes for it."""
-    return _graph_text(graph, _json_codes(graph.vertices))
+    return _graph_text(graph, list(map(_json_string, graph.vertices)))
 
 
 def graph_to_json(graph):

@@ -22,7 +22,7 @@ def realization_search(graph, k, budget=None):
     got = find_realization(graph, k, budget=budget)
     if got is None:
         return None
-    return _certify(*got, graph, "realization search")
+    return _certify(*got, graph, "realization search", by_label=True)
 
 
 def competition_number(graph, budget=None):
@@ -32,16 +32,21 @@ def competition_number(graph, budget=None):
     edge-clique-cover bound (0 on the empty graph); returns
     (k, certificate).  Raises BudgetExceeded (carrying the best-known lower
     bound) when either k or the total vertex count would leave the budget.
+
+    A graph that no k could be searched on is refused before either bound
+    is computed, against a bound that needs no search: 1 when the graph
+    has a vertex and none isolated, else 0, since the last vertex of an
+    acyclic digraph has no out-neighbour and so is isolated in C(D).  That
+    refusal reports this bound, which may be below the other two.
     """
     budget = budget or DEFAULT_BUDGET
+    _check_budget(graph, 1 if graph.vertices and all(graph._rows) else 0,
+                  budget)
     k = opsut_lower_bound(graph) if graph.vertices else 0
     if graph.edges:
         k = max(k, _edge_cover_bound(graph))
     while True:
-        if k > budget.max_k or len(graph.vertices) + k > budget.max_total_vertices:
-            raise BudgetExceeded(
-                "competition number is at least %d but the search budget is "
-                "exhausted" % k, lower_bound=k)
+        _check_budget(graph, k, budget)
         try:
             cert = realization_search(graph, k, budget)
         except BudgetExceeded as exc:
@@ -51,6 +56,15 @@ def competition_number(graph, budget=None):
         if cert is not None:
             return k, cert
         k += 1
+
+
+def _check_budget(graph, k, budget):
+    """Raise BudgetExceeded, with lower bound k, unless a search with k
+    extras fits the budget; none with more extras would then either."""
+    if k > budget.max_k or len(graph.vertices) + k > budget.max_total_vertices:
+        raise BudgetExceeded(
+            "competition number is at least %d but the search budget is "
+            "exhausted" % k, lower_bound=k)
 
 
 def _edge_cover_bound(graph):

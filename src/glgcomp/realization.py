@@ -5,28 +5,41 @@ Every witness, built here or found by search, is a "body": a list of
 in-neighborhood assigned to that vertex and must lie among earlier entries,
 followed by a tail of cliques for the extra vertices.  Reading the cliques
 as in-neighborhoods yields an acyclic digraph whose competition graph is the
-union of those cliques' pairwise edges.  Each check has one owner:
-_check_body checks a body in one walk and a few set tests.  Each clique
-lies among earlier entries (so the body order is an acyclic ordering, and
-no clique holds a loop or a label that no entry has), the labels are
-distinct, every base vertex is placed, the others are strings numbering
-k, and the cliques' pairs are exactly the target's edges, with no graph
-built for either side: each clique's set of positions is added to its
-members' covers, each of which must be the member's row in the target
-plus its own position, and pairs are listed only when they differ.
-_certify names the extras against the target's label index and runs that
-check on the entries, and the certificate keeps them: the body is its own
-representation, and the Digraph is built only when the certificate's
-digraph is read.  Its one JSON writer, json_text, writes the document as
-text straight from the entries (each tail's heads, sorted) and the base
-graph's rows (graph_core._graph_text), byte for byte what
-json.dumps(..., sort_keys=True) writes; to_json parses that text.  Every
-construction returns its certificate, so a flaw in a scheme surfaces as
-ConstructionFailed rather than a bad witness.
-verify_realization, for digraphs from outside (whose constructor has
-checked their labels and arcs), computes the lexicographically smallest
-acyclic ordering and runs the same check on each vertex with its
-in-neighborhood, in that order.
+union of those cliques' pairwise edges.  A body names each vertex by its
+position: the target's vertices are 0..N-1, their positions in its sorted
+label tuple, and the extras N.. after them, so a body comes with the tuple
+of its labels (the target's, then the extras').  The constructions build
+their bodies in positions from the start, with the combined graph's
+positions (glg_builder.CombinedGraph) and frozensets of them as cliques.
+A label body from outside (a digraph given to verify_realization, the
+search's witness) goes through one label-to-position step, _positions:
+each vertex takes its position in the target, the others the next ones in
+body order, and an in-neighbor that no entry names a position past them,
+so the check, not the step, refuses it.
+
+Each check has one owner: _check_body checks a position body in one walk
+and a few set tests.  Each clique lies among earlier entries (so the body
+order is an acyclic ordering, and no clique holds a loop or a vertex that
+no entry places), the vertices are distinct, every target vertex is placed,
+the others are strings numbering k, and the cliques' pairs are exactly the
+target's edges, with no graph built for either side: each clique is added
+to its members' covers, each of which must be the member's row in the
+target plus its own position (an extra's, its own position alone), and
+pairs are listed, by label, only when they differ.  Its messages name
+vertices by label.  _certify gives the tail's extras the positions N..
+and fresh labels, runs that check, and the certificate keeps the checked
+body with its labels: the body is its own representation, entries and
+ordering read it by label, and the Digraph is built only when the
+certificate's digraph is read.  Its one JSON writer, json_text, writes the
+document as text straight from the body (each tail's heads, read in label
+order) and the base graph's rows (graph_core._graph_text), encoding each
+label once, by position, byte for byte what json.dumps(..., sort_keys=True)
+writes; to_json parses that text.  Every construction returns its
+certificate, so a flaw in a scheme surfaces as ConstructionFailed rather
+than a bad witness.  verify_realization, for digraphs from outside (whose
+constructor has checked their labels and arcs), computes the
+lexicographically smallest acyclic ordering and runs the same check on
+each vertex with its in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -96,6 +109,7 @@ both ends of its pin to the chain.  The cases go in this order.
   the unpinned line body, with no extra for K2 and one otherwise.
 """
 
+import bisect
 import collections
 import itertools
 import json
@@ -103,7 +117,7 @@ import json
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
                      UnknownVertex)
-from .graph_core import (Digraph, _graph_text, _json_codes, _pairs_text,
+from .graph_core import (Digraph, _graph_text, _json_string, _pairs_text,
                          acyclic_ordering, normalize_edge)
 from .glg_builder import (cocktail_party, generalized_line_graph,
                           is_simplicial_edge)
@@ -112,125 +126,175 @@ from .glg_builder import (cocktail_party, generalized_line_graph,
 class RealizationCertificate:
     """A checked witness that C(D) equals a base graph plus isolated extras.
 
-    It stores the checked body: entries lists every vertex of D, the
-    extras included, with its in-neighborhood, in the order of ordering.
-    digraph builds D from the entries on first read and keeps it;
-    json_text writes the document straight from the entries and the base,
-    and to_json is that text, parsed.
+    It stores the checked body: body lists every vertex of D, the extras
+    included, by position with its in-neighborhood, in placement order,
+    and labels names each position (base.vertices, then the extras).
+    entries and ordering read the body by label; digraph builds D from it
+    on first read and keeps it; json_text writes the document straight
+    from the body and the base, and to_json is that text, parsed.
     """
 
-    __slots__ = ("entries", "base", "k", "added", "ordering", "_digraph")
+    __slots__ = ("body", "labels", "base", "k", "added", "_digraph")
 
-    def __init__(self, entries, base, k, added, ordering, digraph=None):
-        self.entries = entries
+    def __init__(self, body, labels, base, k, added, digraph=None):
+        self.body = body
+        self.labels = labels
         self.base = base
         self.k = k
         self.added = tuple(added)
-        self.ordering = tuple(ordering)
         self._digraph = digraph
+
+    @property
+    def entries(self):
+        """The body by label: (vertex, in-neighborhood) in placement order."""
+        name = self.labels.__getitem__
+        return [(name(v), frozenset(map(name, clique)))
+                for v, clique in self.body]
+
+    @property
+    def ordering(self):
+        """The labels in placement order."""
+        name = self.labels.__getitem__
+        return tuple([name(v) for v, _ in self.body])
 
     @property
     def digraph(self):
         if self._digraph is None:
+            name = self.labels.__getitem__
             self._digraph = Digraph(self.ordering,
-                                    ((x, v) for v, clique in self.entries
+                                    ((name(x), name(v))
+                                     for v, clique in self.body
                                      for x in clique))
         return self._digraph
 
     def json_text(self):
         """The certificate document as JSON text, exactly as
         json.dumps(..., sort_keys=True) writes it: each label is encoded
-        once, the arcs are read into per-tail buckets of heads, and the
-        base edges from the base graph.  The heads are read in label
-        order, so each bucket fills sorted."""
-        vertices = sorted(self.ordering)
-        codes = _json_codes(vertices)
-        cliques = dict(self.entries)
-        heads = {v: [] for v in vertices}
-        for v in vertices:
+        once, by position, the arcs are read into per-tail buckets of
+        heads, and the base edges from the base graph.  The heads are read
+        in label order, so each bucket fills sorted."""
+        labels, body = self.labels, self.body
+        n = len(self.base.vertices)
+        codes = list(map(_json_string, labels))
+        order = _label_order(self.base.vertices, labels)
+        cliques = [None] * len(labels)
+        for v, clique in body:
+            cliques[v] = clique
+        heads = [[] for _ in labels]
+        for v in order:
             head = codes[v]
             for x in cliques[v]:
                 heads[x].append(head)
-        arcs = _pairs_text(zip(codes.values(), heads.values()))
+        arcs = _pairs_text([(codes[x], heads[x]) for x in order])
         return ('{"added": [%s], "base_graph": %s, "digraph": {"arcs": %s, '
                 '"kind": "digraph", "vertices": [%s]}, "k": %s, '
                 '"kind": "realization_certificate", "ordering": [%s]}'
-                % (", ".join(map(codes.__getitem__, self.added)),
-                   _graph_text(self.base, codes), arcs,
-                   ", ".join(codes.values()), json.dumps(self.k),
-                   ", ".join(map(codes.__getitem__, self.ordering))))
+                % (", ".join(map(_json_string, self.added)),
+                   _graph_text(self.base, codes[:n]), arcs,
+                   ", ".join([codes[x] for x in order]), json.dumps(self.k),
+                   ", ".join([codes[v] for v, _ in body])))
 
     def to_json(self):
         return json.loads(self.json_text())
 
 
-def _check_body(entries, base, k):
+def _label_order(vertices, labels):
+    """The positions of labels in label order, where labels[:n] are the
+    sorted n base vertices: each later label, an extra, goes in at its
+    place among them, the largest first so that the places stay right."""
+    n = len(vertices)
+    order = list(range(n))
+    for x in sorted(range(n, len(labels)), key=labels.__getitem__,
+                    reverse=True):
+        order.insert(bisect.bisect(vertices, labels[x]), x)
+    return order
+
+
+def _positions(entries, base):
+    """The label-to-position step for a label body from outside: returns
+    (body, labels), the body with each vertex named by its position in
+    labels.  Each label of base takes its position in base.vertices, each
+    other vertex the next position in body order, and an in-neighbor that
+    is no vertex the next one after those.  Nothing is checked here: a
+    repeated label takes one position twice, and _check_body refuses that
+    as it refuses an unknown in-neighbor or a non-string label, with the
+    same errors and messages and in the same order as by label."""
+    index = dict(base._index)
+    for v, _ in entries:
+        index.setdefault(v, len(index))
+    body = [(index[v], frozenset([index.setdefault(x, len(index))
+                                  for x in clique]))
+            for v, clique in entries]
+    return body, tuple(index)
+
+
+def _check_body(entries, labels, base, k):
     """Check that a body realizes base plus k isolated extras; return the
-    extras, sorted.
+    extras' labels, sorted.
 
     entries is the list of (vertex, in-neighborhood) entries in placement
-    order.  One walk checks that each clique lies among earlier entries
-    and adds the positions of each clique of two or more members, once
-    however often it recurs, to the cover of each member; a clique that
-    does not lie among earlier entries is refused as a loop, as naming a
-    label that no entry has, or as out of order.  Then the labels must be
-    distinct, every base vertex must be placed, the other vertices must be
-    strings (the base's labels are) numbering k, and each base vertex's
-    cover, less its own position, must be its row in base, with no clique
-    of two or more members holding a label outside base: so the cliques'
-    pairs are exactly base.edges.  Raises SchemaError for a loop or a
-    repeated or non-string label, UnknownVertex for an unknown in-neighbor,
+    order, each vertex named by its position in labels, whose first
+    len(base.vertices) are base's: a construction's body as built, or a
+    label body put in positions by _positions, which leaves every refusal
+    to this check.  One walk checks that each clique lies
+    among earlier entries and adds each clique of two or more members,
+    once however often it recurs, to the cover of each member; a clique
+    that does not lie among earlier entries is refused as a loop, as
+    naming a vertex that no entry places, or as out of order.  Then the
+    vertices must be distinct, every base vertex must be placed, the other
+    vertices' labels must be strings (the base's labels are) numbering k,
+    and each base vertex's cover, less its own position, must be its row
+    in base, and each extra's its own position alone: so the cliques' pairs
+    are exactly base.edges.  Raises SchemaError for a loop or a repeated or
+    non-string label, UnknownVertex for an unknown in-neighbor,
     InvalidInput for the other malformed bodies, and CompetitionMismatch,
     listing missing and extra edges, for a wrong one; only then are the
-    cliques' pairs listed.
+    cliques' pairs listed.  Every message names vertices by label.
     """
-    index = base._index
-    cover = [{i} for i in range(len(index))]  # own position | its cliques'
-    stray = False  # some clique of two or more holds a non-base label
+    name = labels.__getitem__
+    cover = [{i} for i in range(len(labels))]  # own position | its cliques'
     placed = set()
     seen = set()  # the cliques already added: a repeat adds no pair
     for v, clique in entries:
         if not placed.issuperset(clique):
             late = set(clique) - placed
             if v in late:
-                raise SchemaError("loop arc at %r is not allowed" % (v,))
+                raise SchemaError("loop arc at %r is not allowed" % (name(v),))
             unknown = late.difference(u for u, _ in entries)
             if unknown:
                 raise UnknownVertex("arc tail %r is not a vertex"
-                                    % (min(unknown),))
+                                    % (min(map(name, unknown)),))
             raise InvalidInput("not an acyclic ordering: %r comes before its "
-                               "in-neighbor %r" % (v, min(late)))
+                               "in-neighbor %r"
+                               % (name(v), min(map(name, late))))
         placed.add(v)
         if len(clique) > 1 and clique not in seen:
             seen.add(clique)
-            try:
-                members = frozenset(map(index.__getitem__, clique))
-            except KeyError:
-                stray = True
-                continue
-            for i in members:
-                cover[i] |= members
+            for i in clique:
+                cover[i] |= clique
     if len(placed) != len(entries):
         raise SchemaError("duplicate vertex labels")
-    if not placed.issuperset(base.vertices):
+    n = len(base.vertices)
+    if not placed.issuperset(range(n)):
         raise InvalidInput("digraph is missing base vertices: %r"
-                           % sorted(set(base.vertices) - placed))
-    added = placed.difference(base.vertices)
+                           % [name(i) for i in range(n) if i not in placed])
+    added = list(map(name, placed.difference(range(n))))
     for z in added:
         if not isinstance(z, str):
             raise SchemaError("vertex labels must be strings, got %r" % (z,))
-    added = sorted(added)
+    added.sort()
     if len(added) != k:
         raise InvalidInput("expected %d extra vertices, found %d" % (k, len(added)))
     # The extras are isolated in the target, so its edges are base.edges.
-    # Each cover holds its own position, so the covers are the rows plus
-    # those exactly when each holds its row and they are one longer each.
+    # Each cover holds its own position, so the covers are the rows (none
+    # for an extra) plus those exactly when each holds its row and they are
+    # one longer each.
     rows = base._rows
-    if stray or not all(map(set.issuperset, cover, rows)) \
-            or sum(map(len, cover)) != sum(map(len, rows)) + len(rows):
+    if not all(map(set.issuperset, cover, rows)) \
+            or sum(map(len, cover)) != sum(map(len, rows)) + len(cover):
         pairs = set()
         for _, clique in entries:
-            pairs.update(itertools.combinations(sorted(clique), 2))
+            pairs.update(itertools.combinations(sorted(map(name, clique)), 2))
         missing = base.edges - pairs
         extra = pairs - base.edges
         raise CompetitionMismatch(
@@ -247,12 +311,12 @@ def verify_realization(digraph, base, k):
     witness, InvalidInput for missing base vertices or a wrong number of
     extras, or CompetitionMismatch listing missing/extra edges.  The digraph
     is checked as the body of its vertices and in-neighborhoods in that
-    order (_check_body).
+    order, put in positions (_positions) and checked (_check_body).
     """
-    ordering = acyclic_ordering(digraph)
-    entries = [(v, digraph.in_neighbors(v)) for v in ordering]
-    added = _check_body(entries, base, k)
-    return RealizationCertificate(entries, base, k, added, ordering, digraph)
+    body, labels = _positions([(v, digraph.in_neighbors(v))
+                               for v in acyclic_ordering(digraph)], base)
+    added = _check_body(body, labels, base, k)
+    return RealizationCertificate(body, labels, base, k, added, digraph)
 
 
 def fresh_labels(taken, count):
@@ -267,25 +331,33 @@ def fresh_labels(taken, count):
     return out
 
 
-def _certify(entries, tail, base, what):
+def _certify(entries, tail, base, what, by_label=False):
     """The certificate of a body: its (vertex, clique) entries in order,
-    then one extra per clique of `tail`, named by fresh_labels above
-    against the base's label index.
+    in positions of base, then one extra per clique of `tail`, at positions
+    len(base.vertices).. and named by fresh_labels above against the base's
+    label index.  With by_label the entries and the tail name vertices by
+    label, as the search's witness does, and the named body goes through
+    the label-to-position step (_positions) first.
 
-    The entries are checked as a body (_check_body), with the body order as
-    the ordering, and kept as the certificate's; no Digraph is built.  Any
-    failure is a flaw in the construction (`what`), raised as
-    ConstructionFailed.
+    The body is checked (_check_body), with the body order as the ordering,
+    and kept as the certificate's; no Digraph is built.  Any failure is a
+    flaw in the construction (`what`), raised as ConstructionFailed.
     """
-    extras = fresh_labels(base._index, len(tail))
-    entries = list(entries) + list(zip(extras, tail))
+    k = len(tail)
+    extras = fresh_labels(base._index, k)
+    if by_label:
+        body, labels = _positions(list(entries) + list(zip(extras, tail)),
+                                  base)
+    else:
+        n = len(base.vertices)
+        body = entries + list(zip(range(n, n + k), tail))
+        labels = base.vertices + tuple(extras)
     try:
-        added = _check_body(entries, base, len(tail))
+        added = _check_body(body, labels, base, k)
     except GlgError as exc:
         raise ConstructionFailed("%s produced an invalid witness: %s"
                                  % (what, exc)) from exc
-    return RealizationCertificate(entries, base, len(tail), added,
-                                  [label for label, _ in entries])
+    return RealizationCertificate(body, labels, base, k, added)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +384,7 @@ def _schedule(combined, adj, root):
     released = [()] * len(edges)
     for w, i in last.items():
         if w not in root and len(adj[w]) >= 2:
-            released[i] = (combined.incident_labels(w),)
+            released[i] = (combined.bundles[w],)
     return edges, released
 
 
@@ -321,7 +393,7 @@ def _line_body(combined, e=None):
     waiting lists the cliques left for the extras.
 
     The chain of star schedules of the module docstring, in one pass; the
-    stars, the handed-on cliques and the entries' labels are those the
+    stars, the handed-on cliques and the entries' positions are those the
     combined graph holds.  With a pinned base edge e nothing is left
     waiting, and two extras can take the edge bundles at its endpoints.
     The base's neighbour sets are read once, for every schedule.
@@ -339,19 +411,20 @@ def _line_body(combined, e=None):
         root = min((g for g in edges if is_simplicial_edge(h, g)),
                    default=None)
         if root is None:
-            handed = [combined.incident_labels(x) for x in f]
+            handed = [combined.bundles[x] for x in f]
         else:
             edges, released = _schedule(combined, adj, root)
-            clique = frozenset().union(*map(combined.incident_labels, root))
+            clique = combined.bundles[root[0]] | combined.bundles[root[1]]
             handed = [clique] if len(clique) > 1 else []
         chain.append((edges, released, handed))
     chain.sort(key=lambda part: -len(part[2]))
     waiting = collections.deque()
     body = []
-    labels, empty = combined.labels, frozenset()
+    positions, empty = combined.edge_positions, frozenset()
     for edges, released, handed in chain + pinned:
         for f, stars in zip(edges, released):
-            body.append((labels[f], waiting.popleft() if waiting else empty))
+            body.append((positions[f],
+                         waiting.popleft() if waiting else empty))
             waiting.extend(stars)
         waiting.extend(handed)
     if pinned and waiting:
@@ -382,15 +455,15 @@ def _pinned_edge(h, e):
 # Cocktail-party blocks and the combined-graph realization with two extras
 # ---------------------------------------------------------------------------
 
-def _block_entries(pairs, anchors, lead):
-    """Body entries for one cocktail-party block joined to `anchors`.
+def _block_entries(pairs, a, lead):
+    """Body entries for one cocktail-party block joined to the anchor
+    clique `a`, a frozenset.
 
     pairs are the block's partner pairs (x, y) by level, and lead =
     (P1, P2) the two cliques handed on by the previous stage (see the
     module docstring).  Returns (entries, handed) where handed is the pair
     of cliques this block hands on.
     """
-    a = frozenset(anchors)
     p1, p2 = lead
     xs, ys = zip(*pairs)
     if len(xs) == 1:
@@ -411,6 +484,7 @@ def cp_realization(m):
     the two extras; returns the RealizationCertificate.
     """
     g, pairs = cocktail_party(m)
+    pairs = [(g._index[x], g._index[y]) for x, y in pairs]
     empty = frozenset()
     entries, handed = _block_entries(pairs, empty, (empty, empty))
     return _certify(entries, handed, g, "cocktail-party realization")
@@ -456,14 +530,16 @@ def glg_realization(h, weights=None, e=None):
     entries, _ = _line_body(combined, e)
     # The two entries right after the line body take the edge bundles.
     pin_at = len(entries)
-    lead = (combined.incident_labels(u), combined.incident_labels(v))
-    for bv in (x for x in h.vertices if combined.cocktail_pairs[x]):
-        block, lead = _block_entries(combined.cocktail_pairs[bv],
-                                     combined.incident_labels(bv), lead)
-        entries += block
+    bundles, pairs = combined.bundles, combined.pairs
+    lead = (bundles[u], bundles[v])
+    for bv in h.vertices:
+        if pairs[bv]:
+            block, lead = _block_entries(pairs[bv], bundles[bv], lead)
+            entries += block
     cert = _certify(entries, lead, combined.graph,
                     "combined-graph realization")
-    pinned = {u: cert.ordering[pin_at], v: cert.ordering[pin_at + 1]}
+    name, body = cert.labels, cert.body
+    pinned = {u: name[body[pin_at][0]], v: name[body[pin_at + 1][0]]}
     return GlgRealization(cert, combined, e, pinned)
 
 
@@ -475,7 +551,7 @@ def _unit_chain(combined, e):
     """The one-extra body of the module docstring, certified, with e the
     report's unit edge or None; one extra must apply (ConstructionFailed)."""
     h = combined.base
-    pairs = combined.cocktail_pairs
+    pairs, bundles = combined.pairs, combined.bundles
     units = [x for x in h.vertices if len(pairs[x]) == 1]
     if e is not None:
         entries, _ = _line_body(combined, e)
@@ -483,17 +559,15 @@ def _unit_chain(combined, e):
         lead = (clique, frozenset())
         for x in h.vertices:
             if len(pairs[x]) > 1:
-                block, lead = _block_entries(pairs[x],
-                                             combined.incident_labels(x),
-                                             lead)
+                block, lead = _block_entries(pairs[x], bundles[x], lead)
                 entries += block
-        entries.append((combined.labels[e], lead[0]))
+        entries.append((combined.edge_positions[e], lead[0]))
         waiting = lead[1]
         what = "single-extra realization (unit edge)"
     elif units:
         f = min(normalize_edge(units[0], w) for w in h.neighbors(units[0]))
         entries, _ = _line_body(combined, f)
-        waiting = combined.incident_labels(f[0] if f[1] == units[0] else f[1])
+        waiting = bundles[f[0] if f[1] == units[0] else f[1]]
         what = "single-extra realization (unit weights)"
     else:
         entries, tail = _line_body(combined)
@@ -504,7 +578,7 @@ def _unit_chain(combined, e):
                         "single-extra realization (line graph)")
     for s in reversed(units):
         (x, y), = pairs[s]
-        bundle = combined.incident_labels(s)
+        bundle = bundles[s]
         entries += [(y, waiting), (x, bundle | {y})]
         waiting = bundle | {x}
     return _certify(entries, [waiting], combined.graph, what)

@@ -116,6 +116,8 @@ class TestPendantReduce:
         g = cycle_graph(5)
         reduced, removed = pendant_reduce(g)
         assert reduced == g and removed == ()
+        # Nothing is removed, so the graph itself comes back, not a copy.
+        assert reduced is g
 
     def test_stops_at_two_vertices(self):
         reduced, removed = pendant_reduce(path(4))

@@ -7,7 +7,10 @@ instance: `json.dumps(certificate.to_json(), sort_keys=True)` of
 it refuses the instance (HypothesisNotMet).  So any change to a
 certificate's digraph, ordering, extras or base shows up here, and so does
 a change in which instances take one extra.  Each certificate's
-`json_text()` must also be that line, byte for byte.
+`json_text()` must also be that line, byte for byte, and so must that of
+its label entries certified again through the label-to-position step,
+the extras' entries as the tail: the position bodies the constructions
+build and the label bodies from outside write the same documents.
 
 SMALL holds, per connected atlas base of 2-5 vertices, the digest over
 all of its weight maps with weights 0-2 in product order.  RANDOM holds
@@ -25,6 +28,7 @@ import random
 from corpus import connected_graphs, random_connected
 from glgcomp import (Graph, HypothesisNotMet, glg_realization,
                      single_extra_realization)
+from glgcomp.realization import _certify
 
 SMALL = {
     "2:01": "c35d25107076d5cc", "3:01-02": "0423a30f05890bb9",
@@ -86,6 +90,11 @@ def certificate_line(cert):
     must write byte for byte."""
     line = json.dumps(cert.to_json(), sort_keys=True)
     assert cert.json_text() == line
+    entries = cert.entries
+    cut = len(entries) - cert.k
+    again = _certify(entries[:cut], [clique for _, clique in entries[cut:]],
+                     cert.base, "label body", by_label=True)
+    assert again.json_text() == line
     return line
 
 

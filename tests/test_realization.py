@@ -8,7 +8,7 @@ import pytest
 import glgcomp.oracle
 import glgcomp.search
 from glgcomp import cli
-from glgcomp.realization import _certify, _check_body
+from glgcomp.realization import _certify, _check_body, _positions
 from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
                      HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
                      SearchBudget, UnknownVertex, acyclic_ordering,
@@ -106,6 +106,21 @@ class TestVerifyRealization:
         assert doc["digraph"]["kind"] == "digraph"
         assert doc["base_graph"]["kind"] == "graph"
 
+    def test_extras_sort_among_the_base_labels(self):
+        # The extras a, c and e take the positions after b and d, but the
+        # document lists every vertex, and each tail's heads, by label.
+        d = Digraph(["e", "d", "c", "b", "a"],
+                    [("b", "c"), ("d", "c"), ("b", "a"), ("c", "e")])
+        cert = verify_realization(d, Graph(["b", "d"], [("b", "d")]), 3)
+        assert cert.labels == ("b", "d", "a", "c", "e")
+        assert cert.added == ("a", "c", "e")
+        assert cert.ordering == acyclic_ordering(d)
+        doc = cert.to_json()
+        assert cert.json_text() == json.dumps(doc, sort_keys=True)
+        assert doc["digraph"] == digraph_to_json(d)
+        assert doc["digraph"]["vertices"] == ["a", "b", "c", "d", "e"]
+        assert doc["added"] == ["a", "c", "e"]
+
 
 EMPTY = frozenset()
 AB = frozenset({"a", "b"})
@@ -113,44 +128,71 @@ BC = frozenset({"b", "c"})
 
 
 class TestCertify:
-    # The path a-b-c with one extra: c takes {a, b}, the extra {b, c}.
+    # The path a-b-c with one extra: c takes {a, b}, the extra {b, c}.  The
+    # bodies name vertices by label, so they go through the label step
+    # (by_label=True), as the search's witness does.
     base = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     body = [("a", EMPTY), ("b", EMPTY), ("c", AB)]
 
     def test_accepts_a_valid_body(self):
-        cert = _certify(self.body, [BC], self.base, "test")
+        cert = _certify(self.body, [BC], self.base, "test", by_label=True)
         assert cert.added == ("z1",)
         assert cert.ordering == ("a", "b", "c", "z1")
+        assert cert.entries == self.body + [("z1", BC)]
+        assert cert.body == [(0, EMPTY), (1, EMPTY), (2, fs(0, 1)),
+                             (3, fs(1, 2))]
+        assert cert.labels == ("a", "b", "c", "z1")
+        # The same body in positions gives the same certificate.
+        same = _certify(cert.body[:3], [fs(1, 2)], self.base, "test")
+        assert same.json_text() == cert.json_text()
         assert cert.digraph.arcs == frozenset(
             {("a", "c"), ("b", "c"), ("b", "z1"), ("c", "z1")})
         assert verify_realization(cert.digraph, self.base, 1).added == \
             cert.added
 
-    @pytest.mark.parametrize("body, tail, cause", [
+    @pytest.mark.parametrize("body, tail, cause, message", [
         ([("a", frozenset({"b"})), ("b", EMPTY), ("c", AB)], [BC],
-         InvalidInput),
+         InvalidInput, "not an acyclic ordering: 'a' comes before its "
+         "in-neighbor 'b'"),
         ([("a", EMPTY), ("b", frozenset({"q"})), ("c", AB)], [BC],
-         UnknownVertex),
+         UnknownVertex, "arc tail 'q' is not a vertex"),
         ([("a", EMPTY), ("b", frozenset({"b"})), ("c", AB)], [BC],
-         SchemaError),
+         SchemaError, "loop arc at 'b' is not allowed"),
         ([("a", EMPTY), ("b", EMPTY), ("a", EMPTY), ("c", AB)], [BC],
-         SchemaError),
+         SchemaError, "duplicate vertex labels"),
         ([("a", EMPTY), ("b", EMPTY), ("c", EMPTY)], [BC],
-         CompetitionMismatch),
+         CompetitionMismatch, "competition graph differs from target: "
+         "1 missing, 0 extra edges"),
         ([("a", EMPTY), ("b", EMPTY), ("c", AB)], [AB | BC],
-         CompetitionMismatch),
+         CompetitionMismatch, "competition graph differs from target: "
+         "0 missing, 1 extra edges"),
         ([("a", EMPTY), ("b", EMPTY), ("w", EMPTY), ("c", AB)], [BC],
-         InvalidInput),
-        ([("a", EMPTY), ("b", EMPTY)], [AB], InvalidInput),
+         InvalidInput, "expected 1 extra vertices, found 2"),
+        ([("a", EMPTY), ("b", EMPTY)], [AB], InvalidInput,
+         "digraph is missing base vertices: ['c']"),
         ([("a", EMPTY), ("b", EMPTY), (7, EMPTY), ("c", AB)], [BC],
-         SchemaError),
+         SchemaError, "vertex labels must be strings, got 7"),
+        # Two flaws: the check meets them in body order, so the label step
+        # must not refuse the unknown label first.
+        ([("a", frozenset({"b"})), ("b", frozenset({"q"})), ("c", AB)],
+         [BC], InvalidInput, "not an acyclic ordering: 'a' comes before "
+         "its in-neighbor 'b'"),
+        # A base vertex that no entry places is unknown as an in-neighbor.
+        ([("a", EMPTY), ("b", frozenset({"c"}))], [AB], UnknownVertex,
+         "arc tail 'c' is not a vertex"),
+        # A repeated label is found after the walk, a non-string one after
+        # that.
+        ([("a", EMPTY), ("b", EMPTY), (7, EMPTY), ("a", EMPTY), ("c", AB)],
+         [BC], SchemaError, "duplicate vertex labels"),
     ], ids=["later vertex", "unknown vertex", "own vertex", "repeated label",
             "missing edge", "extra edge", "extras count", "missing vertex",
-            "non-string label"])
-    def test_refuses_a_flawed_body(self, body, tail, cause):
+            "non-string label", "later vertex before an unknown one",
+            "unplaced base vertex", "repeated label before a non-string one"])
+    def test_refuses_a_flawed_body(self, body, tail, cause, message):
         with pytest.raises(ConstructionFailed) as exc:
-            _certify(body, tail, self.base, "test")
+            _certify(body, tail, self.base, "test", by_label=True)
         assert type(exc.value.__cause__) is cause
+        assert str(exc.value.__cause__) == message
 
 
 def fs(*labels):
@@ -158,9 +200,10 @@ def fs(*labels):
 
 
 class TestCheckBodyMismatch:
-    # The path a-b-c with two extras y and z placed among its vertices.
-    # The edge check compares covers with rows, and a mismatch lists the
-    # cliques' pairs that base lacks and the base edges no clique holds.
+    # The path a-b-c with two extras y and z placed among its vertices,
+    # put in positions by the label step.  The edge check compares covers
+    # with rows, and a mismatch lists, by label, the cliques' pairs that
+    # base lacks and the base edges no clique holds.
     base = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
     @pytest.mark.parametrize("entries, missing, extra", [
@@ -180,14 +223,26 @@ class TestCheckBodyMismatch:
             "an edge swapped for a non-edge"])
     def test_mismatch_sets(self, entries, missing, extra):
         with pytest.raises(CompetitionMismatch) as exc:
-            _check_body(entries, self.base, 2)
+            _check_body(*_positions(entries, self.base), self.base, 2)
         assert exc.value.missing == missing
         assert exc.value.extra == extra
+
+    def test_a_clique_of_extras_alone_is_an_extra_edge(self):
+        # The base's covers are exact; only the extras' covers show the
+        # pair y-z.
+        entries = [("a", EMPTY), ("b", EMPTY), ("y", AB), ("z", EMPTY),
+                   ("c", fs("y", "z")), ("w", BC)]
+        with pytest.raises(CompetitionMismatch) as exc:
+            _check_body(*_positions(entries, self.base), self.base, 3)
+        assert exc.value.missing == set()
+        assert exc.value.extra == {("y", "z")}
 
     def test_a_one_member_clique_may_hold_an_extra(self):
         entries = [("a", EMPTY), ("y", EMPTY), ("b", fs("y")), ("c", AB),
                    ("z", BC)]
-        assert _check_body(entries, self.base, 2) == ["y", "z"]
+        body, labels = _positions(entries, self.base)
+        assert labels == ("a", "b", "c", "y", "z")
+        assert _check_body(body, labels, self.base, 2) == ["y", "z"]
 
 
 def line_graph_realization(h, e=None):

@@ -234,3 +234,25 @@ class TestCompetitionNumber:
             competition_number(cycle_graph(4), tight)
         assert exc.value.lower_bound is not None
         assert exc.value.lower_bound >= 2
+
+    def test_over_the_cap_is_refused_before_opsut_bound(self, monkeypatch):
+        # With a cap of 8 vertices in all, no k can be searched on these
+        # graphs, so the refusal needs neither bound.  It reports 1 for a
+        # graph with a vertex and none isolated, else 0.  Within the cap
+        # Opsut's bound is computed as before.
+        def refuse(graph):
+            raise AssertionError("opsut_lower_bound ran")
+
+        monkeypatch.setattr(glgcomp.oracle, "opsut_lower_bound", refuse)
+        cap = SearchBudget(max_total_vertices=8)
+        lone = Graph(["v%d" % i for i in range(9)], [("v0", "v1")])
+        for g, bound in ((cycle_graph(8), 1), (complete(11), 1), (lone, 0)):
+            with pytest.raises(BudgetExceeded) as exc:
+                competition_number(g, cap)
+            assert exc.value.lower_bound == bound
+        with pytest.raises(BudgetExceeded) as exc:
+            competition_number(Graph(["a", "b"], [("a", "b")]),
+                               SearchBudget(max_k=0))
+        assert exc.value.lower_bound == 1
+        with pytest.raises(AssertionError, match="opsut_lower_bound ran"):
+            competition_number(cycle_graph(8))
