@@ -20,8 +20,8 @@ graph's sorted label tuple, the identity the constructions' bodies use
 (see realization): edge_positions maps each base edge to its position,
 bundles each base vertex to the frozenset of its edge bundle's positions,
 and pairs each base vertex to its block's partner pairs as positions.
-labels, cocktail_pairs and incident_labels(v) give the same by label, for
-callers that name vertices by label.
+edge_label names an edge's vertex, and incident_labels(v) gives v's
+bundle by label.
 
 generalized_line_graph writes the combined graph's rows (see graph_core)
 and builds no edge tuple.  It labels the base's sorted edge pairs and the
@@ -109,26 +109,17 @@ class CombinedGraph:
     with each vertex named by its position in graph.vertices: each base
     edge's position (edge_positions), each base vertex's edge bundle as a
     frozenset of positions (bundles) and its block's partner pairs as
-    position pairs by level (pairs, empty for weight zero).  labels,
-    cocktail_pairs and incident_labels(v) are the same by label."""
+    position pairs by level (pairs, empty for weight zero).
+    incident_labels(v) is a bundle by label."""
 
-    __slots__ = ("graph", "base", "labels", "edge_positions", "bundles",
-                 "pairs")
+    __slots__ = ("graph", "base", "edge_positions", "bundles", "pairs")
 
-    def __init__(self, graph, base, labels, edge_positions, bundles, pairs):
+    def __init__(self, graph, base, edge_positions, bundles, pairs):
         self.graph = graph
         self.base = base
-        self.labels = labels  # base edge (sorted tuple) -> its vertex label
         self.edge_positions = edge_positions  # base edge -> its position
         self.bundles = bundles  # base vertex -> frozenset of positions
         self.pairs = pairs  # base vertex -> sequence of (x, y) positions
-
-    @property
-    def cocktail_pairs(self):
-        """Each base vertex -> its block's partner pairs (x, y) by label."""
-        vs = self.graph.vertices
-        return {v: [(vs[x], vs[y]) for x, y in pairs]
-                for v, pairs in self.pairs.items()}
 
     def incident_labels(self, v):
         """The line-graph vertices of the edges at v, a clique of the line
@@ -192,7 +183,7 @@ def generalized_line_graph(h, weights):
     # released it joins the free list of its final size, so each op on a
     # graph of 11-19 vertices would keep one more (up to 2,000 a size).
     graph = Graph._from_rows(tuple(vertices), index, tuple(rows))
-    return CombinedGraph(graph, h, labels, positions, bundles, pairs)
+    return CombinedGraph(graph, h, positions, bundles, pairs)
 
 
 def weighted_graph_from_json(obj):

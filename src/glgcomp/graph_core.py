@@ -4,10 +4,8 @@ Vertices are opaque string labels.  Undirected edges are stored as sorted
 2-tuples; arcs as (tail, head) tuples.  All derived orderings break ties
 lexicographically so every operation is deterministic.
 
-Graph and Digraph check their input in bulk: the pairs are built in one
-comprehension and their ends checked with one subset test.  Only when that
-fails do they scan the links one at a time, so an error still names the
-first offending edge or arc.
+Graph and Digraph check their input one link at a time, in one pass over
+the given edges or arcs, so an error names the first offending one.
 
 A Graph has one representation: its sorted label tuple, the label index
 (each label -> its position) and one row per vertex, the sorted tuple of
@@ -102,27 +100,6 @@ def _checked_arc(pair, vset):
     return (t, h)
 
 
-def _bulk_links(vset, links, normalize):
-    """The edges or arcs as a set of pairs, or None when some link fails a
-    check: it is not a pair, it is a loop, or an end is not in vset.
-
-    One comprehension builds the pairs (sorted when normalize is set); a
-    loop becomes None.  The ends are then checked with one subset test.
-    """
-    try:
-        if normalize:
-            pairs = {(a, b) if a < b else (b, a) if b < a else None
-                     for a, b in links}
-        else:
-            pairs = {(t, h) if t != h else None for t, h in links}
-    except (TypeError, ValueError):
-        return None
-    ends = itertools.chain.from_iterable(pairs)
-    if None in pairs or not vset.issuperset(ends):
-        return None
-    return pairs
-
-
 class Graph:
     """Simple undirected graph, held as rows: the i-th vertex's row is the
     sorted tuple of its neighbours' positions in the label order.  The edge
@@ -133,10 +110,7 @@ class Graph:
 
     def __init__(self, vertices, edges=()):
         vset = _label_set(vertices)
-        edges = list(edges)
-        es = _bulk_links(vset, edges, True)
-        if es is None:
-            es = {_checked_edge(pair, vset) for pair in edges}
+        es = {_checked_edge(pair, vset) for pair in edges}
         self.vertices = tuple(sorted(vset))
         index = self._index = dict(zip(self.vertices, range(len(vset))))
         rows = [[] for _ in self.vertices]
@@ -243,12 +217,8 @@ class Digraph:
 
     def __init__(self, vertices, arcs=()):
         vset = _label_set(vertices)
-        arcs = list(arcs)
-        arcset = _bulk_links(vset, arcs, False)
-        if arcset is None:
-            arcset = {_checked_arc(pair, vset) for pair in arcs}
         self.vertices = tuple(sorted(vset))
-        self.arcs = frozenset(arcset)
+        self.arcs = frozenset({_checked_arc(pair, vset) for pair in arcs})
         self._out = self._in = None
 
     def _adjacency(self):

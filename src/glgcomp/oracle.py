@@ -22,7 +22,7 @@ def realization_search(graph, k, budget=None):
     got = find_realization(graph, k, budget=budget)
     if got is None:
         return None
-    return _certify(*got, graph, "realization search", by_label=True)
+    return _certify(*got, graph, "realization search")
 
 
 def competition_number(graph, budget=None):

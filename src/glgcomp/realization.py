@@ -10,12 +10,13 @@ position: the target's vertices are 0..N-1, their positions in its sorted
 label tuple, and the extras N.. after them, so a body comes with the tuple
 of its labels (the target's, then the extras').  The constructions build
 their bodies in positions from the start, with the combined graph's
-positions (glg_builder.CombinedGraph) and frozensets of them as cliques.
-A label body from outside (a digraph given to verify_realization, the
-search's witness) goes through one label-to-position step, _positions:
-each vertex takes its position in the target, the others the next ones in
-body order, and an in-neighbor that no entry names a position past them,
-so the check, not the step, refuses it.
+positions (glg_builder.CombinedGraph) and frozensets of them as cliques,
+and the search returns its witness in the same form.  Only a digraph
+given to verify_realization names its vertices by label; it goes through
+the one label-to-position step, _positions: each vertex takes its
+position in the target, the others the next ones in body order, and an
+in-neighbor that no entry names a position past them, so the check, not
+the step, refuses it.
 
 Each check has one owner: _check_body checks a position body in one walk
 and a few set tests.  Each clique lies among earlier entries (so the body
@@ -28,15 +29,15 @@ target plus its own position (an extra's, its own position alone), and
 pairs are listed, by label, only when they differ.  Its messages name
 vertices by label.  _certify gives the tail's extras the positions N..
 and fresh labels, runs that check, and the certificate keeps the checked
-body with its labels: the body is its own representation, entries and
-ordering read it by label, and the Digraph is built only when the
-certificate's digraph is read.  Its one JSON writer, json_text, writes the
-document as text straight from the body (each tail's heads, read in label
-order) and the base graph's rows (graph_core._graph_text), encoding each
-label once, by position, byte for byte what json.dumps(..., sort_keys=True)
-writes; to_json parses that text.  Every construction returns its
-certificate, so a flaw in a scheme surfaces as ConstructionFailed rather
-than a bad witness.  verify_realization, for digraphs from outside (whose
+body with its labels: the body is its own representation, ordering reads
+it by label, and the Digraph is built only when the certificate's digraph
+is read.  Its one JSON writer, json_text, writes the document as text
+straight from the body (each tail's heads, read in label order) and the
+base graph's rows (graph_core._graph_text), encoding each label once, by
+position, byte for byte what json.dumps(..., sort_keys=True) writes;
+to_json parses that text.  Every construction returns its certificate, so
+a flaw in a scheme surfaces as ConstructionFailed rather than a bad
+witness.  verify_realization, for digraphs from outside (whose
 constructor has checked their labels and arcs), computes the
 lexicographically smallest acyclic ordering and runs the same check on
 each vertex with its in-neighborhood, in that order.
@@ -129,9 +130,9 @@ class RealizationCertificate:
     It stores the checked body: body lists every vertex of D, the extras
     included, by position with its in-neighborhood, in placement order,
     and labels names each position (base.vertices, then the extras).
-    entries and ordering read the body by label; digraph builds D from it
-    on first read and keeps it; json_text writes the document straight
-    from the body and the base, and to_json is that text, parsed.
+    ordering reads the body by label; digraph builds D from it on first
+    read and keeps it; json_text writes the document straight from the
+    body and the base, and to_json is that text, parsed.
     """
 
     __slots__ = ("body", "labels", "base", "k", "added", "_digraph")
@@ -143,13 +144,6 @@ class RealizationCertificate:
         self.k = k
         self.added = tuple(added)
         self._digraph = digraph
-
-    @property
-    def entries(self):
-        """The body by label: (vertex, in-neighborhood) in placement order."""
-        name = self.labels.__getitem__
-        return [(name(v), frozenset(map(name, clique)))
-                for v, clique in self.body]
 
     @property
     def ordering(self):
@@ -211,11 +205,12 @@ def _label_order(vertices, labels):
 
 
 def _positions(entries, base):
-    """The label-to-position step for a label body from outside: returns
-    (body, labels), the body with each vertex named by its position in
-    labels.  Each label of base takes its position in base.vertices, each
-    other vertex the next position in body order, and an in-neighbor that
-    is no vertex the next one after those.  Nothing is checked here: a
+    """The label-to-position step for a label body, such as
+    verify_realization's digraph: returns (body, labels), the body with
+    each vertex named by its position in labels.  Each label of base takes
+    its position in base.vertices, each other vertex the next position in
+    body order, and an in-neighbor that is no vertex the next one after
+    those.  Nothing is checked here: a
     repeated label takes one position twice, and _check_body refuses that
     as it refuses an unknown in-neighbor or a non-string label, with the
     same errors and messages and in the same order as by label."""
@@ -234,13 +229,14 @@ def _check_body(entries, labels, base, k):
 
     entries is the list of (vertex, in-neighborhood) entries in placement
     order, each vertex named by its position in labels, whose first
-    len(base.vertices) are base's: a construction's body as built, or a
-    label body put in positions by _positions, which leaves every refusal
-    to this check.  One walk checks that each clique lies
-    among earlier entries and adds each clique of two or more members,
-    once however often it recurs, to the cover of each member; a clique
-    that does not lie among earlier entries is refused as a loop, as
-    naming a vertex that no entry places, or as out of order.  Then the
+    len(base.vertices) are base's: a construction's or the search's body
+    as built, or verify_realization's digraph put in positions by
+    _positions, which leaves every refusal to this check.  One walk checks
+    that each clique lies among earlier entries and adds each clique of
+    two or more members, once however often it recurs, to the cover of
+    each member; a clique that does not lie among earlier entries is
+    refused as a loop, as naming a vertex that no entry places, or as out
+    of order.  Then the
     vertices must be distinct, every base vertex must be placed, the other
     vertices' labels must be strings (the base's labels are) numbering k,
     and each base vertex's cover, less its own position, must be its row
@@ -331,27 +327,21 @@ def fresh_labels(taken, count):
     return out
 
 
-def _certify(entries, tail, base, what, by_label=False):
+def _certify(entries, tail, base, what):
     """The certificate of a body: its (vertex, clique) entries in order,
     in positions of base, then one extra per clique of `tail`, at positions
     len(base.vertices).. and named by fresh_labels above against the base's
-    label index.  With by_label the entries and the tail name vertices by
-    label, as the search's witness does, and the named body goes through
-    the label-to-position step (_positions) first.
+    label index.
 
     The body is checked (_check_body), with the body order as the ordering,
     and kept as the certificate's; no Digraph is built.  Any failure is a
-    flaw in the construction (`what`), raised as ConstructionFailed.
+    flaw in the construction or the search (`what`), raised as
+    ConstructionFailed.
     """
     k = len(tail)
-    extras = fresh_labels(base._index, k)
-    if by_label:
-        body, labels = _positions(list(entries) + list(zip(extras, tail)),
-                                  base)
-    else:
-        n = len(base.vertices)
-        body = entries + list(zip(range(n, n + k), tail))
-        labels = base.vertices + tuple(extras)
+    n = len(base.vertices)
+    body = [*entries, *zip(range(n, n + k), tail)]
+    labels = base.vertices + tuple(fresh_labels(base._index, k))
     try:
         added = _check_body(body, labels, base, k)
     except GlgError as exc:

@@ -6,8 +6,10 @@ per position, such that each position's clique lies entirely among the
 earlier G-vertices and every edge of G appears inside at least one clique.
 Reading the cliques as in-neighborhoods yields an acyclic digraph whose
 competition graph is G plus k isolated vertices.  The search returns it in
-the shape every construction uses: a body of (vertex, clique) entries for
-the vertices of G in placement order, and a tail of the k extras' cliques.
+the form every construction uses (see realization), each vertex named by
+its position in graph.vertices: a body of (position, clique) entries for
+the vertices of G in placement order, each clique a frozenset of
+positions, and a tail of the k extras' cliques.
 
 The search builds the ordering from the back (Opsut 1982).  An edge at
 v_j can lie only in the cliques of positions after v_j, so the last
@@ -86,15 +88,16 @@ DEFAULT_BUDGET = SearchBudget()
 def find_realization(graph, k, budget=None):
     """Search for a realization of `graph` with k extra vertices.
 
-    Returns (body, tail) on success, where body is a tuple of
-    (vertex, clique) entries for the real vertices in placement order and
-    tail gives the k extra in-neighborhoods; returns None when no
-    realization exists; raises BudgetExceeded when the node budget runs out.
+    Returns (body, tail) on success, naming each vertex by its position
+    in graph.vertices: body is a tuple of (position, clique) entries for
+    the real vertices in placement order, each clique a frozenset of
+    positions, and tail a tuple of the k extras' cliques, padded with
+    empty ones; returns None when no realization exists; raises
+    BudgetExceeded when the node budget runs out.
     """
     budget = budget or DEFAULT_BUDGET
     max_nodes = budget.max_nodes
-    vs = graph.vertices
-    n = len(vs)
+    n = len(graph.vertices)
     adj = _bitmasks(graph)
     incident = [0] * n
     pairs = [(a, b) for a, tail in enumerate(_tails(graph)) for b in tail]
@@ -102,9 +105,6 @@ def find_realization(graph, k, budget=None):
         incident[a] |= 1 << j
         incident[b] |= 1 << j
     full = (1 << n) - 1
-
-    def members(vmask):
-        return frozenset(vs[i] for i in bit_indices(vmask))
 
     covers = {}
 
@@ -227,8 +227,9 @@ def find_realization(graph, k, budget=None):
         placed = _union(cm for cm, _ in tail)
         path = extend(covered, ready_after(isolated, placed, covered), tail_no)
         if path is not None:
-            body = tuple((vs[i], members(cm)) for i, cm in reversed(path))
-            tail = [members(cm) for cm, _ in tail]
+            body = tuple((i, frozenset(bit_indices(cm)))
+                         for i, cm in reversed(path))
+            tail = [frozenset(bit_indices(cm)) for cm, _ in tail]
             tail += [frozenset()] * (k - len(tail))
             return body, tuple(tail)
     return None

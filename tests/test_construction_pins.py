@@ -7,10 +7,10 @@ instance: `json.dumps(certificate.to_json(), sort_keys=True)` of
 it refuses the instance (HypothesisNotMet).  So any change to a
 certificate's digraph, ordering, extras or base shows up here, and so does
 a change in which instances take one extra.  Each certificate's
-`json_text()` must also be that line, byte for byte, and so must that of
-its label entries certified again through the label-to-position step,
-the extras' entries as the tail: the position bodies the constructions
-build and the label bodies from outside write the same documents.
+`json_text()` must also be that line, byte for byte.  Its body, read by
+label, must come back from the label-to-position step as the same body
+and labels, and its digraph must verify with the same extras: the position
+bodies the constructions build and the label bodies from outside agree.
 
 SMALL holds, per connected atlas base of 2-5 vertices, the digest over
 all of its weight maps with weights 0-2 in product order.  RANDOM holds
@@ -27,8 +27,8 @@ import random
 
 from corpus import connected_graphs, random_connected
 from glgcomp import (Graph, HypothesisNotMet, glg_realization,
-                     single_extra_realization)
-from glgcomp.realization import _certify
+                     single_extra_realization, verify_realization)
+from glgcomp.realization import _positions
 
 SMALL = {
     "2:01": "c35d25107076d5cc", "3:01-02": "0423a30f05890bb9",
@@ -90,11 +90,12 @@ def certificate_line(cert):
     must write byte for byte."""
     line = json.dumps(cert.to_json(), sort_keys=True)
     assert cert.json_text() == line
-    entries = cert.entries
-    cut = len(entries) - cert.k
-    again = _certify(entries[:cut], [clique for _, clique in entries[cut:]],
-                     cert.base, "label body", by_label=True)
-    assert again.json_text() == line
+    name = cert.labels.__getitem__
+    entries = [(name(v), frozenset(map(name, clique)))
+               for v, clique in cert.body]
+    assert _positions(entries, cert.base) == (cert.body, cert.labels)
+    assert verify_realization(cert.digraph, cert.base, cert.k).added == \
+        cert.added
     return line
 
 

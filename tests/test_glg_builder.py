@@ -38,7 +38,8 @@ class TestLineGraph:
         c = generalized_line_graph(star(3), {})
         assert len(c.graph.vertices) == 3
         assert len(c.graph.edges) == 3
-        assert c.labels[("v1", "v2")] == "e:v1-v2"
+        assert c.graph.vertices[c.edge_positions[("v1", "v2")]] == \
+            edge_label("v1", "v2") == "e:v1-v2"
 
     def test_path_becomes_shorter_path(self):
         lg = generalized_line_graph(path(4), {}).graph
@@ -50,7 +51,8 @@ class TestLineGraph:
             c = generalized_line_graph(h, {})
             for e, f in itertools.combinations(sorted(h.edges), 2):
                 touching = bool(set(e) & set(f))
-                assert c.graph.has_edge(c.labels[e], c.labels[f]) == touching
+                assert c.graph.has_edge(edge_label(*e),
+                                        edge_label(*f)) == touching
 
     def test_incident_edge_clique(self):
         h = path(3)
@@ -85,7 +87,8 @@ class TestLineGraph:
             c = generalized_line_graph(h, {})
             simplicial = set(simplicial_vertices(c.graph))
             for f in h.edges:
-                assert is_simplicial_edge(h, f) == (c.labels[f] in simplicial)
+                assert is_simplicial_edge(h, f) == \
+                    (edge_label(*f) in simplicial)
                 edges += 1
         assert edges == 12342
 
@@ -179,7 +182,9 @@ class TestGeneralizedLineGraph:
                         current = semi_join(
                             current, sorted(incident_edge_clique(h, v)), block)
                 assert combined.graph == current
-                assert combined.cocktail_pairs == pairs
+                vs = combined.graph.vertices
+                assert {v: [(vs[x], vs[y]) for x, y in combined.pairs[v]]
+                        for v in h.vertices} == pairs
                 for v in h.vertices:
                     assert combined.incident_labels(v) == \
                         incident_edge_clique(h, v)

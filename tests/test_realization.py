@@ -129,26 +129,37 @@ BC = frozenset({"b", "c"})
 
 class TestCertify:
     # The path a-b-c with one extra: c takes {a, b}, the extra {b, c}.  The
-    # bodies name vertices by label, so they go through the label step
-    # (by_label=True), as the search's witness does.
+    # flawed bodies name vertices by label, so they go through the label
+    # step (_positions) to the body check, the extra named z1 as _certify
+    # names it.
     base = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     body = [("a", EMPTY), ("b", EMPTY), ("c", AB)]
 
     def test_accepts_a_valid_body(self):
-        cert = _certify(self.body, [BC], self.base, "test", by_label=True)
+        cert = _certify([(0, EMPTY), (1, EMPTY), (2, fs(0, 1))], [fs(1, 2)],
+                        self.base, "test")
         assert cert.added == ("z1",)
         assert cert.ordering == ("a", "b", "c", "z1")
-        assert cert.entries == self.body + [("z1", BC)]
         assert cert.body == [(0, EMPTY), (1, EMPTY), (2, fs(0, 1)),
                              (3, fs(1, 2))]
         assert cert.labels == ("a", "b", "c", "z1")
-        # The same body in positions gives the same certificate.
-        same = _certify(cert.body[:3], [fs(1, 2)], self.base, "test")
-        assert same.json_text() == cert.json_text()
+        # The same body by label puts in the same positions.
+        assert _positions(self.body + [("z1", BC)], self.base) == \
+            (cert.body, cert.labels)
         assert cert.digraph.arcs == frozenset(
             {("a", "c"), ("b", "c"), ("b", "z1"), ("c", "z1")})
         assert verify_realization(cert.digraph, self.base, 1).added == \
             cert.added
+
+    def test_wraps_a_flaw_as_construction_failed(self):
+        # a before its in-neighbour b, in positions.
+        with pytest.raises(ConstructionFailed) as exc:
+            _certify([(0, fs(1)), (1, EMPTY), (2, fs(0, 1))], [fs(1, 2)],
+                     self.base, "test")
+        assert str(exc.value) == ("test produced an invalid witness: not an "
+                                  "acyclic ordering: 'a' comes before its "
+                                  "in-neighbor 'b'")
+        assert type(exc.value.__cause__) is InvalidInput
 
     @pytest.mark.parametrize("body, tail, cause, message", [
         ([("a", frozenset({"b"})), ("b", EMPTY), ("c", AB)], [BC],
@@ -189,10 +200,12 @@ class TestCertify:
             "non-string label", "later vertex before an unknown one",
             "unplaced base vertex", "repeated label before a non-string one"])
     def test_refuses_a_flawed_body(self, body, tail, cause, message):
-        with pytest.raises(ConstructionFailed) as exc:
-            _certify(body, tail, self.base, "test", by_label=True)
-        assert type(exc.value.__cause__) is cause
-        assert str(exc.value.__cause__) == message
+        entries = body + [("z1", clique) for clique in tail]
+        with pytest.raises(cause) as exc:
+            _check_body(*_positions(entries, self.base), self.base,
+                        len(tail))
+        assert type(exc.value) is cause
+        assert str(exc.value) == message
 
 
 def fs(*labels):

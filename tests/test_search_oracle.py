@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 import glgcomp.oracle
-from glgcomp import (EXACTLY_ONE, BudgetExceeded, Digraph, Graph,
+from glgcomp import (EXACTLY_ONE, BudgetExceeded, Graph,
                      SearchBudget, classify, cocktail_party,
                      competition_graph, competition_number, find_realization,
                      fresh_labels, generalized_line_graph, opsut_lower_bound,
@@ -47,18 +47,22 @@ class TestFindRealization:
         assert find_realization(cycle_graph(4), 1) is None
         assert find_realization(cycle_graph(4), 2) is not None
 
+    def test_witness_is_in_positions(self):
+        # The path a-b-c at k = 1, with a, b and c at positions 0, 1 and
+        # 2: c and b come first, a takes {b, c} and the extra {a, b}.
+        g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        assert find_realization(g, 1) == (
+            ((2, frozenset()), (1, frozenset()), (0, frozenset({1, 2}))),
+            (frozenset({0, 1}),))
+
     def test_results_verify(self):
         for g in connected_graphs(5, min_edges=1):
             for k in (1, 2):
-                found = find_realization(g, k)
-                if found is None:
+                cert = realization_search(g, k)
+                if cert is None:
                     continue
-                body, tail = found
-                extras = fresh_labels(g.vertices, k)
-                entries = list(body) + list(zip(extras, tail))
-                arcs = [(u, v) for v, clique in entries for u in clique]
-                d = Digraph([v for v, _ in entries], arcs)
-                verify_realization(d, g, k)
+                assert verify_realization(cert.digraph, g, k).added == \
+                    cert.added
                 break
 
     def test_budget_exhaustion_is_distinguished_from_refutation(self):
