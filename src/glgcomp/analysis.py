@@ -51,16 +51,18 @@ class ConditionReport:
         return bool(self.unit_weight_edge) or self.all_weights_unit and (
             self.has_unit_weight or self.zero_weight_anchor_simplicial)
 
-    def to_json(self):
-        return {
+    def json_text(self):
+        """The report document as JSON text, as json.dumps(...,
+        sort_keys=True) writes it."""
+        return json.dumps({
             "kind": "condition_report",
             "has_unit_weight": self.has_unit_weight,
             "zero_weight_anchor_simplicial": self.zero_weight_anchor_simplicial,
             "unit_weight_edge": list(self.unit_weight_edge)
                                 if self.unit_weight_edge else None,
             "all_weights_unit": self.all_weights_unit,
-            "hypotheses": dict(self.hypotheses),
-        }
+            "hypotheses": self.hypotheses,
+        }, sort_keys=True)
 
 
 def check_conditions(h, weights=None):
@@ -177,9 +179,6 @@ class Verdict:
         return ('{"certificates": {%s}, "evidence": %s, "k_value": %s, '
                 '"kind": "verdict"}'
                 % (certificates, evidence, json.dumps(self.k_value)))
-
-    def to_json(self):
-        return json.loads(self.json_text())
 
 
 def classify(h, weights=None, budget=None):

@@ -60,15 +60,6 @@ def _write_text(text, path):
         sys.stdout.write(text)
 
 
-def _write_json(doc, path):
-    # Without indent, json.dumps runs the C encoder: one line, keys sorted.
-    # Each doc is a tree built for this call, so it holds no cycle to look
-    # for; one would still end in RecursionError, not in wrong output.
-    # Graphs, certificates and verdicts write their own text, as this would.
-    _write_text(json.dumps(doc, sort_keys=True, check_circular=False) + "\n",
-                path)
-
-
 def _parse_edge(text):
     parts = text.split(",")
     if len(parts) != 2 or not all(parts):
@@ -89,10 +80,6 @@ def _add_budget_args(sub):
                      default=DEFAULT_BUDGET.max_total_vertices,
                      help="cap on base vertices plus extras in exact search")
     sub.add_argument("--max-nodes", type=int, default=DEFAULT_BUDGET.max_nodes)
-
-
-def _added_node_attrs(added):
-    return {z: {"shape": "box"} for z in added}
 
 
 def cmd_build(args):
@@ -119,9 +106,8 @@ def cmd_realize(args):
         cert = single_extra_realization(h, weights)
     _write_text(cert.json_text() + "\n", args.output)
     if args.dot:
-        _write_text(digraph_to_dot(cert.digraph,
-                                   node_attrs=_added_node_attrs(cert.added)),
-                    args.dot)
+        _write_text(digraph_to_dot(cert.digraph, node_attrs={
+            z: {"shape": "box"} for z in cert.added}), args.dot)
     return 0
 
 
@@ -131,7 +117,8 @@ def cmd_compnum(args):
     if args.witness:
         _write_text(cert.json_text() + "\n", args.witness)
     if args.json:
-        _write_json({"kind": "competition_number", "value": k}, None)
+        _write_text(json.dumps({"kind": "competition_number", "value": k},
+                               sort_keys=True) + "\n", None)
     else:
         print("competition number: %d" % k)
     return 0
@@ -163,8 +150,7 @@ def cmd_verify(args):
 def cmd_classify(args):
     h, weights = _as_weighted(_load(args.input), args.input)
     if args.conditions:
-        report = check_conditions(h, weights)
-        _write_json(report.to_json(), None)
+        _write_text(check_conditions(h, weights).json_text() + "\n", None)
         return 0
     verdict = classify(h, weights, _budget(args))
     if args.json:

@@ -32,11 +32,9 @@ no induced subgraph is built.
 
 JSON and DOT list edges and arcs sorted by (first label, second label): a
 graph's edges are each row's tail past the vertex's own position, rows
-in label order (_tails), and a digraph's arcs come from per-tail buckets,
-each sorted, so no writer sorts the whole set of tuples.  A graph's JSON
-is written as text (graph_json_text), byte for byte what
-json.dumps(..., sort_keys=True) writes, and graph_to_json is that text
-parsed: each label is encoded once by json's own encode_basestring_ascii,
+in label order (_tails).  A graph's JSON is written as text
+(graph_json_text), byte for byte what json.dumps(..., sort_keys=True)
+writes: each label is encoded once by json's own encode_basestring_ascii,
 and each first end's row of pairs is one join (_pairs_text), with no list
 or string per pair.  The realization certificate writes its text from the
 same rows.  One reader, _read_links, checks the shape of every JSON
@@ -48,7 +46,6 @@ constructor then checks the labels and links.
 import bisect
 import heapq
 import itertools
-import json
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import CyclicDigraph, EmptyGraph, SchemaError, UnknownVertex
@@ -449,19 +446,6 @@ def opsut_lower_bound(graph):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _sorted_pairs(vertices, links):
-    """The links as [a, b] lists in sorted(links) order.
-
-    vertices is the sorted label tuple every link's ends come from, so
-    walking it and sorting each first end's bucket of second ends gives
-    the tuple order without comparing whole tuples.
-    """
-    buckets = {v: [] for v in vertices}
-    for a, b in links:
-        buckets[a].append(b)
-    return [[a, b] for a, bs in buckets.items() for b in sorted(bs)]
-
-
 def _pairs_text(rows):
     """The JSON text of a list of [a, b] pairs, written row by row: rows
     yields (a, bs), a first end's JSON string and the JSON strings of its
@@ -476,7 +460,7 @@ def _pairs_text(rows):
 
 
 def _graph_text(graph, enc):
-    """The JSON text of graph_to_json(graph), with the label at position i
+    """The graph's JSON document as text, with the label at position i
     written as enc[i], its JSON string: each vertex's row of edges is its
     tail."""
     rows = [list(map(enc.__getitem__, tail)) for tail in _tails(graph)]
@@ -488,10 +472,6 @@ def graph_json_text(graph):
     """The graph's JSON document as text, byte for byte what
     json.dumps(..., sort_keys=True) writes for it."""
     return _graph_text(graph, list(map(_json_string, graph.vertices)))
-
-
-def graph_to_json(graph):
-    return json.loads(graph_json_text(graph))
 
 
 def _read_links(obj, kind, key):
@@ -525,14 +505,6 @@ def graph_from_json(obj):
     return Graph(*_read_links(obj, "graph", "edges"))
 
 
-def digraph_to_json(digraph):
-    return {
-        "kind": "digraph",
-        "vertices": list(digraph.vertices),
-        "arcs": _sorted_pairs(digraph.vertices, digraph.arcs),
-    }
-
-
 def digraph_from_json(obj):
     return Digraph(*_read_links(obj, "digraph", "arcs"))
 
@@ -563,6 +535,5 @@ def graph_to_dot(graph):
 
 def digraph_to_dot(digraph, node_attrs=None):
     """Deterministic DOT text for a digraph."""
-    return _to_dot("digraph", "D", digraph.vertices,
-                   _sorted_pairs(digraph.vertices, digraph.arcs), "->",
-                   node_attrs or {})
+    return _to_dot("digraph", "D", digraph.vertices, sorted(digraph.arcs),
+                   "->", node_attrs or {})

@@ -27,20 +27,21 @@ target's edges, with no graph built for either side: each clique is added
 to its members' covers, each of which must be the member's row in the
 target plus its own position (an extra's, its own position alone), and
 pairs are listed, by label, only when they differ.  Its messages name
-vertices by label.  _certify gives the tail's extras the positions N..
-and fresh labels, runs that check, and the certificate keeps the checked
-body with its labels: the body is its own representation, ordering reads
-it by label, and the Digraph is built only when the certificate's digraph
-is read.  Its one JSON writer, json_text, writes the document as text
-straight from the body (each tail's heads, read in label order) and the
-base graph's rows (graph_core._graph_text), encoding each label once, by
-position, byte for byte what json.dumps(..., sort_keys=True) writes;
-to_json parses that text.  Every construction returns its certificate, so
-a flaw in a scheme surfaces as ConstructionFailed rather than a bad
-witness.  verify_realization, for digraphs from outside (whose
+vertices by label.  The certificate's constructor runs that check, so a
+certificate exists only checked, and keeps the checked body with its
+labels: the body is its own representation, ordering reads it by label,
+and the Digraph is built only when the certificate's digraph is read.
+_certify gives the tail's extras the positions N.. and fresh labels and
+builds the certificate.  The certificate's one JSON writer, json_text,
+writes the document as text straight from the body (each tail's heads,
+read in label order) and the base graph's rows (graph_core._graph_text),
+encoding each label once, by position, byte for byte what
+json.dumps(..., sort_keys=True) writes.  Every construction returns its
+certificate, so a flaw in a scheme surfaces as ConstructionFailed rather
+than a bad witness.  verify_realization, for digraphs from outside (whose
 constructor has checked their labels and arcs), computes the
-lexicographically smallest acyclic ordering and runs the same check on
-each vertex with its in-neighborhood, in that order.
+lexicographically smallest acyclic ordering and builds the certificate
+from each vertex with its in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -127,22 +128,24 @@ from .glg_builder import (cocktail_party, generalized_line_graph,
 class RealizationCertificate:
     """A checked witness that C(D) equals a base graph plus isolated extras.
 
-    It stores the checked body: body lists every vertex of D, the extras
-    included, by position with its in-neighborhood, in placement order,
-    and labels names each position (base.vertices, then the extras).
-    ordering reads the body by label; digraph builds D from it on first
-    read and keeps it; json_text writes the document straight from the
-    body and the base, and to_json is that text, parsed.
+    The constructor checks the body (_check_body) and raises its errors,
+    so every certificate is checked.  It stores the checked body: body
+    lists every vertex of D, the extras included, by position with its
+    in-neighborhood, in placement order, and labels names each position
+    (base.vertices, then the extras); added holds the extras' labels,
+    sorted.  ordering reads the body by label; digraph builds D from it on
+    first read and keeps it, unless it is given; json_text writes the
+    document straight from the body and the base.
     """
 
     __slots__ = ("body", "labels", "base", "k", "added", "_digraph")
 
-    def __init__(self, body, labels, base, k, added, digraph=None):
+    def __init__(self, body, labels, base, k, digraph=None):
+        self.added = tuple(_check_body(body, labels, base, k))
         self.body = body
         self.labels = labels
         self.base = base
         self.k = k
-        self.added = tuple(added)
         self._digraph = digraph
 
     @property
@@ -187,9 +190,6 @@ class RealizationCertificate:
                    _graph_text(self.base, codes[:n]), arcs,
                    ", ".join([codes[x] for x in order]), json.dumps(self.k),
                    ", ".join([codes[v] for v, _ in body])))
-
-    def to_json(self):
-        return json.loads(self.json_text())
 
 
 def _label_order(vertices, labels):
@@ -307,12 +307,11 @@ def verify_realization(digraph, base, k):
     witness, InvalidInput for missing base vertices or a wrong number of
     extras, or CompetitionMismatch listing missing/extra edges.  The digraph
     is checked as the body of its vertices and in-neighborhoods in that
-    order, put in positions (_positions) and checked (_check_body).
+    order, put in positions (_positions) and certified.
     """
     body, labels = _positions([(v, digraph.in_neighbors(v))
                                for v in acyclic_ordering(digraph)], base)
-    added = _check_body(body, labels, base, k)
-    return RealizationCertificate(body, labels, base, k, added, digraph)
+    return RealizationCertificate(body, labels, base, k, digraph)
 
 
 def fresh_labels(taken, count):
@@ -333,21 +332,19 @@ def _certify(entries, tail, base, what):
     len(base.vertices).. and named by fresh_labels above against the base's
     label index.
 
-    The body is checked (_check_body), with the body order as the ordering,
-    and kept as the certificate's; no Digraph is built.  Any failure is a
-    flaw in the construction or the search (`what`), raised as
-    ConstructionFailed.
+    The certificate checks the body, with the body order as the ordering,
+    and keeps it; no Digraph is built.  Any failure is a flaw in the
+    construction or the search (`what`), raised as ConstructionFailed.
     """
     k = len(tail)
     n = len(base.vertices)
     body = [*entries, *zip(range(n, n + k), tail)]
     labels = base.vertices + tuple(fresh_labels(base._index, k))
     try:
-        added = _check_body(body, labels, base, k)
+        return RealizationCertificate(body, labels, base, k)
     except GlgError as exc:
         raise ConstructionFailed("%s produced an invalid witness: %s"
                                  % (what, exc)) from exc
-    return RealizationCertificate(body, labels, base, k, added)
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +484,21 @@ class GlgRealization:
     whose in-neighborhood is exactly that endpoint's incident edge bundle.
     When some weight is positive those two vertices are real (the first
     block's leading pair); otherwise they are the extra pair `added`.
-    added is the certificate's, and digraph reads through to the
-    certificate's, built on first read.
+    added and digraph read through to the certificate's; the digraph is
+    built on first read.
     """
 
-    __slots__ = ("combined", "edge", "pinned", "added", "certificate")
+    __slots__ = ("combined", "edge", "pinned", "certificate")
 
     def __init__(self, certificate, combined, edge, pinned):
         self.combined = combined
         self.edge = edge
         self.pinned = dict(pinned)
-        self.added = certificate.added
         self.certificate = certificate
+
+    @property
+    def added(self):
+        return self.certificate.added
 
     @property
     def digraph(self):

@@ -75,6 +75,13 @@ def sorted_links(links):
     return [list(e) for e in sorted(links)]
 
 
+def digraph_doc(d):
+    """The digraph document of a Digraph: its vertices and its own arcs,
+    sorted whole."""
+    return {"kind": "digraph", "vertices": list(d.vertices),
+            "arcs": sorted_links(d.arcs)}
+
+
 def to_dot(keyword, name, vertices, links, connector, node_attrs):
     """DOT text with the links in tuple order."""
     def quote(label):

@@ -6,9 +6,8 @@ import sys
 import pytest
 
 import glgcomp
-from glgcomp import (check_conditions, classify, glg_realization,
-                     weighted_graph_from_json)
-from glgcomp.cli import _write_json, main
+from glgcomp import Graph, glg_realization
+from glgcomp.cli import main
 from corpus import grid
 
 
@@ -361,42 +360,45 @@ class TestClassify:
 
 
 class TestWriteJson:
-    def test_writes_the_sorted_key_dump(self, capsys, tmp_path,
-                                        star_instance):
-        # A two-extra certificate, a classify verdict and a condition report
-        # are written, to a file or to stdout, as one sorted-key line.
-        with open(star_instance) as handle:
-            h, weights = weighted_graph_from_json(json.load(handle))
-        docs = [glg_realization(h, weights).certificate.to_json(),
-                classify(h, weights).to_json(),
-                check_conditions(h, weights).to_json()]
-        out = tmp_path / "doc.json"
-        for doc in docs:
-            expected = json.dumps(doc, sort_keys=True) + "\n"
-            _write_json(doc, str(out))
-            assert out.read_text() == expected
-            _write_json(doc, None)
-            assert capsys.readouterr().out == expected
-
-    @pytest.mark.parametrize("command", [("realize", "two"), ("build", "glg"),
-                                         ("classify",)])
+    # Every writer, each command with the argv it runs: {src} is the
+    # instance, {out} the file written (stdout without one), and {digraph}
+    # and {graph} the two-extra certificate's digraph and base graph.
+    @pytest.mark.parametrize("command", [
+        ("realize", "two", "{src}", "-o", "{out}"),
+        ("build", "glg", "{src}", "-o", "{out}"),
+        ("classify", "{src}", "--json"),
+        ("compnum", "{src}", "--json"),
+        ("compnum", "{src}", "--witness", "{out}"),
+        ("verify", "{digraph}", "{graph}", "--k", "2", "--json"),
+        ("classify", "{src}", "--conditions")])
     def test_escaped_labels(self, capsys, tmp_path, command):
-        # Labels JSON escapes, a non-BMP one included (a surrogate pair).
-        # The classify verdict, written to stdout, splices in the text of
-        # its certificates.
+        # Certificates, verdicts, condition reports and graphs are written,
+        # to a file or to stdout, as one sorted-key line, on labels JSON
+        # escapes, a non-BMP one included (a surrogate pair).  The classify
+        # verdict splices in the text of its certificates; the report's
+        # unit-weight edge joins a quote and a backslash.
         labels = ['a"b', "c\\d", "e\nf", "\u00e9", "\U0001f600"]
-        src = write(tmp_path, "base.json",
-                    {"kind": "vertex_weighted_graph", "vertices": labels,
-                     "edges": [list(e) for e in zip(labels, labels[1:])],
-                     "weights": {labels[1]: 2, labels[4]: 1}})
-        out = tmp_path / "out.json"
-        if command == ("classify",):
-            code, text, _ = run(capsys, "classify", src, "--json")
-        else:
-            code, _, _ = run(capsys, *command, src, "-o", str(out))
-            text = out.read_text(encoding="utf-8")
+        edges = list(zip(labels, labels[1:]))
+        h = Graph(labels, edges)
+        weights = {labels[1]: 2, labels[4]: 1}
+        if "--conditions" in command:
+            weights = {labels[0]: 1, labels[1]: 1}
+        cert = json.loads(glg_realization(h, weights).certificate.json_text())
+        paths = {
+            "src": write(tmp_path, "base.json",
+                         {"kind": "vertex_weighted_graph", "vertices": labels,
+                          "edges": [list(e) for e in edges],
+                          "weights": weights}),
+            "out": str(tmp_path / "out.json"),
+            "digraph": write(tmp_path, "digraph.json", cert["digraph"]),
+            "graph": write(tmp_path, "graph.json", cert["base_graph"])}
+        code, text, _ = run(capsys, *[a.format(**paths) for a in command])
         assert code == 0
+        if "{out}" in command:
+            text = (tmp_path / "out.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        if "--conditions" in command:
+            assert json.loads(text)["unit_weight_edge"] == labels[:2]
 
 
 class TestInputErrors:

@@ -2,15 +2,16 @@
 digests were taken.
 
 Each digest is the sha256, cut to 16 hex digits, of two lines per
-instance: `json.dumps(certificate.to_json(), sort_keys=True)` of
-`glg_realization`, then that of `single_extra_realization`, or "-" where
-it refuses the instance (HypothesisNotMet).  So any change to a
-certificate's digraph, ordering, extras or base shows up here, and so does
-a change in which instances take one extra.  Each certificate's
-`json_text()` must also be that line, byte for byte.  Its body, read by
-label, must come back from the label-to-position step as the same body
-and labels, and its digraph must verify with the same extras: the position
-bodies the constructions build and the label bodies from outside agree.
+instance: `certificate.json_text()` of `glg_realization`, then that of
+`single_extra_realization`, or "-" where it refuses the instance
+(HypothesisNotMet).  So any change to a certificate's digraph, ordering,
+extras or base shows up here, and so does a change in which instances
+take one extra.  Each line must also be what
+`json.dumps(..., sort_keys=True)` writes for its document, byte for
+byte.  Each certificate's body, read by label, must come back from the
+label-to-position step as the same body and labels, and its digraph must
+verify with the same extras: the position bodies the constructions build
+and the label bodies from outside agree.
 
 SMALL holds, per connected atlas base of 2-5 vertices, the digest over
 all of its weight maps with weights 0-2 in product order.  RANDOM holds
@@ -86,10 +87,10 @@ HEAVY = [
 
 
 def certificate_line(cert):
-    """json.dumps of the certificate's document, which its own text writer
-    must write byte for byte."""
-    line = json.dumps(cert.to_json(), sort_keys=True)
-    assert cert.json_text() == line
+    """The certificate's text, which must be json.dumps of its document
+    byte for byte."""
+    line = cert.json_text()
+    assert json.dumps(json.loads(line), sort_keys=True) == line
     name = cert.labels.__getitem__
     entries = [(name(v), frozenset(map(name, clique)))
                for v, clique in cert.body]

@@ -213,7 +213,7 @@ class TestCompetitionNumber:
             while (cert := realization_search(g, k)) is None:
                 k += 1
             got_k, got = competition_number(g)
-            assert (got_k, got.to_json()) == (k, cert.to_json()), g
+            assert (got_k, got.json_text()) == (k, cert.json_text()), g
 
     def test_triangle_free_graphs_search_once(self, monkeypatch):
         # A connected triangle-free graph's bound is its value
