@@ -19,9 +19,9 @@ import heapq
 import json
 
 from .errors import BudgetExceeded, HypothesisNotMet
-from .glg_builder import (check_weights, generalized_line_graph,
-                          is_simplicial_edge)
-from .graph_core import is_connected, simplicial_vertices
+from .glg_builder import (_simplicial_edge, check_weights,
+                          generalized_line_graph)
+from .graph_core import _tails, is_connected, simplicial_vertices
 from .oracle import realization_search
 from .realization import _unit_chain, glg_realization
 from .search import DEFAULT_BUDGET
@@ -78,21 +78,22 @@ def check_conditions(h, weights=None):
       weight one, if any.
     * all_weights_unit: no weight exceeds one.
 
-    Hypothesis failures are recorded, never raised; no graph is built.
+    Hypothesis failures are recorded, never raised; no graph is built,
+    and the base is read by its rows.
     """
-    weights = check_weights(h, weights or {})
-    has_unit = any(weights[v] == 1 for v in h.vertices)
-    zero_anchor = any(weights[a] == weights[b] == 0 and
-                      is_simplicial_edge(h, (a, b)) for a, b in h.edges)
-    edge = min((f for f in h.edges if weights[f[0]] == weights[f[1]] == 1),
-               default=None)
+    weights = list(check_weights(h, weights or {}).values())  # by position
+    rows = h._rows
+    edges = [(i, j) for i, tail in enumerate(_tails(h)) for j in tail]
+    zero_anchor = any(weights[i] == weights[j] == 0 and
+                      _simplicial_edge(rows, i, j) for i, j in edges)
+    edge = next(((h.vertices[i], h.vertices[j]) for i, j in edges
+                 if weights[i] == weights[j] == 1), None)
     hypotheses = {
         "connected": is_connected(h),
-        "has_edge": bool(h.edges),
+        "has_edge": any(rows),
     }
     return ConditionReport(
-        has_unit, zero_anchor, edge,
-        all(weights[v] <= 1 for v in h.vertices),
+        1 in weights, zero_anchor, edge, all(m <= 1 for m in weights),
         hypotheses)
 
 
@@ -129,8 +130,9 @@ def pendant_reduce(graph):
     Pendant deletion preserves the competition number (for connected graphs
     landing on at least two vertices).  Returns (reduced, removed) with the
     deletions in order, the smallest current pendant first; deletion order
-    does not affect the result.  One pass: a heap holds the current
-    pendants, and a deletion lowers only its live neighbour's degree.  In a
+    does not affect the result.  One pass over the rows: a heap holds the
+    current pendants' positions, which pop in label order, and a deletion
+    lowers only its live neighbour's degree.  In a
     connected graph that neighbour keeps an edge while more than two
     vertices are left, so a popped vertex is still a pendant.  When none
     is deleted, reduced is graph itself: a Graph is immutable, so no copy
@@ -138,22 +140,23 @@ def pendant_reduce(graph):
     """
     if not is_connected(graph):
         raise HypothesisNotMet("pendant reduction requires a connected graph")
-    degree = {v: graph.degree(v) for v in graph.vertices}
-    pendants = [v for v, d in degree.items() if d == 1]
-    heapq.heapify(pendants)
+    rows = graph._rows
+    degree = dict(enumerate(map(len, rows)))  # position -> live degree
+    pendants = [i for i, d in degree.items() if d == 1]  # sorted: a heap
     removed = []
     while len(degree) > 2 and pendants:
         victim = heapq.heappop(pendants)
         removed.append(victim)
         del degree[victim]
-        for u in graph.neighbors(victim):
+        for u in rows[victim]:
             if u in degree:
                 degree[u] -= 1
                 if degree[u] == 1:
                     heapq.heappush(pendants, u)
     if not removed:
         return graph, ()
-    return graph.induced(degree), tuple(removed)
+    name = graph.vertices.__getitem__
+    return graph.induced(map(name, degree)), tuple(map(name, removed))
 
 
 class Verdict:

@@ -15,22 +15,26 @@ This module owns the line-graph facts: CombinedGraph carries each edge's
 vertex, each base vertex's edge bundle and each block's partner pairs, so
 nothing ever needs to parse a label back apart or rebuild a bundle, and
 is_simplicial_edge tells from the base graph alone when an edge vertex of
-L(H) is simplicial.  It names each vertex by its position in the combined
-graph's sorted label tuple, the identity the constructions' bodies use
-(see realization): edge_positions maps each base edge to its position,
-bundles each base vertex to the frozenset of its edge bundle's positions,
-and pairs each base vertex to its block's partner pairs as positions.
-edge_label names an edge's vertex, and incident_labels(v) gives v's
-bundle by label.
+L(H) is simplicial.  Both sides are named by position, as the
+constructions' bodies name them (see realization): a base vertex by its
+position in the base's sorted label tuple, and a combined vertex by its
+position in the combined graph's.  edge_positions maps each base edge
+(i, j), i < j, to its vertex's position, bundles[i] is the frozenset of the
+positions of the i-th base vertex's edge bundle, and pairs[i] its block's
+partner pairs as positions.  edge_label names an edge's vertex, and
+incident_labels(v) gives the bundle of the base vertex v by label.  The
+simplicial rule reads the base's rows (_simplicial_edge); the exported
+is_simplicial_edge takes an edge by label and puts it in positions.
 
-generalized_line_graph writes the combined graph's rows (see graph_core)
-and builds no edge tuple.  It labels the base's sorted edge pairs and the
-blocks, sorts the labels, and sets star(v) to the positions of v's edge
-bundle and of v's block, a clique of the combined graph.  An edge
-vertex e:a-b is adjacent to star(a) and star(b) but itself, which is the
-one position they share, and both vertices of a block level to star(v)
-but the two of them, so they share one row; a zero-weight vertex adds no
-block.  That graph equals the line graph semi-joined with one block per
+generalized_line_graph reads the base's rows and writes the combined
+graph's (see graph_core), with no edge list of the combined graph and no
+label view of either graph.  It labels the base's edges, read off its
+rows in sorted order, and the blocks, sorts the labels, and sets star(v)
+to the positions of v's edge bundle and of v's block, a clique of the
+combined graph.  An edge vertex e:a-b is adjacent to star(a) and star(b)
+but itself, which is the one position they share, and both vertices of a
+block level to star(v) but the two of them, so they share one row; a
+zero-weight vertex adds no block.  That graph equals the line graph semi-joined with one block per
 weighted vertex in turn; tests/reference.py keeps that semi-join as the
 reference definition the tests check the builder against.
 """
@@ -54,18 +58,29 @@ def cocktail_label(v, level, side):
 
 
 def is_simplicial_edge(h, f):
-    """True iff the line-graph vertex of the edge f = xy of h is simplicial:
-    an end of f is pendant, or both ends have degree two and a common
-    neighbour.
+    """True iff the line-graph vertex of the edge f = xy of h is simplicial
+    (_simplicial_edge, on the positions of x and y)."""
+    try:
+        i, j = map(h._index.__getitem__, f)
+    except KeyError as exc:
+        raise UnknownVertex("no vertex %r" % (exc.args[0],)) from None
+    return _simplicial_edge(h._rows, i, j)
 
-    N(f) is the other edges at x and the other edges at y.  Those at x
-    pairwise meet at x, and those at y at y; an edge at x meets an edge at
-    y only at a common neighbour, so N(f) is a clique exactly in these cases.
+
+def _simplicial_edge(rows, i, j):
+    """True iff the line-graph vertex of the edge joining the base vertices
+    at positions i and j, whose neighbours are rows[i] and rows[j], is
+    simplicial: an end of the edge is pendant, or both ends have degree two
+    and a common neighbour.
+
+    N(f) is the other edges at i and the other edges at j.  Those at i
+    pairwise meet at i, and those at j at j; an edge at i meets an edge at
+    j only at a common neighbour, so N(f) is a clique exactly in these
+    cases.
     """
-    x, y = f
-    dx, dy = h.degree(x), h.degree(y)
-    return min(dx, dy) == 1 or (
-        dx == dy == 2 and bool(h.neighbors(x) & h.neighbors(y)))
+    ri, rj = rows[i], rows[j]
+    return min(len(ri), len(rj)) == 1 or (
+        len(ri) == len(rj) == 2 and not set(ri).isdisjoint(rj))
 
 
 def cocktail_party(m):
@@ -106,26 +121,28 @@ def check_weights(h, weights):
 
 class CombinedGraph:
     """A built line graph with cocktail-party blocks and its base graph,
-    with each vertex named by its position in graph.vertices: each base
-    edge's position (edge_positions), each base vertex's edge bundle as a
-    frozenset of positions (bundles) and its block's partner pairs as
-    position pairs by level (pairs, empty for weight zero).
-    incident_labels(v) is a bundle by label."""
+    with each base vertex named by its position in base.vertices and each
+    combined vertex by its position in graph.vertices: each base edge
+    (i, j), i < j, maps to its vertex's position (edge_positions), and the
+    i-th base vertex has its edge bundle as a frozenset of positions
+    (bundles[i]) and its block's partner pairs as position pairs by level
+    (pairs[i], empty for weight zero).  incident_labels(v) is the bundle
+    of the base vertex v by label."""
 
     __slots__ = ("graph", "base", "edge_positions", "bundles", "pairs")
 
     def __init__(self, graph, base, edge_positions, bundles, pairs):
         self.graph = graph
         self.base = base
-        self.edge_positions = edge_positions  # base edge -> its position
-        self.bundles = bundles  # base vertex -> frozenset of positions
-        self.pairs = pairs  # base vertex -> sequence of (x, y) positions
+        self.edge_positions = edge_positions  # (i, j) -> its position
+        self.bundles = bundles  # i -> frozenset of positions
+        self.pairs = pairs  # i -> sequence of (x, y) positions
 
     def incident_labels(self, v):
         """The line-graph vertices of the edges at v, a clique of the line
         graph since these edges pairwise share v."""
         try:
-            bundle = self.bundles[v]
+            bundle = self.bundles[self.base._index[v]]
         except KeyError:
             raise UnknownVertex("no vertex %r" % (v,)) from None
         return frozenset(map(self.graph.vertices.__getitem__, bundle))
@@ -134,56 +151,56 @@ class CombinedGraph:
 def generalized_line_graph(h, weights):
     """Build the combined graph for base graph h and the given vertex
     weights; with no positive weight it is the line graph of h."""
-    weights = check_weights(h, weights)
-    labels = {e: "e:%s-%s" % e for e in h.edges}
-    vertices = list(labels.values())
-    blocks = {}
-    for v in h.vertices:
-        if weights[v]:
+    check_weights(h, weights)
+    hv = h.vertices
+    ends = [(i, j) for i, row in enumerate(h._rows) for j in row if j > i]
+    labels = ["e:%s-%s" % (hv[i], hv[j]) for i, j in ends]
+    blocks = []  # (base position, where its labels start, weight)
+    for v, m in weights.items():
+        if m:
             # Labels "q:v:l:side", as cocktail_label writes them, are
             # distinct across (v, l, side), and never start like an edge
             # label "e:...".  Each level's x comes just before its y.
-            blocks[v] = ["q:%s:%d:%s" % (v, l, side)
-                         for l in range(1, weights[v] + 1) for side in "xy"]
-            vertices += blocks[v]
-    vertices.sort()
+            blocks.append((h._index[v], len(labels), m))
+            labels += ["q:%s:%d:%s" % (v, l, side)
+                       for l in range(1, m + 1) for side in "xy"]
+    vertices = sorted(labels)
     index = dict(zip(vertices, range(len(vertices))))
     if len(index) != len(vertices):
         # Only edge labels can collide: the edges {"a-b", "c"} and
         # {"a", "b-c"} are both "e:a-b-c".
         raise VertexCollision("edge labels collide; rename base vertices")
-    positions = {e: index[label] for e, label in labels.items()}
-    star = {v: [] for v in h.vertices}
-    for (a, b), i in positions.items():
-        star[a].append(i)
-        star[b].append(i)
-    bundles = {v: frozenset(s) for v, s in star.items()}
-    pairs = dict.fromkeys(h.vertices, ())
-    for v, block in blocks.items():
-        block = list(map(index.__getitem__, block))
-        pairs[v] = list(zip(block[::2], block[1::2]))
-        # An edge vertex's row is sorted whole, so only a block's star is.
-        star[v] = sorted(star[v] + block)
+    at = list(map(index.__getitem__, labels))  # each label's position
+    star = [[] for _ in hv]
+    for (a, b), p in zip(ends, at):
+        star[a].append(p)
+        star[b].append(p)
+    bundles = list(map(frozenset, star))
+    pairs = [()] * len(hv)
     rows = [None] * len(vertices)
-    for (a, b), i in positions.items():
-        # The stars at a and b share the edge vertex and nothing else.
-        row = star[a] + star[b]
-        row.remove(i)
-        row.remove(i)
-        row.sort()
-        rows[i] = tuple(row)
-    for v in blocks:
-        for x, y in pairs[v]:
-            row = star[v].copy()
+    for i, start, m in blocks:
+        block = at[start:start + 2 * m]
+        pairs[i] = list(zip(block[::2], block[1::2]))
+        # An edge vertex's row is sorted whole, so only a block's star is.
+        star[i] = sorted(star[i] + block)
+        for x, y in pairs[i]:
+            row = star[i].copy()
             row.remove(x)
             row.remove(y)
             rows[x] = rows[y] = tuple(row)
+    for (a, b), p in zip(ends, at):
+        # The stars at a and b share the edge vertex and nothing else.
+        row = star[a] + star[b]
+        row.remove(p)
+        row.remove(p)
+        row.sort()
+        rows[p] = tuple(row)
     # tuple() of a list, not of a map: CPython allocates a tuple from an
     # iterator of unknown length for 10 items and resizes it, and once
     # released it joins the free list of its final size, so each op on a
     # graph of 11-19 vertices would keep one more (up to 2,000 a size).
     graph = Graph._from_rows(tuple(vertices), index, tuple(rows))
-    return CombinedGraph(graph, h, positions, bundles, pairs)
+    return CombinedGraph(graph, h, dict(zip(ends, at)), bundles, pairs)
 
 
 def weighted_graph_from_json(obj):

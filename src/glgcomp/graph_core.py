@@ -12,11 +12,13 @@ A Graph has one representation: its sorted label tuple, the label index
 its neighbours' positions, so it takes memory linear in vertices plus
 edges.  Graph(vertices, edges) builds the rows after its checks;
 glg_builder writes them through Graph._from_rows, the only constructor
-that checks nothing.  Degrees, edge and clique tests, equality, hashing,
-induced subgraphs and connectivity read the rows.  The edge set and the
-neighbour sets, which the simplicial test reads, are views, each built
-from the rows on first use: a graph that is only stored, compared or
-serialized builds neither.
+that checks nothing.  Degrees, edge and clique tests, the simplicial
+test, equality, hashing, induced subgraphs and connectivity read the
+rows.  The edge set and the neighbour sets are views, each built from the
+rows on first use.  No library path builds them on a base or a target:
+the constructions, the condition report, pendant reduction, the search
+and the certificates read the rows, and only the public readers (edges,
+neighbors) and the body check's mismatch report build the views.
 
 One clique machinery works on vertex bitmasks: bit i stands for the i-th
 vertex in label order, and adj[i] holds its neighbours.  A mask is as
@@ -308,9 +310,11 @@ def simplicial_vertices(graph):
     N(v) is one iff N(u) & N(v) has len(N(v)) - 1 members for each u in N(v).
     Isolated vertices qualify: the empty set counts as a clique.
     """
-    adj = graph._adjacency()
-    return tuple(v for v in graph.vertices
-                 if all(len(adj[v] & adj[u]) == len(adj[v]) - 1 for u in adj[v]))
+    rows = graph._rows
+    return tuple(v for v, row, nbrs in zip(graph.vertices, rows,
+                                           map(set, rows))
+                 if all(len(nbrs.intersection(rows[u])) == len(row) - 1
+                        for u in row))
 
 
 def is_connected(graph):

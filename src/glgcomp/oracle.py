@@ -6,7 +6,7 @@ BudgetExceeded and is never silently treated as evidence.
 """
 
 from .errors import BudgetExceeded
-from .graph_core import opsut_lower_bound
+from .graph_core import _tails, opsut_lower_bound
 from .realization import _certify
 from .search import DEFAULT_BUDGET, find_realization
 
@@ -43,7 +43,7 @@ def competition_number(graph, budget=None):
     _check_budget(graph, 1 if graph.vertices and all(graph._rows) else 0,
                   budget)
     k = opsut_lower_bound(graph) if graph.vertices else 0
-    if graph.edges:
+    if any(graph._rows):
         k = max(k, _edge_cover_bound(graph))
     while True:
         _check_budget(graph, k, budget)
@@ -77,6 +77,7 @@ def _edge_cover_bound(graph):
     the t such edges takes a clique of its own, and any other edge one
     more: theta_e >= t + [m > t].
     """
-    t = sum(1 for a, b in graph.edges
-            if not graph.neighbors(a) & graph.neighbors(b))
-    return t + (len(graph.edges) > t) - len(graph.vertices) + 2
+    rows = graph._rows
+    edges = [(i, j) for i, tail in enumerate(_tails(graph)) for j in tail]
+    t = sum(1 for i, j in edges if set(rows[i]).isdisjoint(rows[j]))
+    return t + (len(edges) > t) - len(rows) + 2

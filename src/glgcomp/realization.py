@@ -66,13 +66,18 @@ nearer endpoint from x and y, ties by edge, f last, and releases each star
 but S_x and S_y at the position of its last edge.  A vertex off f has its
 last edge toward f, and that edge is no other such vertex's last, so a
 position releases at most one star, and the first and f's release none.
+The schedule reads the base by its rows: base vertices are positions, an
+edge is a pair (x, y) of them with x < y, so the BFS runs over the rows
+and one sort of (-distance, x, y) int triples orders the edges, as the
+labels order them; no label view of the base is built.
 
 The pinned edge e = uv roots its component; S_u and S_v are handed on to
 the next stage.  Another component is rooted at its smallest edge f = xy
-whose line-graph vertex is simplicial (glg_builder.is_simplicial_edge) and
-hands on the clique S_x+S_y, which is N[f], unless that is {f}; with no
-such edge it is rooted at its largest and hands on S_x and S_y.
-Components go by the number of cliques they hand on, most first, e's last,
+whose line-graph vertex is simplicial (glg_builder's rule, read on the
+base's rows) and hands on the clique S_x+S_y, which is N[f], unless that
+is {f}; with no such edge it is rooted at its largest and hands on S_x
+and S_y.  Components go by the number of cliques they hand on, most
+first, ties by their largest edges, the largest first, and e's last,
 and each position takes the oldest clique waiting.  So at most
 two wait when a component begins, and one with two or more edges takes
 them at its first two positions and ends with only its own handed cliques
@@ -121,8 +126,8 @@ from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
                      UnknownVertex)
 from .graph_core import (Digraph, _graph_text, _json_string, _pairs_text,
                          acyclic_ordering, normalize_edge)
-from .glg_builder import (cocktail_party, generalized_line_graph,
-                          is_simplicial_edge)
+from .glg_builder import (_simplicial_edge, cocktail_party,
+                          generalized_line_graph)
 
 
 class RealizationCertificate:
@@ -351,27 +356,32 @@ def _certify(entries, tail, base, what):
 # Line-graph realization (two extras with pinned in-neighborhoods)
 # ---------------------------------------------------------------------------
 
-def _schedule(combined, adj, root):
+def _schedule(bundles, rows, root):
     """The star schedule rooted at a base edge: (edges, released), its
     component's edges in order and the stars (at most one) each position
-    releases; adj is the base's neighbour map."""
+    releases.  Base vertices are positions: rows are the base's, bundles
+    the combined graph's, and root and each edge are pairs (x, y), x < y."""
     dist = dict.fromkeys(root, 0)
     frontier = list(root)
     for x in frontier:  # grows while it is read: a BFS queue
         d = dist[x] + 1
-        for y in adj[x]:
+        for y in rows[x]:
             if y not in dist:
                 dist[y] = d
                 frontier.append(y)
-    keyed = sorted([(-min(dist[x], dist[y]), (x, y))
-                    for x in dist for y in adj[x] if x < y and (x, y) != root])
-    edges = [f for _, f in keyed]
+    x0, y0 = root
+    keyed = sorted([(-min(dx, dist[y]), x, y)
+                    for x, dx in dist.items() for y in rows[x]
+                    if x < y and (x != x0 or y != y0)])
+    edges = [(x, y) for _, x, y in keyed]
     edges.append(root)
-    last = {x: i for i, f in enumerate(edges) for x in f}
+    last = {}
+    for i, (x, y) in enumerate(edges):
+        last[x] = last[y] = i
     released = [()] * len(edges)
     for w, i in last.items():
-        if w not in root and len(adj[w]) >= 2:
-            released[i] = (combined.bundles[w],)
+        if w != x0 and w != y0 and len(rows[w]) >= 2:
+            released[i] = (bundles[w],)
     return edges, released
 
 
@@ -381,27 +391,30 @@ def _line_body(combined, e=None):
 
     The chain of star schedules of the module docstring, in one pass; the
     stars, the handed-on cliques and the entries' positions are those the
-    combined graph holds.  With a pinned base edge e nothing is left
-    waiting, and two extras can take the edge bundles at its endpoints.
-    The base's neighbour sets are read once, for every schedule.
+    combined graph holds.  With a pinned base edge e, a pair of base
+    positions, nothing is left waiting, and two extras can take the edge
+    bundles at its endpoints.  The base is read by its rows.
     """
     h = combined.base
-    adj = h._adjacency()
-    pinned = [] if e is None else [_schedule(combined, adj, e) + ([],)]
+    rows, bundles = h._rows, combined.bundles
+    pinned = [] if e is None else [_schedule(bundles, rows, e) + ([],)]
     seen = {x for edges, _, _ in pinned for f in edges for x in f}
     chain = []
-    for f in sorted([f for f in h.edges if f[0] not in seen], reverse=True):
-        if f[0] in seen:
+    # Each other component starts at its largest edge: (i, i's last
+    # neighbour) for its largest i with a later neighbour.
+    for i in range(len(rows) - 1, -1, -1):
+        if i in seen or not rows[i] or rows[i][-1] < i:
             continue
-        edges, released = _schedule(combined, adj, f)
+        f = (i, rows[i][-1])
+        edges, released = _schedule(bundles, rows, f)
         seen.update(x for g in edges for x in g)
-        root = min((g for g in edges if is_simplicial_edge(h, g)),
+        root = min((g for g in edges if _simplicial_edge(rows, *g)),
                    default=None)
         if root is None:
-            handed = [combined.bundles[x] for x in f]
+            handed = [bundles[x] for x in f]
         else:
-            edges, released = _schedule(combined, adj, root)
-            clique = combined.bundles[root[0]] | combined.bundles[root[1]]
+            edges, released = _schedule(bundles, rows, root)
+            clique = bundles[root[0]] | bundles[root[1]]
             handed = [clique] if len(clique) > 1 else []
         chain.append((edges, released, handed))
     chain.sort(key=lambda part: -len(part[2]))
@@ -417,25 +430,34 @@ def _line_body(combined, e=None):
     if pinned and waiting:
         raise HypothesisNotMet(
             "edge %r is a component of its own, and the other components "
-            "hand on more cliques than its one position can take" % (e,))
+            "hand on more cliques than its one position can take"
+            % (tuple(map(h.vertices.__getitem__, e)),))
     return body, list(waiting)
 
 
 def _pinned_edge(h, e):
-    """The base edge whose endpoint bundles get pinned: e, or else the
-    smallest edge that is not a component of its own, if there is one."""
-    if not h.edges:
+    """The base edge whose endpoint bundles get pinned, as a pair of
+    positions: e, given by label, or else the smallest edge that is not a
+    component of its own, if there is one."""
+    rows = h._rows
+    if not any(rows):
         raise HypothesisNotMet("the base graph needs at least one edge")
     if e is None:
-        e = min(h.edges)
-        if h.degree(e[0]) == h.degree(e[1]) == 1:
-            e = min((f for f in h.edges
-                     if h.degree(f[0]) > 1 or h.degree(f[1]) > 1), default=e)
-        return e
+        # The smallest edge at each vertex with a later neighbour, in
+        # order; one that is a component of its own is both ends' only edge.
+        lone = None
+        for i, row in enumerate(rows):
+            if row and row[-1] > i:
+                j = row[bisect.bisect(row, i)]
+                if len(row) > 1 or len(rows[j]) > 1:
+                    return i, j
+                lone = lone or (i, j)
+        return lone
     e = normalize_edge(*e)
-    if e not in h.edges:
+    i, j = map(h._index.get, e)
+    if i is None or j is None or j not in rows[i]:
         raise NotAnEdge("%r is not an edge of the base graph" % (e,))
-    return e
+    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -516,21 +538,21 @@ def glg_realization(h, weights=None, e=None):
     """
     combined = generalized_line_graph(h, weights or {})
     e = _pinned_edge(h, e)
-    u, v = e
     entries, _ = _line_body(combined, e)
     # The two entries right after the line body take the edge bundles.
     pin_at = len(entries)
-    bundles, pairs = combined.bundles, combined.pairs
-    lead = (bundles[u], bundles[v])
-    for bv in h.vertices:
-        if pairs[bv]:
-            block, lead = _block_entries(pairs[bv], bundles[bv], lead)
+    bundles = combined.bundles
+    lead = (bundles[e[0]], bundles[e[1]])
+    for i, block in enumerate(combined.pairs):
+        if block:
+            block, lead = _block_entries(block, bundles[i], lead)
             entries += block
     cert = _certify(entries, lead, combined.graph,
                     "combined-graph realization")
     name, body = cert.labels, cert.body
+    u, v = map(h.vertices.__getitem__, e)
     pinned = {u: name[body[pin_at][0]], v: name[body[pin_at + 1][0]]}
-    return GlgRealization(cert, combined, e, pinned)
+    return GlgRealization(cert, combined, (u, v), pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +561,30 @@ def glg_realization(h, weights=None, e=None):
 
 def _unit_chain(combined, e):
     """The one-extra body of the module docstring, certified, with e the
-    report's unit edge or None; one extra must apply (ConstructionFailed)."""
-    h = combined.base
+    report's unit edge, by label, or None; one extra must apply
+    (ConstructionFailed)."""
+    rows = combined.base._rows
     pairs, bundles = combined.pairs, combined.bundles
-    units = [x for x in h.vertices if len(pairs[x]) == 1]
+    units = [i for i, block in enumerate(pairs) if len(block) == 1]
     if e is not None:
+        e = tuple(map(combined.base._index.__getitem__, e))
         entries, _ = _line_body(combined, e)
         _, clique = entries.pop()
         lead = (clique, frozenset())
-        for x in h.vertices:
-            if len(pairs[x]) > 1:
-                block, lead = _block_entries(pairs[x], bundles[x], lead)
+        for i, block in enumerate(pairs):
+            if len(block) > 1:
+                block, lead = _block_entries(block, bundles[i], lead)
                 entries += block
         entries.append((combined.edge_positions[e], lead[0]))
         waiting = lead[1]
         what = "single-extra realization (unit edge)"
     elif units:
-        f = min(normalize_edge(units[0], w) for w in h.neighbors(units[0]))
-        entries, _ = _line_body(combined, f)
-        waiting = bundles[f[0] if f[1] == units[0] else f[1]]
+        # The smallest edge at the first unit vertex s joins it to its
+        # smallest neighbour w.
+        s = units[0]
+        w = rows[s][0]
+        entries, _ = _line_body(combined, (min(s, w), max(s, w)))
+        waiting = bundles[w]
         what = "single-extra realization (unit weights)"
     else:
         entries, tail = _line_body(combined)

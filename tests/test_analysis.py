@@ -11,8 +11,9 @@ import glgcomp.realization
 from glgcomp import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                      Graph, HypothesisNotMet, SearchBudget,
                      check_conditions, classify, competition_number,
-                     generalized_line_graph, pendant_reduce,
-                     simplicial_vertices, verify_realization)
+                     generalized_line_graph, glg_realization, pendant_reduce,
+                     simplicial_vertices, single_extra_realization,
+                     verify_realization)
 from corpus import (atlas_graphs, connected_chordal_graphs, cycle_graph,
                     random_triangle_free)
 
@@ -282,6 +283,70 @@ class TestClassify:
         assert all(set(item) == {"claim", "source"}
                    for item in doc["evidence"])
         assert "two_extra" in doc["certificates"]
+
+
+class TestNoLabelViews:
+    """The constructions, the condition report and the classifier read
+    the base, and the combined graph, by their rows: each graph is left
+    as it was found, with neither its edge set nor its neighbour sets
+    built."""
+
+    @staticmethod
+    def assert_no_views(*graphs):
+        for g in graphs:
+            assert g._edges is None and g._adj is None
+
+    @staticmethod
+    def two_paths():
+        """Two components: the path p0-p1-p2-p3 and the edge q0-q1."""
+        return Graph(["p0", "p1", "p2", "p3", "q0", "q1"],
+                     [("p0", "p1"), ("p1", "p2"), ("p2", "p3"),
+                      ("q0", "q1")])
+
+    def test_constructions_and_report(self):
+        for make in (lambda: path(4), self.two_paths):
+            for weights in ({}, {"p1": 1}, {"p0": 1, "p1": 1, "p3": 2},
+                            {"p2": 2}):
+                for pin in (None, ("p2", "p1")):
+                    h = make()
+                    combined = glg_realization(h, weights, pin).combined
+                    self.assert_no_views(h, combined.graph)
+                h = make()
+                check_conditions(h, weights)
+                self.assert_no_views(h)
+
+    def test_single_extra_realization(self):
+        for weights in ({}, {"p1": 1}, {"p0": 1, "p1": 1, "p3": 2}):
+            h = path(4)
+            cert = single_extra_realization(h, weights)
+            self.assert_no_views(h, cert.base)
+
+    def test_competition_number(self):
+        h = path(4)
+        assert competition_number(h)[0] == 1
+        self.assert_no_views(h)
+
+    def test_every_verdict_rule(self):
+        cases = [
+            (Graph(["u", "v"], [("u", "v")]), {}, None,
+             EXACTLY_ZERO, "single-extra-construction"),
+            (path(4), {}, None, EXACTLY_ONE, "lower-bound"),
+            (path(3), {"p0": 1, "p1": 1, "p2": 2}, None,
+             EXACTLY_ONE, "lower-bound"),
+            (path(4), {"p3": 2}, None, EXACTLY_TWO, "pendant-reduction"),
+            (star(3), {"v2": 2}, None, EXACTLY_ONE, "oracle"),
+            (path(3), {"p0": 2, "p1": 1, "p2": 2}, None,
+             EXACTLY_TWO, "oracle"),
+            (star(4), {"v2": 5}, None, UNDETERMINED, "oracle"),
+            (star(3), {"v2": 2}, SearchBudget(max_nodes=3),
+             UNDETERMINED, "oracle"),
+        ]
+        for h, weights, budget, value, source in cases:
+            verdict = classify(h, weights, budget)
+            assert (verdict.k_value, verdict.evidence[-1][1]) == \
+                (value, source)
+            self.assert_no_views(h, *(cert.base for cert in
+                                      verdict.certificates.values()))
 
 
 class TestAboveTheSearchCap:

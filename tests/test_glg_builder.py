@@ -35,10 +35,13 @@ class TestLabels:
 
 class TestLineGraph:
     def test_star_becomes_complete(self):
-        c = generalized_line_graph(star(3), {})
+        h = star(3)
+        c = generalized_line_graph(h, {})
         assert len(c.graph.vertices) == 3
         assert len(c.graph.edges) == 3
-        assert c.graph.vertices[c.edge_positions[("v1", "v2")]] == \
+        # Base edges are keyed by the positions of their ends.
+        e = (h.vertices.index("v1"), h.vertices.index("v2"))
+        assert c.graph.vertices[c.edge_positions[e]] == \
             edge_label("v1", "v2") == "e:v1-v2"
 
     def test_path_becomes_shorter_path(self):
@@ -183,8 +186,9 @@ class TestGeneralizedLineGraph:
                             current, sorted(incident_edge_clique(h, v)), block)
                 assert combined.graph == current
                 vs = combined.graph.vertices
-                assert {v: [(vs[x], vs[y]) for x, y in combined.pairs[v]]
-                        for v in h.vertices} == pairs
+                assert {v: [(vs[x], vs[y]) for x, y in block]
+                        for v, block in zip(h.vertices, combined.pairs)} \
+                    == pairs
                 for v in h.vertices:
                     assert combined.incident_labels(v) == \
                         incident_edge_clique(h, v)
