@@ -11,8 +11,8 @@ from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
                      UnknownVertex, VertexCollision)
 from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
                          digraph_from_json, digraph_to_dot, graph_from_json,
-                         graph_json_text, graph_to_dot, is_clique,
-                         is_connected, normalize_edge, opsut_lower_bound,
+                         graph_json_text, graph_to_dot, is_connected,
+                         normalize_edge, opsut_lower_bound,
                          simplicial_vertices)
 from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
                           cocktail_party, edge_label, generalized_line_graph,

@@ -6,7 +6,10 @@ and either some weight is one or, with all weights zero, L(H) has a
 simplicial vertex (Opsut 1982; L(K2) = K1 needs no extra).  The classifier
 takes one path for every weight map.  In order: the single-extra
 construction (realization._unit_chain, which only builds) when one_extra
-holds; a pendant-vertex reduction that certifies k = 2, and removes
+holds, and no other construction: the verdict's two-extra witness is that
+witness plus isolated extras (realization._padded).  Every other verdict
+carries the paper's two-extra construction (glg_realization), built
+first: a pendant-vertex reduction that certifies k = 2, and removes
 nothing from a line graph without a simplicial vertex; then the oracle's
 one-extra search, which settles the rest: the two-extra witness bounds k
 by two, and a connected graph with an edge needs an extra.  Only that
@@ -23,7 +26,7 @@ from .glg_builder import (_simplicial_edge, check_weights,
                           generalized_line_graph)
 from .graph_core import _tails, is_connected, simplicial_vertices
 from .oracle import realization_search
-from .realization import _unit_chain, glg_realization
+from .realization import _padded, _unit_chain, glg_realization
 from .search import DEFAULT_BUDGET
 
 EXACTLY_ZERO = "exactly-zero"
@@ -189,23 +192,24 @@ def classify(h, weights=None, budget=None):
 
     Requires h connected with at least one edge.  Returns a Verdict; the
     value is exact whenever a verified witness plus a matching lower bound
-    exist, and honestly undetermined otherwise.
+    exist, and honestly undetermined otherwise.  Every verdict holds a
+    two-extra witness: for a one-extra or zero verdict it is the
+    single-extra witness plus isolated extras, and for every other the
+    paper's two-extra construction.
     """
     report = _connected_report(h, weights)
     budget = budget or DEFAULT_BUDGET
-
-    two = glg_realization(h, weights)
-    target = two.combined.graph
-    certificates = {"two_extra": two.certificate}
-    evidence = [("two-extra witness: competition number is at most two",
-                 "two-extra-construction")]
 
     if report.one_extra:
         # With no positive weight the report says that L(H) has a
         # simplicial vertex: the chain then needs one extra, or none for
         # L(K2) = K1.
-        cert = certificates["single_extra"] = _unit_chain(
-            two.combined, report.unit_weight_edge)
+        cert = _unit_chain(generalized_line_graph(h, weights or {}),
+                           report.unit_weight_edge)
+        certificates = {"two_extra": _padded(cert, 2), "single_extra": cert}
+        evidence = [("two-extra witness: the single-extra witness with an "
+                     "isolated extra added, so competition number is at "
+                     "most two", "single-extra-construction")]
         if not cert.k:
             evidence.append(("witness with no extra: the line graph of one "
                              "edge", "single-extra-construction"))
@@ -216,6 +220,12 @@ def classify(h, weights=None, budget=None):
             ("the graph has edges and no isolated vertex, so at least one "
              "extra is needed", "lower-bound")]
         return Verdict(EXACTLY_ONE, evidence, certificates)
+
+    two = glg_realization(h, weights)
+    target = two.combined.graph
+    certificates = {"two_extra": two.certificate}
+    evidence = [("two-extra witness: competition number is at most two",
+                 "two-extra-construction")]
 
     reduced, removed = pendant_reduce(target)
     # An isolated vertex is simplicial too: its empty neighbourhood is a

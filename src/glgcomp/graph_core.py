@@ -12,10 +12,10 @@ A Graph has one representation: its sorted label tuple, the label index
 its neighbours' positions, so it takes memory linear in vertices plus
 edges.  Graph(vertices, edges) builds the rows after its checks;
 glg_builder writes them through Graph._from_rows, the only constructor
-that checks nothing.  Degrees, edge and clique tests, the simplicial
-test, equality, hashing, induced subgraphs and connectivity read the
-rows.  The edge set and the neighbour sets are views, each built from the
-rows on first use.  No library path builds them on a base or a target:
+that checks nothing.  Degrees, edge tests, the simplicial test,
+equality, hashing, induced subgraphs and connectivity read the rows.  The
+edge set and the neighbour sets are views, each built from the rows on
+first use.  No library path builds them on a base or a target:
 the constructions, the condition report, pendant reduction, the search
 and the certificates read the rows, and only the public readers (edges,
 neighbors) and the body check's mismatch report build the views.
@@ -291,17 +291,6 @@ def acyclic_ordering(digraph):
         cycle = list(walk)[walk[v]:] + [v]
         raise CyclicDigraph("digraph is not acyclic", reversed(cycle))
     return tuple(order)
-
-
-def is_clique(graph, subset):
-    """True iff the subset induces a complete subgraph."""
-    sub = sorted(set(subset))
-    for v in sub:
-        if not graph.has_vertex(v):
-            raise UnknownVertex("no vertex %r" % (v,))
-    members = frozenset(map(graph._index.__getitem__, sub))
-    return all(len(members.intersection(graph._rows[i])) == len(sub) - 1
-               for i in members)
 
 
 def simplicial_vertices(graph):

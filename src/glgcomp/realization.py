@@ -352,6 +352,20 @@ def _certify(entries, tail, base, what):
                                  % (what, exc)) from exc
 
 
+def _padded(cert, k):
+    """The certificate of cert's body with k extras: its real entries, then
+    its tail padded with empty cliques.  An extra with no in-neighbour adds
+    no edge to the competition graph, so a witness with fewer extras, such
+    as a one-extra or zero verdict's single-extra witness, plus isolated
+    extras is a witness with k.  The new body goes through _certify and its
+    check like every other."""
+    n = len(cert.base.vertices)
+    tail = [clique for _, clique in cert.body[n:]]
+    tail += [frozenset()] * (k - cert.k)
+    return _certify(cert.body[:n], tail, cert.base,
+                    "%d-extra padding" % k)
+
+
 # ---------------------------------------------------------------------------
 # Line-graph realization (two extras with pinned in-neighborhoods)
 # ---------------------------------------------------------------------------

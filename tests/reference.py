@@ -3,8 +3,9 @@
 The builder writes the combined graph's rows in one pass.
 These are the textbook steps it replaces: the edge bundle of a base
 vertex, read off its neighbours, and the semi-join of a graph with a block
-along a clique.  The line graph semi-joined with one cocktail-party block
-per weighted vertex, in turn, is the combined graph (combined_graph).
+along a clique, which is_clique tests pair by pair against the edge set.
+The line graph semi-joined with one cocktail-party block per weighted
+vertex, in turn, is the combined graph (combined_graph).
 
 The serializers list links by bucketing each pair under its first end.
 sorted_links and to_dot are the writers they replace, which sort the whole
@@ -14,7 +15,14 @@ set of tuples.
 import itertools
 
 from glgcomp import (Graph, UnknownVertex, VertexCollision, cocktail_label,
-                     cocktail_party, edge_label, is_clique, normalize_edge)
+                     cocktail_party, edge_label, normalize_edge)
+
+
+def is_clique(graph, subset):
+    """True iff every two members of subset are joined in graph.edges; the
+    library reads rows, this reads the edge set."""
+    return all(pair in graph.edges
+               for pair in itertools.combinations(sorted(set(subset)), 2))
 
 
 class NotAClique(Exception):

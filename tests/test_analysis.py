@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import glgcomp.analysis
 import glgcomp.oracle
 import glgcomp.realization
 from glgcomp import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
@@ -179,6 +180,38 @@ class TestClassify:
             verdict = classify(h, weights)
             assert verdict.k_value == EXACTLY_ONE
             assert len(calls) == len(verdict.certificates) == 2
+
+    def test_one_extra_verdicts_pad_their_single_extra_witness(
+            self, monkeypatch):
+        # A one-extra or zero verdict builds no two-extra construction: its
+        # two-extra witness is the single-extra witness plus isolated extras.
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify built the two-extra construction")
+
+        monkeypatch.setattr(glgcomp.analysis, "glg_realization", refuse)
+        for h, weights in ((path(4), {}),
+                           (path(3), {v: 1 for v in path(3).vertices}),
+                           (path(3), {"p0": 1, "p1": 1, "p2": 2}),
+                           (Graph(["u", "v"], [("u", "v")]), {})):
+            verdict = classify(h, weights)
+            assert verdict.k_value in (EXACTLY_ONE, EXACTLY_ZERO)
+            one = verdict.certificates["single_extra"]
+            two = verdict.certificates["two_extra"]
+            n = len(one.base.vertices)
+            assert two.k == 2
+            assert two.body[:n] == one.body[:n]
+            assert [c for _, c in two.body[n:]] == \
+                [c for _, c in one.body[n:]] + [frozenset()] * (2 - one.k)
+            target = generalized_line_graph(h, weights).graph
+            verify_realization(two.digraph, target, 2)
+
+    def test_other_verdicts_keep_the_two_extra_construction(self):
+        # Pendant reduction, a search witness and a search refutation.
+        for h, weights in ((cycle_graph(4), {}), (star(3), {"v2": 2}),
+                           (path(3), {"p0": 2, "p1": 1, "p2": 2})):
+            verdict = classify(h, weights)
+            assert verdict.certificates["two_extra"].json_text() == \
+                glg_realization(h, weights).certificate.json_text()
 
     def test_line_graph_of_an_edge_is_zero(self):
         verdict = classify(Graph(["u", "v"], [("u", "v")]))

@@ -15,7 +15,7 @@ from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, SchemaError,
                      competition_graph, digraph_from_json, digraph_to_dot,
                      find_realization, generalized_line_graph,
                      glg_realization, graph_from_json, graph_json_text,
-                     graph_to_dot, is_clique, is_connected, normalize_edge,
+                     graph_to_dot, is_connected, normalize_edge,
                      opsut_lower_bound, simplicial_vertices,
                      weighted_graph_from_json)
 from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _clique_cover_number,
@@ -23,7 +23,8 @@ from glgcomp.graph_core import (DEFAULT_SIZE_GUARD, _clique_cover_number,
                                 maximal_clique_masks)
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
                     cycle_graph, random_chordal, weight_maps)
-from reference import NotAClique, digraph_doc, semi_join, sorted_links, to_dot
+from reference import (NotAClique, digraph_doc, is_clique, semi_join,
+                       sorted_links, to_dot)
 
 
 def complete_graph(n):
