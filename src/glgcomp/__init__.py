@@ -14,9 +14,8 @@ from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
                          graph_json_text, graph_to_dot, is_connected,
                          normalize_edge, opsut_lower_bound,
                          simplicial_vertices)
-from .glg_builder import (CombinedGraph, check_weights, cocktail_label,
-                          cocktail_party, edge_label, generalized_line_graph,
-                          is_simplicial_edge, weighted_graph_from_json)
+from .glg_builder import (CombinedGraph, cocktail_party,
+                          generalized_line_graph, weighted_graph_from_json)
 from .search import DEFAULT_BUDGET, SearchBudget, find_realization
 from .realization import (GlgRealization, RealizationCertificate,
                           cp_realization, fresh_labels, glg_realization,

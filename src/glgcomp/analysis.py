@@ -22,7 +22,7 @@ import heapq
 import json
 
 from .errors import BudgetExceeded, HypothesisNotMet
-from .glg_builder import (_simplicial_edge, check_weights,
+from .glg_builder import (_check_weights, _simplicial_edge,
                           generalized_line_graph)
 from .graph_core import _tails, is_connected, simplicial_vertices
 from .oracle import realization_search
@@ -84,7 +84,7 @@ def check_conditions(h, weights=None):
     Hypothesis failures are recorded, never raised; no graph is built,
     and the base is read by its rows.
     """
-    weights = list(check_weights(h, weights or {}).values())  # by position
+    weights = _check_weights(h, weights or {})  # by position
     rows = h._rows
     edges = [(i, j) for i, tail in enumerate(_tails(h)) for j in tail]
     zero_anchor = any(weights[i] == weights[j] == 0 and
@@ -240,8 +240,7 @@ def classify(h, weights=None, budget=None):
     # Some weight exceeds one and no edge has weight one at both ends, so
     # the target has an edge and, being connected, no isolated vertex:
     # k >= 1, and the oracle's one search for one extra settles it.
-    if budget.max_k < 1 or \
-            len(target.vertices) + 1 > budget.max_total_vertices:
+    if len(target.vertices) + 1 > budget.max_total_vertices:
         evidence.append(("%d vertices and 1 extra exceed the search budget"
                          % len(target.vertices), "oracle"))
         return Verdict(UNDETERMINED, evidence, certificates)

@@ -68,14 +68,13 @@ def _parse_edge(text):
 
 
 def _budget(args):
-    if min(args.max_vertices, args.max_k, args.max_nodes) < 0:
+    if min(args.max_vertices, args.max_nodes) < 0:
         raise SchemaError("budget flags take non-negative integers")
     return SearchBudget(max_total_vertices=args.max_vertices,
-                        max_k=args.max_k, max_nodes=args.max_nodes)
+                        max_nodes=args.max_nodes)
 
 
 def _add_budget_args(sub):
-    sub.add_argument("--max-k", type=int, default=DEFAULT_BUDGET.max_k)
     sub.add_argument("--max-vertices", type=int,
                      default=DEFAULT_BUDGET.max_total_vertices,
                      help="cap on base vertices plus extras in exact search")

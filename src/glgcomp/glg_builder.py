@@ -5,7 +5,7 @@ each positively weighted base vertex v, a cocktail-party block fully joined
 to the line-graph vertices arising from edges incident to v.  With no
 weights it is the line graph L(H).
 
-Vertex naming:
+Vertex naming, written only by generalized_line_graph:
   * an edge {a, b} of the base graph becomes the vertex "e:a-b" (a < b);
   * cocktail-party vertices attached at base vertex v are "q:v:l:x" and
     "q:v:l:y" for levels l = 1..weight(v); the two vertices on the same
@@ -14,17 +14,14 @@ Vertex naming:
 This module owns the line-graph facts: CombinedGraph carries each edge's
 vertex, each base vertex's edge bundle and each block's partner pairs, so
 nothing ever needs to parse a label back apart or rebuild a bundle, and
-is_simplicial_edge tells from the base graph alone when an edge vertex of
-L(H) is simplicial.  Both sides are named by position, as the
+_simplicial_edge tells from the base graph's rows alone when an edge
+vertex of L(H) is simplicial.  Both sides are named by position, as the
 constructions' bodies name them (see realization): a base vertex by its
 position in the base's sorted label tuple, and a combined vertex by its
 position in the combined graph's.  edge_positions maps each base edge
 (i, j), i < j, to its vertex's position, bundles[i] is the frozenset of the
 positions of the i-th base vertex's edge bundle, and pairs[i] its block's
-partner pairs as positions.  edge_label names an edge's vertex, and
-incident_labels(v) gives the bundle of the base vertex v by label.  The
-simplicial rule reads the base's rows (_simplicial_edge); the exported
-is_simplicial_edge takes an edge by label and puts it in positions.
+partner pairs as positions.
 
 generalized_line_graph reads the base's rows and writes the combined
 graph's (see graph_core), with no edge list of the combined graph and no
@@ -34,37 +31,17 @@ to the positions of v's edge bundle and of v's block, a clique of the
 combined graph.  An edge vertex e:a-b is adjacent to star(a) and star(b)
 but itself, which is the one position they share, and both vertices of a
 block level to star(v) but the two of them, so they share one row; a
-zero-weight vertex adds no block.  That graph equals the line graph semi-joined with one block per
-weighted vertex in turn; tests/reference.py keeps that semi-join as the
-reference definition the tests check the builder against.
+zero-weight vertex adds no block.  That graph equals the line graph
+semi-joined with one block per weighted vertex in turn; tests/reference.py
+keeps that semi-join, and the label naming above, as the reference
+definitions the tests check the builder against.
 """
 
 import itertools
 
 from .errors import (NonPositiveM, SchemaError, UnknownVertex,
                      VertexCollision)
-from .graph_core import Graph, _read_links, normalize_edge
-
-
-def edge_label(a, b):
-    a, b = normalize_edge(a, b)
-    return "e:%s-%s" % (a, b)
-
-
-def cocktail_label(v, level, side):
-    if side not in ("x", "y"):
-        raise SchemaError("cocktail side must be 'x' or 'y', got %r" % (side,))
-    return "q:%s:%d:%s" % (v, level, side)
-
-
-def is_simplicial_edge(h, f):
-    """True iff the line-graph vertex of the edge f = xy of h is simplicial
-    (_simplicial_edge, on the positions of x and y)."""
-    try:
-        i, j = map(h._index.__getitem__, f)
-    except KeyError as exc:
-        raise UnknownVertex("no vertex %r" % (exc.args[0],)) from None
-    return _simplicial_edge(h._rows, i, j)
+from .graph_core import Graph, _read_links
 
 
 def _simplicial_edge(rows, i, j):
@@ -104,19 +81,21 @@ def _block_edges(pairs):
     return [e for e in itertools.combinations(block, 2) if e not in partners]
 
 
-def check_weights(h, weights):
+def _check_weights(h, weights):
     """Validate a weight assignment: keys are vertices, values nonneg ints.
 
-    Returns a total dict (missing vertices get weight 0).
+    Returns the weights as a list indexed by position in h.vertices
+    (missing vertices get weight 0).
     """
-    full = dict.fromkeys(h.vertices, 0)
+    by_position = [0] * len(h.vertices)
     for v, m in weights.items():
-        if v not in full:
+        i = h._index.get(v)
+        if i is None:
             raise UnknownVertex("weighted vertex %r is not in the base graph" % (v,))
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise SchemaError("weight of %r must be a nonnegative integer, got %r" % (v, m))
-        full[v] = m
-    return full
+        by_position[i] = m
+    return by_position
 
 
 class CombinedGraph:
@@ -126,8 +105,7 @@ class CombinedGraph:
     (i, j), i < j, maps to its vertex's position (edge_positions), and the
     i-th base vertex has its edge bundle as a frozenset of positions
     (bundles[i]) and its block's partner pairs as position pairs by level
-    (pairs[i], empty for weight zero).  incident_labels(v) is the bundle
-    of the base vertex v by label."""
+    (pairs[i], empty for weight zero)."""
 
     __slots__ = ("graph", "base", "edge_positions", "bundles", "pairs")
 
@@ -138,31 +116,21 @@ class CombinedGraph:
         self.bundles = bundles  # i -> frozenset of positions
         self.pairs = pairs  # i -> sequence of (x, y) positions
 
-    def incident_labels(self, v):
-        """The line-graph vertices of the edges at v, a clique of the line
-        graph since these edges pairwise share v."""
-        try:
-            bundle = self.bundles[self.base._index[v]]
-        except KeyError:
-            raise UnknownVertex("no vertex %r" % (v,)) from None
-        return frozenset(map(self.graph.vertices.__getitem__, bundle))
-
 
 def generalized_line_graph(h, weights):
     """Build the combined graph for base graph h and the given vertex
     weights; with no positive weight it is the line graph of h."""
-    check_weights(h, weights)
     hv = h.vertices
     ends = [(i, j) for i, row in enumerate(h._rows) for j in row if j > i]
     labels = ["e:%s-%s" % (hv[i], hv[j]) for i, j in ends]
     blocks = []  # (base position, where its labels start, weight)
-    for v, m in weights.items():
+    for i, m in enumerate(_check_weights(h, weights)):
         if m:
-            # Labels "q:v:l:side", as cocktail_label writes them, are
-            # distinct across (v, l, side), and never start like an edge
-            # label "e:...".  Each level's x comes just before its y.
-            blocks.append((h._index[v], len(labels), m))
-            labels += ["q:%s:%d:%s" % (v, l, side)
+            # Labels "q:v:l:side" are distinct across (v, l, side), and
+            # never start like an edge label "e:...".  Each level's x
+            # comes just before its y.
+            blocks.append((i, len(labels), m))
+            labels += ["q:%s:%d:%s" % (hv[i], l, side)
                        for l in range(1, m + 1) for side in "xy"]
     vertices = sorted(labels)
     index = dict(zip(vertices, range(len(vertices))))
@@ -208,5 +176,5 @@ def weighted_graph_from_json(obj):
     raw_weights = obj.get("weights", {})
     if not isinstance(raw_weights, dict):
         raise SchemaError("field 'weights' must be an object")
-    weights = check_weights(h, raw_weights)
-    return h, weights
+    _check_weights(h, raw_weights)
+    return h, raw_weights

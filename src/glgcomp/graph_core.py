@@ -12,13 +12,12 @@ A Graph has one representation: its sorted label tuple, the label index
 its neighbours' positions, so it takes memory linear in vertices plus
 edges.  Graph(vertices, edges) builds the rows after its checks;
 glg_builder writes them through Graph._from_rows, the only constructor
-that checks nothing.  Degrees, edge tests, the simplicial test,
-equality, hashing, induced subgraphs and connectivity read the rows.  The
-edge set and the neighbour sets are views, each built from the rows on
-first use.  No library path builds them on a base or a target:
-the constructions, the condition report, pendant reduction, the search
-and the certificates read the rows, and only the public readers (edges,
-neighbors) and the body check's mismatch report build the views.
+that checks nothing.  The simplicial test, equality, hashing, induced
+subgraphs and connectivity read the rows.  The edge set and the neighbour
+sets are views, built from the rows on first use by the public readers
+edges and neighbors (vertices is the label tuple) and by the body check's
+mismatch report only: the constructions, the condition report, pendant
+reduction, the search and the certificates read the rows.
 
 One clique machinery works on vertex bitmasks: bit i stands for the i-th
 vertex in label order, and adj[i] holds its neighbours.  A mask is as
@@ -160,23 +159,9 @@ class Graph:
         return "Graph(%d vertices, %d edges)" % (
             len(self.vertices), sum(map(len, self._rows)) // 2)
 
-    def has_vertex(self, v):
-        return v in self._index
-
-    def has_edge(self, a, b):
-        a, b = normalize_edge(a, b)
-        index = self._index
-        return a in index and b in index and index[b] in self._rows[index[a]]
-
     def neighbors(self, v):
         try:
             return (self._adj or self._adjacency())[v]
-        except KeyError:
-            raise UnknownVertex("no vertex %r" % (v,)) from None
-
-    def degree(self, v):
-        try:
-            return len(self._rows[self._index[v]])
         except KeyError:
             raise UnknownVertex("no vertex %r" % (v,)) from None
 

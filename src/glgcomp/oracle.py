@@ -18,7 +18,6 @@ def realization_search(graph, k, budget=None):
     (a definitive answer, not a timeout).  Raises BudgetExceeded when the
     node budget runs out before the search is complete.
     """
-    budget = budget or DEFAULT_BUDGET
     got = find_realization(graph, k, budget=budget)
     if got is None:
         return None
@@ -31,7 +30,8 @@ def competition_number(graph, budget=None):
     Ascends k from the larger of the clique-cover lower bound and the
     edge-clique-cover bound (0 on the empty graph); returns
     (k, certificate).  Raises BudgetExceeded (carrying the best-known lower
-    bound) when either k or the total vertex count would leave the budget.
+    bound) when the vertex count plus k would leave the vertex cap, or
+    when the node budget runs out.
 
     A graph that no k could be searched on is refused before either bound
     is computed, against a bound that needs no search: 1 when the graph
@@ -61,7 +61,7 @@ def competition_number(graph, budget=None):
 def _check_budget(graph, k, budget):
     """Raise BudgetExceeded, with lower bound k, unless a search with k
     extras fits the budget; none with more extras would then either."""
-    if k > budget.max_k or len(graph.vertices) + k > budget.max_total_vertices:
+    if len(graph.vertices) + k > budget.max_total_vertices:
         raise BudgetExceeded(
             "competition number is at least %d but the search budget is "
             "exhausted" % k, lower_bound=k)

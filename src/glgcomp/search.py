@@ -41,7 +41,8 @@ A node is one state (taken set, covered set) entered by the search,
 including the states it then finds stuck (no ready vertex) or dominated;
 `max_nodes` caps their count, and a witness on n vertices takes at least
 n + 1 of them; running out names the extras' combination the search was
-in.
+in.  Each combination takes at least one node, so a search with more
+combinations than `max_nodes` is refused before they are listed.
 
 Vertices, edges and cliques are bitmasks, and each vertex has a mask of
 its incident edges.  The vertex masks are built from the graph's rows
@@ -65,6 +66,7 @@ of budget.
 """
 
 import itertools
+import math
 
 from .errors import BudgetExceeded
 from .graph_core import (_bitmasks, _tails, bit_indices,
@@ -72,13 +74,13 @@ from .graph_core import (_bitmasks, _tails, bit_indices,
 
 
 class SearchBudget:
-    """Knobs bounding the exhaustive search."""
+    """Knobs bounding the exhaustive search: a cap on the graph's vertices
+    plus extras, which also caps the extras, and a node budget."""
 
-    __slots__ = ("max_total_vertices", "max_k", "max_nodes")
+    __slots__ = ("max_total_vertices", "max_nodes")
 
-    def __init__(self, max_total_vertices=13, max_k=4, max_nodes=2_000_000):
+    def __init__(self, *, max_total_vertices=13, max_nodes=2_000_000):
         self.max_total_vertices = max_total_vertices
-        self.max_k = max_k
         self.max_nodes = max_nodes
 
 
@@ -93,7 +95,8 @@ def find_realization(graph, k, budget=None):
     the real vertices in placement order, each clique a frozenset of
     positions, and tail a tuple of the k extras' cliques, padded with
     empty ones; returns None when no realization exists; raises
-    BudgetExceeded when the node budget runs out.
+    BudgetExceeded when the node budget runs out, and before any node when
+    the extras' combinations alone outnumber it.
     """
     budget = budget or DEFAULT_BUDGET
     max_nodes = budget.max_nodes
@@ -162,8 +165,13 @@ def find_realization(graph, k, budget=None):
     # clique, and two of them never share one.  Combinations covering more
     # come first, so the memo skips those they dominate.
     useful = [(cm, cover_of(cm)) for cm in clique_masks if cm & (cm - 1)]
+    r = min(k, len(useful))
+    count = math.comb(len(useful), r)
+    if count > max_nodes:  # each combination takes a node or more
+        raise BudgetExceeded("the %d combinations of the extras' cliques "
+                             "exceed %d nodes" % (count, max_nodes))
     tails = [(combo, _union(cover for _, cover in combo))
-             for combo in itertools.combinations(useful, min(k, len(useful)))]
+             for combo in itertools.combinations(useful, r)]
     tails.sort(key=lambda t: -t[1].bit_count())
 
     isolated = _union(1 << i for i in range(n) if not adj[i])

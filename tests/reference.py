@@ -1,11 +1,13 @@
 """Reference definitions the tests check generalized_line_graph against.
 
-The builder writes the combined graph's rows in one pass.
-These are the textbook steps it replaces: the edge bundle of a base
-vertex, read off its neighbours, and the semi-join of a graph with a block
-along a clique, which is_clique tests pair by pair against the edge set.
-The line graph semi-joined with one cocktail-party block per weighted
-vertex, in turn, is the combined graph (combined_graph).
+The builder writes the combined graph's rows in one pass, and is the only
+writer of its labels in the package.  These are the textbook steps it
+replaces: the naming of an edge's vertex (edge_label) and of a block's
+vertices (cocktail_label), the edge bundle of a base vertex, read off its
+neighbours, and the semi-join of a graph with a block along a clique,
+which is_clique tests pair by pair against the edge set.  The line graph
+semi-joined with one cocktail-party block per weighted vertex, in turn,
+is the combined graph (combined_graph).
 
 The serializers list links by bucketing each pair under its first end.
 sorted_links and to_dot are the writers they replace, which sort the whole
@@ -14,8 +16,20 @@ set of tuples.
 
 import itertools
 
-from glgcomp import (Graph, UnknownVertex, VertexCollision, cocktail_label,
-                     cocktail_party, edge_label, normalize_edge)
+from glgcomp import (Graph, UnknownVertex, VertexCollision, cocktail_party,
+                     normalize_edge)
+
+
+def edge_label(a, b):
+    """The combined graph's vertex of the base edge {a, b}: "e:a-b", a < b."""
+    a, b = normalize_edge(a, b)
+    return "e:%s-%s" % (a, b)
+
+
+def cocktail_label(v, level, side):
+    """The combined graph's vertex on side x or y of level `level` of the
+    block at the base vertex v: "q:v:level:side"."""
+    return "q:%s:%d:%s" % (v, level, side)
 
 
 def is_clique(graph, subset):
@@ -34,8 +48,6 @@ def incident_edge_clique(h, v):
 
     Always a clique of the line graph: these edges pairwise share v.
     """
-    if not h.has_vertex(v):
-        raise UnknownVertex("no vertex %r" % (v,))
     return frozenset(edge_label(v, w) for w in h.neighbors(v))
 
 
@@ -43,7 +55,7 @@ def semi_join(graph, clique, other):
     """Disjoint union of the two graphs plus all edges clique x V(other)."""
     clique = sorted(set(clique))
     for v in clique:
-        if not graph.has_vertex(v):
+        if v not in graph.vertices:
             raise UnknownVertex("clique member %r is not in the base graph" % (v,))
     if not is_clique(graph, clique):
         raise NotAClique("semi-join anchor %r is not a clique" % (clique,))

@@ -17,6 +17,7 @@ import glgcomp.oracle
 import naive_oracle
 from corpus import (complete_bipartite, connected_chordal_graphs,
                     connected_graphs, cycle_graph, atlas_graphs)
+from reference import incident_edge_clique
 from glgcomp import (BudgetExceeded, Graph, check_conditions, classify,
                      cocktail_party, competition_number, cp_realization,
                      digraph_from_json, find_realization,
@@ -95,7 +96,7 @@ def test_01_two_extra_sweep(report):
                 for endpoint in e:
                     pin = r.pinned[endpoint]
                     assert r.digraph.in_neighbors(pin) == \
-                        combined.incident_labels(endpoint)
+                        incident_edge_clique(h, endpoint)
     report(1, "two-extra realizations across the weighted sweep",
            instances >= 500, "%d instances, every edge pinned" % instances)
 

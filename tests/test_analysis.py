@@ -17,6 +17,7 @@ from glgcomp import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                      verify_realization)
 from corpus import (atlas_graphs, connected_chordal_graphs, cycle_graph,
                     random_triangle_free)
+from reference import incident_edge_clique
 
 
 def path(n):
@@ -83,7 +84,7 @@ class TestCheckConditions:
                 combined = generalized_line_graph(h, weights)
                 simplicial = set(simplicial_vertices(combined.graph))
                 expected = any(
-                    weights[v] == 0 and combined.incident_labels(v) & simplicial
+                    weights[v] == 0 and incident_edge_clique(h, v) & simplicial
                     for v in h.vertices)
                 report = check_conditions(h, weights)
                 assert report.zero_weight_anchor_simplicial == expected
@@ -286,7 +287,8 @@ class TestClassify:
         monkeypatch.setattr(glgcomp.oracle, "find_realization", refuse)
         h = Graph(list("abcde"), zip("abcd", "bcde"))
         weights = {"a": 1, "b": 1, "d": 2}
-        verdict = classify(h, weights, SearchBudget(max_k=0, max_nodes=10))
+        verdict = classify(h, weights,
+                           SearchBudget(max_total_vertices=0, max_nodes=10))
         assert verdict.k_value == EXACTLY_ONE
         cert = verdict.certificates["single_extra"]
         assert cert.k == 1

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import glgcomp
-from glgcomp import Graph, glg_realization
+from glgcomp import CombinedGraph, Graph, SearchBudget, glg_realization
 from glgcomp.cli import main
 from corpus import grid
 
@@ -246,6 +247,19 @@ class TestCompnum:
         code, _, err = run(capsys, "compnum", heavy_leaf)
         assert code == 5 and "lower bound 1" in err
 
+    def test_many_extras_are_refused_before_their_combinations(
+            self, capsys, tmp_path):
+        # The 10 x 10 grid needs at least 82 extras (Opsut's edge bound),
+        # within a cap of 2,000 vertices; its C(180, 82) combinations of
+        # the extras' cliques exceed the node budget before one is listed.
+        g = grid(10)
+        src = write(tmp_path, "grid10.json", {
+            "kind": "graph", "vertices": list(g.vertices),
+            "edges": [list(e) for e in sorted(g.edges)]})
+        code, out, err = run(capsys, "compnum", src, "--max-vertices", "2000")
+        assert code == 5 and out == ""
+        assert "lower bound 82" in err and "combinations" in err
+
     def test_path_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         # The search places the 1,200 vertices one level below the last.
         verts = ["p%04d" % i for i in range(1200)]
@@ -401,6 +415,36 @@ class TestWriteJson:
             assert json.loads(text)["unit_weight_edge"] == labels[:2]
 
 
+class TestPublicApi:
+    def test_exported_names(self):
+        names = {n for n, v in vars(glgcomp).items()
+                 if not n.startswith("_")
+                 and not isinstance(v, types.ModuleType)}
+        assert names == {
+            "BudgetExceeded", "CombinedGraph", "CompetitionMismatch",
+            "ConditionReport", "ConstructionFailed", "CyclicDigraph",
+            "DEFAULT_BUDGET", "Digraph", "EXACTLY_ONE", "EXACTLY_TWO",
+            "EXACTLY_ZERO", "EmptyGraph", "GlgError", "GlgRealization",
+            "Graph", "HypothesisNotMet", "InvalidInput", "NonPositiveM",
+            "NotAnEdge", "RealizationCertificate", "SchemaError",
+            "SearchBudget", "UNDETERMINED", "UnknownVertex", "Verdict",
+            "VertexCollision", "acyclic_ordering", "check_conditions",
+            "classify", "cocktail_party",
+            "competition_graph", "competition_number", "cp_realization",
+            "digraph_from_json", "digraph_to_dot", "find_realization",
+            "fresh_labels", "generalized_line_graph", "glg_realization",
+            "graph_from_json", "graph_json_text", "graph_to_dot",
+            "is_connected", "normalize_edge", "opsut_lower_bound",
+            "pendant_reduce", "realization_search", "simplicial_vertices",
+            "single_extra_realization", "verify_realization",
+            "weighted_graph_from_json"}
+
+    def test_graph_readers_and_budget_fields(self):
+        assert not {"degree", "has_vertex", "has_edge"} & set(dir(Graph))
+        assert "incident_labels" not in dir(CombinedGraph)
+        assert SearchBudget.__slots__ == ("max_total_vertices", "max_nodes")
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "compnum", "/nonexistent/file.json")
@@ -416,10 +460,21 @@ class TestInputErrors:
                     {"kind": "graph", "vertices": ["a", "b"],
                      "edges": [["a", "b"]]})
         for command in ("classify", "compnum"):
-            for flag in ("--max-nodes", "--max-vertices", "--max-k"):
+            for flag in ("--max-nodes", "--max-vertices"):
                 code, out, err = run(capsys, command, src, flag, "-1")
                 assert code == 2 and "non-negative" in err, (command, flag)
                 assert out == ""
+
+    def test_no_flag_caps_the_extras(self, capsys, tmp_path):
+        # The vertex cap alone bounds the extras.
+        src = write(tmp_path, "k2.json",
+                    {"kind": "graph", "vertices": ["a", "b"],
+                     "edges": [["a", "b"]]})
+        for command in ("classify", "compnum"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, src, "--max-k", "4"])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_negative_extra_count(self, capsys, star_instance,
                                   star_digraph):

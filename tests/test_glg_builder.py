@@ -4,13 +4,13 @@ import random
 import pytest
 
 from glgcomp import (Graph, NonPositiveM, SchemaError, UnknownVertex,
-                     VertexCollision, check_weights, cocktail_label,
-                     cocktail_party, edge_label, generalized_line_graph,
-                     is_simplicial_edge, simplicial_vertices,
-                     weighted_graph_from_json)
+                     VertexCollision, cocktail_party, generalized_line_graph,
+                     simplicial_vertices, weighted_graph_from_json)
+from glgcomp.glg_builder import _check_weights, _simplicial_edge
 from glgcomp.graph_core import graph_json_text, graph_to_dot
 from corpus import atlas_graphs, connected_graphs, weight_maps
-from reference import combined_graph, incident_edge_clique, semi_join
+from reference import (cocktail_label, combined_graph, edge_label,
+                       incident_edge_clique, semi_join)
 
 
 def star(n):
@@ -21,6 +21,13 @@ def star(n):
 def path(n):
     verts = ["p%d" % i for i in range(n)]
     return Graph(verts, zip(verts, verts[1:]))
+
+
+def bundle_positions(combined, h, v):
+    """The reference bundle of the base vertex v, as positions in the
+    combined graph."""
+    index = combined.graph.vertices.index
+    return frozenset(map(index, incident_edge_clique(h, v)))
 
 
 class TestLabels:
@@ -54,8 +61,8 @@ class TestLineGraph:
             c = generalized_line_graph(h, {})
             for e, f in itertools.combinations(sorted(h.edges), 2):
                 touching = bool(set(e) & set(f))
-                assert c.graph.has_edge(edge_label(*e),
-                                        edge_label(*f)) == touching
+                assert (edge_label(*f) in
+                        c.graph.neighbors(edge_label(*e))) == touching
 
     def test_incident_edge_clique(self):
         h = path(3)
@@ -66,10 +73,8 @@ class TestLineGraph:
             incident_edge_clique(h, "nope")
         # The library keeps the same bundles on the combined graph.
         combined = generalized_line_graph(h, {})
-        for v in h.vertices:
-            assert combined.incident_labels(v) == incident_edge_clique(h, v)
-        with pytest.raises(UnknownVertex):
-            combined.incident_labels("nope")
+        assert combined.bundles == [bundle_positions(combined, h, v)
+                                    for v in h.vertices]
 
     def test_bundles_are_cliques_covering_all_line_graph_edges(self):
         for h in connected_graphs(5, min_edges=1, max_edges=6):
@@ -78,7 +83,7 @@ class TestLineGraph:
             for v in h.vertices:
                 bundle = incident_edge_clique(h, v)
                 for a, b in itertools.combinations(sorted(bundle), 2):
-                    assert lg.has_edge(a, b)
+                    assert b in lg.neighbors(a)
                     covered.add((a, b))
             assert covered == set(lg.edges)
 
@@ -90,7 +95,8 @@ class TestLineGraph:
             c = generalized_line_graph(h, {})
             simplicial = set(simplicial_vertices(c.graph))
             for f in h.edges:
-                assert is_simplicial_edge(h, f) == \
+                i, j = map(h.vertices.index, f)
+                assert _simplicial_edge(h._rows, i, j) == \
                     (edge_label(*f) in simplicial)
                 edges += 1
         assert edges == 12342
@@ -107,7 +113,7 @@ class TestCocktailParty:
     def test_partners_are_the_only_non_neighbors(self):
         g, pairs = cocktail_party(3)
         for x, y in pairs:
-            assert not g.has_edge(x, y)
+            assert y not in g.neighbors(x)
             assert g.neighbors(x) == frozenset(g.vertices) - {x, y}
 
     def test_default_names_and_bad_m(self):
@@ -124,16 +130,17 @@ class TestCocktailParty:
 class TestWeights:
     def test_fills_in_zeros_and_validates(self):
         h = path(3)
-        total = check_weights(h, {"p0": 2})
-        assert total == {"p0": 2, "p1": 0, "p2": 0}
+        # The weights by position in h.vertices.
+        assert _check_weights(h, {"p0": 2}) == [2, 0, 0]
+        assert _check_weights(h, {"p2": 1, "p1": 0}) == [0, 0, 1]
         with pytest.raises(UnknownVertex):
-            check_weights(h, {"zz": 1})
+            _check_weights(h, {"zz": 1})
         with pytest.raises(SchemaError):
-            check_weights(h, {"p0": -1})
+            _check_weights(h, {"p0": -1})
         with pytest.raises(SchemaError):
-            check_weights(h, {"p0": True})
+            _check_weights(h, {"p0": True})
         with pytest.raises(SchemaError):
-            check_weights(h, {"p0": "2"})
+            _check_weights(h, {"p0": "2"})
 
 
 class TestGeneralizedLineGraph:
@@ -149,17 +156,17 @@ class TestGeneralizedLineGraph:
         combined = generalized_line_graph(h, {"v2": 2, "v3": 1})
         g = combined.graph
         # same-anchor block vertices: adjacent unless they are partners
-        assert g.has_edge("q:v2:1:x", "q:v2:2:y")
-        assert not g.has_edge("q:v2:1:x", "q:v2:1:y")
+        assert "q:v2:2:y" in g.neighbors("q:v2:1:x")
+        assert "q:v2:1:y" not in g.neighbors("q:v2:1:x")
         # block vertices of different anchors are never adjacent
-        assert not g.has_edge("q:v2:1:x", "q:v3:1:x")
+        assert "q:v3:1:x" not in g.neighbors("q:v2:1:x")
         # a block sees exactly its anchor's edge bundle
         assert g.neighbors("q:v3:1:x") == frozenset({"e:v1-v3"})
-        bundle = combined.incident_labels("v2")
-        assert bundle == frozenset({"e:v1-v2"})
+        assert combined.bundles[h.vertices.index("v2")] == \
+            frozenset({g.vertices.index("e:v1-v2")})
         for q in ("q:v2:1:x", "q:v2:1:y", "q:v2:2:x", "q:v2:2:y"):
-            assert g.has_edge("e:v1-v2", q)
-            assert not g.has_edge("e:v1-v3", q)
+            assert q in g.neighbors("e:v1-v2")
+            assert q not in g.neighbors("e:v1-v3")
 
     def test_matches_iterated_semi_join(self):
         # The one-pass build against the definition: the line graph
@@ -189,9 +196,8 @@ class TestGeneralizedLineGraph:
                 assert {v: [(vs[x], vs[y]) for x, y in block]
                         for v, block in zip(h.vertices, combined.pairs)} \
                     == pairs
-                for v in h.vertices:
-                    assert combined.incident_labels(v) == \
-                        incident_edge_clique(h, v)
+                assert combined.bundles == [
+                    bundle_positions(combined, h, v) for v in h.vertices]
 
     def test_colliding_edge_labels_are_refused(self):
         # Edges a-b~c and a~b-c are both labelled "e:a-b-c".
@@ -268,7 +274,19 @@ class TestWeightedJson:
                "edges": [["p0", "p1"], ["p1", "p2"]], "weights": {"p1": 2}}
         h2, w2 = weighted_graph_from_json(doc)
         assert h2 == h
-        assert check_weights(h2, w2) == check_weights(h, weights)
+        # The map comes back as given, checked but not filled in.
+        assert w2 == weights == doc["weights"]
+        assert _check_weights(h2, w2) == _check_weights(h, weights) == [0, 2, 0]
+
+    def test_refuses_bad_weights(self):
+        doc = {"kind": "vertex_weighted_graph", "vertices": ["a", "b"],
+               "edges": [["a", "b"]]}
+        with pytest.raises(UnknownVertex):
+            weighted_graph_from_json(dict(doc, weights={"c": 1}))
+        with pytest.raises(SchemaError):
+            weighted_graph_from_json(dict(doc, weights={"a": -1}))
+        with pytest.raises(SchemaError):
+            weighted_graph_from_json(dict(doc, weights=[1, 0]))
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(SchemaError):

@@ -65,9 +65,7 @@ class TestGraphBasics:
         g = Graph(["b", "a", "c"], [("b", "a"), ("a", "b"), ("c", "a")])
         assert g.vertices == ("a", "b", "c")
         assert g.edges == frozenset({("a", "b"), ("a", "c")})
-        assert g.has_edge("b", "a")
         assert g.neighbors("a") == frozenset({"b", "c"})
-        assert g.degree("a") == 2
 
     def test_rejects_loops_unknown_endpoints_duplicates(self):
         with pytest.raises(SchemaError):
@@ -201,7 +199,7 @@ class TestLazyAdjacency:
             d.in_neighbors("x")
         with pytest.raises(UnknownVertex):
             d.out_neighbors("x")
-        assert not g.has_vertex("x") and g.has_vertex("p0")
+        assert "x" not in g.vertices and "p0" in g.vertices
 
 
 class TestCompetitionGraph:
@@ -357,7 +355,7 @@ def clique_cover_reference(g):
             out.append(clique)
             for i, w in enumerate(cands):
                 stack.append((clique | {w},
-                              [u for u in cands[i + 1:] if g.has_edge(u, w)]))
+                              [u for u in cands[i + 1:] if u in g.neighbors(w)]))
         return out
 
     return lambda subset: theta(frozenset(subset))

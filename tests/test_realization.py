@@ -331,7 +331,7 @@ class TestLineGraphRealization:
                     d, z1, z2 = line_graph_realization(h, e)
                 except HypothesisNotMet:
                     refused += 1
-                    assert h.degree(e[0]) == h.degree(e[1]) == 1
+                    assert len(h.neighbors(e[0])) == len(h.neighbors(e[1])) == 1
                     assert find_realization(lg, 0) is None
                     continue
                 verify_realization(d, lg, 2)
@@ -540,7 +540,7 @@ class TestGlgRealization:
         for endpoint in (u, v):
             pin = r.pinned[endpoint]
             assert r.digraph.in_neighbors(pin) == \
-                combined.incident_labels(endpoint)
+                incident_edge_clique(h, endpoint)
 
     def test_positive_weights_make_the_pins_real_vertices(self):
         h = path(4)
@@ -594,7 +594,7 @@ class TestGlgRealization:
         assert r.pinned == {"c": "q:a:1:x", "d": "q:a:2:x"}
         for endpoint in r.edge:
             assert r.digraph.in_neighbors(r.pinned[endpoint]) == \
-                combined.incident_labels(endpoint)
+                incident_edge_clique(h, endpoint)
 
 
 class TestSingleExtraUnits:
@@ -692,10 +692,11 @@ class TestOneExtraRule:
         # 3,708 instances: every connected base of 2-5 vertices and at most
         # six edges under every weight map with weights 0-2.  The report's
         # one_extra holds exactly when single_extra_realization succeeds,
-        # and classify, which searches nothing with max_k = 0, carries the
-        # same single-extra certificate exactly then.  1,513 of them meet
-        # the conditions, so a changed predicate shows in the count.
-        no_search = SearchBudget(max_k=0)
+        # and classify, which searches nothing with max_total_vertices = 0,
+        # carries the same single-extra certificate exactly then.  1,513 of
+        # them meet the conditions, so a changed predicate shows in the
+        # count.
+        no_search = SearchBudget(max_total_vertices=0)
         instances = applied = 0
         for h in connected_graphs(5, min_edges=1, max_edges=6):
             for combo in itertools.product(range(3), repeat=len(h.vertices)):

@@ -190,6 +190,18 @@ class TestCompetitionNumber:
         for m in (2, 3):
             assert competition_number(cocktail_party(m)[0])[0] == 2
 
+    def test_complete_bipartite_within_the_vertex_cap(self):
+        # Opsut's edge-clique-cover bound gives K_{3,3} 9 - 6 + 2 = 5
+        # extras, and the search finds them on 11 vertices, within the cap
+        # of 13.  K_{3,4} needs at least 12 - 7 + 2 = 7: 14 vertices, over.
+        g = complete_bipartite(3, 3)
+        k, cert = competition_number(g)
+        assert k == 5
+        assert verify_realization(cert.digraph, g, 5).k == 5
+        with pytest.raises(BudgetExceeded) as exc:
+            competition_number(complete_bipartite(3, 4))
+        assert exc.value.lower_bound == 7
+
     def test_edgeless_and_empty(self):
         assert competition_number(Graph(["a", "b"], []))[0] == 0
         assert competition_number(Graph([], []))[0] == 0
@@ -256,7 +268,7 @@ class TestCompetitionNumber:
             assert exc.value.lower_bound == bound
         with pytest.raises(BudgetExceeded) as exc:
             competition_number(Graph(["a", "b"], [("a", "b")]),
-                               SearchBudget(max_k=0))
+                               SearchBudget(max_total_vertices=0))
         assert exc.value.lower_bound == 1
         with pytest.raises(AssertionError, match="opsut_lower_bound ran"):
             competition_number(cycle_graph(8))
