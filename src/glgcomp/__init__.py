@@ -18,9 +18,8 @@ from .glg_builder import (CombinedGraph, cocktail_party,
                           generalized_line_graph, weighted_graph_from_json)
 from .search import DEFAULT_BUDGET, SearchBudget, find_realization
 from .realization import (GlgRealization, RealizationCertificate,
-                          cp_realization, fresh_labels, glg_realization,
-                          verify_realization)
-from .oracle import competition_number, realization_search
+                          cp_realization, glg_realization, verify_realization)
+from .oracle import competition_number
 from .analysis import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                        ConditionReport, Verdict, check_conditions, classify,
                        pendant_reduce, single_extra_realization)

@@ -10,12 +10,14 @@ holds, and no other construction: the verdict's two-extra witness is that
 witness plus isolated extras (realization._padded).  Every other verdict
 carries the paper's two-extra construction (glg_realization), built
 first: a pendant-vertex reduction that certifies k = 2, and removes
-nothing from a line graph without a simplicial vertex; then the oracle's
-one-extra search, which settles the rest: the two-extra witness bounds k
-by two, and a connected graph with an edge needs an extra.  Only that
-search can end in an honest "undetermined", when its node budget runs out
-or the graph is above its vertex cap; it runs only with no unit-weight
-edge and some weight above one, so no unweighted base is searched.
+nothing from a line graph without a simplicial vertex; then the exact
+one-extra search (search.find_realization, whose witness comes as a
+checked certificate) settles the rest, its evidence under the source
+"oracle": the two-extra witness bounds k by two, and a connected graph
+with an edge needs an extra.  Only that search can end in an honest
+"undetermined", when its node budget runs out or the graph is above its
+vertex cap; it runs only with no unit-weight edge and some weight above
+one, so no unweighted base is searched.
 """
 
 import heapq
@@ -25,9 +27,8 @@ from .errors import BudgetExceeded, HypothesisNotMet
 from .glg_builder import (_check_weights, _simplicial_edge,
                           generalized_line_graph)
 from .graph_core import _tails, is_connected, simplicial_vertices
-from .oracle import realization_search
 from .realization import _padded, _unit_chain, glg_realization
-from .search import DEFAULT_BUDGET
+from .search import DEFAULT_BUDGET, find_realization
 
 EXACTLY_ZERO = "exactly-zero"
 EXACTLY_ONE = "exactly-one"
@@ -239,13 +240,13 @@ def classify(h, weights=None, budget=None):
         return Verdict(EXACTLY_TWO, evidence, certificates)
     # Some weight exceeds one and no edge has weight one at both ends, so
     # the target has an edge and, being connected, no isolated vertex:
-    # k >= 1, and the oracle's one search for one extra settles it.
+    # k >= 1, and one exact search for one extra settles it.
     if len(target.vertices) + 1 > budget.max_total_vertices:
         evidence.append(("%d vertices and 1 extra exceed the search budget"
                          % len(target.vertices), "oracle"))
         return Verdict(UNDETERMINED, evidence, certificates)
     try:
-        cert = realization_search(target, 1, budget)
+        cert = find_realization(target, 1, budget)
     except BudgetExceeded as exc:
         evidence.append(("exact search exhausted its budget (lower bound "
                          "1): %s" % exc, "oracle"))

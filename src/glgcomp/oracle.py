@@ -1,27 +1,15 @@
 """Ground-truth engine: exact competition numbers on small graphs.
 
-Everything here is exhaustive within an explicit budget.  A missing witness
-is reported as None (a proof of nonexistence); running out of budget raises
+competition_number climbs k, asking the exact search
+(search.find_realization) at each, which returns its witness's checked
+certificate or None, a proof that k extras do not suffice.  Everything here
+is exhaustive within an explicit budget: running out of it raises
 BudgetExceeded and is never silently treated as evidence.
 """
 
 from .errors import BudgetExceeded
 from .graph_core import _tails, opsut_lower_bound
-from .realization import _certify
 from .search import DEFAULT_BUDGET, find_realization
-
-
-def realization_search(graph, k, budget=None):
-    """Exact search for a digraph realizing graph plus k isolated extras.
-
-    Returns the witness's RealizationCertificate, or None when none exists
-    (a definitive answer, not a timeout).  Raises BudgetExceeded when the
-    node budget runs out before the search is complete.
-    """
-    got = find_realization(graph, k, budget=budget)
-    if got is None:
-        return None
-    return _certify(*got, graph, "realization search")
 
 
 def competition_number(graph, budget=None):
@@ -48,7 +36,7 @@ def competition_number(graph, budget=None):
     while True:
         _check_budget(graph, k, budget)
         try:
-            cert = realization_search(graph, k, budget)
+            cert = find_realization(graph, k, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
                 "node budget ran out while testing %d extras: %s" % (k, exc),

@@ -11,7 +11,7 @@ label tuple, and the extras N.. after them, so a body comes with the tuple
 of its labels (the target's, then the extras').  The constructions build
 their bodies in positions from the start, with the combined graph's
 positions (glg_builder.CombinedGraph) and frozensets of them as cliques,
-and the search returns its witness in the same form.  Only a digraph
+and the search builds its witness in the same form.  Only a digraph
 given to verify_realization names its vertices by label; it goes through
 the one label-to-position step, _positions: each vertex takes its
 position in the target, the others the next ones in body order, and an
@@ -29,19 +29,19 @@ target plus its own position (an extra's, its own position alone), and
 pairs are listed, by label, only when they differ.  Its messages name
 vertices by label.  The certificate's constructor runs that check, so a
 certificate exists only checked, and keeps the checked body with its
-labels: the body is its own representation, ordering reads it by label,
-and the Digraph is built only when the certificate's digraph is read.
-_certify gives the tail's extras the positions N.. and fresh labels and
-builds the certificate.  The certificate's one JSON writer, json_text,
-writes the document as text straight from the body (each tail's heads,
-read in label order) and the base graph's rows (graph_core._graph_text),
-encoding each label once, by position, byte for byte what
-json.dumps(..., sort_keys=True) writes.  Every construction returns its
-certificate, so a flaw in a scheme surfaces as ConstructionFailed rather
-than a bad witness.  verify_realization, for digraphs from outside (whose
-constructor has checked their labels and arcs), computes the
-lexicographically smallest acyclic ordering and builds the certificate
-from each vertex with its in-neighborhood, in that order.
+labels: the body is its own representation, and the Digraph is built only
+when the certificate's digraph is read.  _certify gives the tail's extras
+the positions N.. and fresh labels and builds the certificate.  The
+certificate's one JSON writer, json_text, writes the document as text
+straight from the body (each tail's heads, read in label order) and the
+base graph's rows (graph_core._graph_text), encoding each label once, by
+position, byte for byte what json.dumps(..., sort_keys=True) writes.
+Every construction, and the search, returns its certificate, so a flaw in
+a scheme surfaces as ConstructionFailed rather than a bad witness.
+verify_realization, for digraphs from outside (whose constructor has
+checked their labels and arcs), computes the lexicographically smallest
+acyclic ordering and builds the certificate from each vertex with its
+in-neighborhood, in that order.
 
 The two-extra construction for a combined graph is one body: the line-graph
 entries, then the entries of each weighted vertex's cocktail-party block,
@@ -137,10 +137,10 @@ class RealizationCertificate:
     so every certificate is checked.  It stores the checked body: body
     lists every vertex of D, the extras included, by position with its
     in-neighborhood, in placement order, and labels names each position
-    (base.vertices, then the extras); added holds the extras' labels,
-    sorted.  ordering reads the body by label; digraph builds D from it on
-    first read and keeps it, unless it is given; json_text writes the
-    document straight from the body and the base.
+    (base.vertices, then the extras), the vertices of D; added holds the
+    extras' labels, sorted.  digraph builds D from the body on first read
+    and keeps it, unless it is given; json_text writes the document,
+    placement order included, straight from the body and the base.
     """
 
     __slots__ = ("body", "labels", "base", "k", "added", "_digraph")
@@ -154,16 +154,10 @@ class RealizationCertificate:
         self._digraph = digraph
 
     @property
-    def ordering(self):
-        """The labels in placement order."""
-        name = self.labels.__getitem__
-        return tuple([name(v) for v, _ in self.body])
-
-    @property
     def digraph(self):
         if self._digraph is None:
             name = self.labels.__getitem__
-            self._digraph = Digraph(self.ordering,
+            self._digraph = Digraph(self.labels,
                                     ((name(x), name(v))
                                      for v, clique in self.body
                                      for x in clique))
@@ -178,7 +172,7 @@ class RealizationCertificate:
         labels, body = self.labels, self.body
         n = len(self.base.vertices)
         codes = list(map(_json_string, labels))
-        order = _label_order(self.base.vertices, labels)
+        order = sorted(range(len(labels)), key=labels.__getitem__)
         cliques = [None] * len(labels)
         for v, clique in body:
             cliques[v] = clique
@@ -195,18 +189,6 @@ class RealizationCertificate:
                    _graph_text(self.base, codes[:n]), arcs,
                    ", ".join([codes[x] for x in order]), json.dumps(self.k),
                    ", ".join([codes[v] for v, _ in body])))
-
-
-def _label_order(vertices, labels):
-    """The positions of labels in label order, where labels[:n] are the
-    sorted n base vertices: each later label, an extra, goes in at its
-    place among them, the largest first so that the places stay right."""
-    n = len(vertices)
-    order = list(range(n))
-    for x in sorted(range(n, len(labels)), key=labels.__getitem__,
-                    reverse=True):
-        order.insert(bisect.bisect(vertices, labels[x]), x)
-    return order
 
 
 def _positions(entries, base):
@@ -307,19 +289,19 @@ def _check_body(entries, labels, base, k):
 def verify_realization(digraph, base, k):
     """Check that digraph is acyclic and C(digraph) = base plus k isolated.
 
-    Returns a RealizationCertificate whose ordering is acyclic_ordering's,
-    the lexicographically smallest; raises CyclicDigraph with a cycle
-    witness, InvalidInput for missing base vertices or a wrong number of
-    extras, or CompetitionMismatch listing missing/extra edges.  The digraph
-    is checked as the body of its vertices and in-neighborhoods in that
-    order, put in positions (_positions) and certified.
+    Returns a RealizationCertificate whose body follows acyclic_ordering,
+    the lexicographically smallest ordering; raises CyclicDigraph with a
+    cycle witness, InvalidInput for missing base vertices or a wrong number
+    of extras, or CompetitionMismatch listing missing/extra edges.  The
+    digraph is checked as the body of its vertices and in-neighborhoods in
+    that order, put in positions (_positions) and certified.
     """
     body, labels = _positions([(v, digraph.in_neighbors(v))
                                for v in acyclic_ordering(digraph)], base)
     return RealizationCertificate(body, labels, base, k, digraph)
 
 
-def fresh_labels(taken, count):
+def _fresh_labels(taken, count):
     """`count` labels of the form z1, z2, ... not in the container taken."""
     out = []
     i = 1
@@ -334,7 +316,7 @@ def fresh_labels(taken, count):
 def _certify(entries, tail, base, what):
     """The certificate of a body: its (vertex, clique) entries in order,
     in positions of base, then one extra per clique of `tail`, at positions
-    len(base.vertices).. and named by fresh_labels above against the base's
+    len(base.vertices).. and named by _fresh_labels above against the base's
     label index.
 
     The certificate checks the body, with the body order as the ordering,
@@ -344,7 +326,7 @@ def _certify(entries, tail, base, what):
     k = len(tail)
     n = len(base.vertices)
     body = [*entries, *zip(range(n, n + k), tail)]
-    labels = base.vertices + tuple(fresh_labels(base._index, k))
+    labels = base.vertices + tuple(_fresh_labels(base._index, k))
     try:
         return RealizationCertificate(body, labels, base, k)
     except GlgError as exc:
@@ -516,19 +498,19 @@ def cp_realization(m):
 class GlgRealization:
     """Result of the two-extra construction for a combined graph.
 
-    pinned maps each endpoint of the chosen base edge to the digraph vertex
-    whose in-neighborhood is exactly that endpoint's incident edge bundle.
+    pinned maps each endpoint of the chosen base edge, in order, to the
+    digraph vertex whose in-neighborhood is exactly that endpoint's
+    incident edge bundle.
     When some weight is positive those two vertices are real (the first
     block's leading pair); otherwise they are the extra pair `added`.
     added and digraph read through to the certificate's; the digraph is
     built on first read.
     """
 
-    __slots__ = ("combined", "edge", "pinned", "certificate")
+    __slots__ = ("combined", "pinned", "certificate")
 
-    def __init__(self, certificate, combined, edge, pinned):
+    def __init__(self, certificate, combined, pinned):
         self.combined = combined
-        self.edge = edge
         self.pinned = dict(pinned)
         self.certificate = certificate
 
@@ -566,7 +548,7 @@ def glg_realization(h, weights=None, e=None):
     name, body = cert.labels, cert.body
     u, v = map(h.vertices.__getitem__, e)
     pinned = {u: name[body[pin_at][0]], v: name[body[pin_at + 1][0]]}
-    return GlgRealization(cert, combined, (u, v), pinned)
+    return GlgRealization(cert, combined, pinned)
 
 
 # ---------------------------------------------------------------------------

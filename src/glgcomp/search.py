@@ -5,11 +5,12 @@ vertices of G plus k trailing extra vertices, together with one clique of G
 per position, such that each position's clique lies entirely among the
 earlier G-vertices and every edge of G appears inside at least one clique.
 Reading the cliques as in-neighborhoods yields an acyclic digraph whose
-competition graph is G plus k isolated vertices.  The search returns it in
+competition graph is G plus k isolated vertices.  The search builds it in
 the form every construction uses (see realization), each vertex named by
 its position in graph.vertices: a body of (position, clique) entries for
 the vertices of G in placement order, each clique a frozenset of
-positions, and a tail of the k extras' cliques.
+positions, and a tail of the k extras' cliques; like every construction,
+it returns the body's checked certificate (realization._certify).
 
 The search builds the ordering from the back (Opsut 1982).  An edge at
 v_j can lie only in the cliques of positions after v_j, so the last
@@ -71,6 +72,7 @@ import math
 from .errors import BudgetExceeded
 from .graph_core import (_bitmasks, _tails, bit_indices,
                          maximal_clique_masks)
+from .realization import _certify
 
 
 class SearchBudget:
@@ -90,13 +92,12 @@ DEFAULT_BUDGET = SearchBudget()
 def find_realization(graph, k, budget=None):
     """Search for a realization of `graph` with k extra vertices.
 
-    Returns (body, tail) on success, naming each vertex by its position
-    in graph.vertices: body is a tuple of (position, clique) entries for
-    the real vertices in placement order, each clique a frozenset of
-    positions, and tail a tuple of the k extras' cliques, padded with
-    empty ones; returns None when no realization exists; raises
-    BudgetExceeded when the node budget runs out, and before any node when
-    the extras' combinations alone outnumber it.
+    Returns the witness's RealizationCertificate on success, whose body
+    lists the real vertices in placement order and then the k extras, any
+    beyond the maximal cliques with an edge taking an empty clique;
+    returns None when no realization exists (a definitive answer, not a
+    timeout); raises BudgetExceeded when the node budget runs out, and
+    before any node when the extras' combinations alone outnumber it.
     """
     budget = budget or DEFAULT_BUDGET
     max_nodes = budget.max_nodes
@@ -235,11 +236,11 @@ def find_realization(graph, k, budget=None):
         placed = _union(cm for cm, _ in tail)
         path = extend(covered, ready_after(isolated, placed, covered), tail_no)
         if path is not None:
-            body = tuple((i, frozenset(bit_indices(cm)))
-                         for i, cm in reversed(path))
+            body = [(i, frozenset(bit_indices(cm)))
+                    for i, cm in reversed(path)]
             tail = [frozenset(bit_indices(cm)) for cm, _ in tail]
             tail += [frozenset()] * (k - len(tail))
-            return body, tuple(tail)
+            return _certify(body, tail, graph, "realization search")
     return None
 
 

@@ -12,9 +12,14 @@ is the combined graph (combined_graph).
 The serializers list links by bucketing each pair under its first end.
 sorted_links and to_dot are the writers they replace, which sort the whole
 set of tuples.
+
+patch_everywhere rebinds a package function in every glgcomp module that
+binds it, so a test can count or refuse its calls whichever module makes
+them.
 """
 
 import itertools
+import sys
 
 from glgcomp import (Graph, UnknownVertex, VertexCollision, cocktail_party,
                      normalize_edge)
@@ -119,3 +124,13 @@ def to_dot(keyword, name, vertices, links, connector, node_attrs):
         lines.append("  %s %s %s;" % (quote(a), connector, quote(b)))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace the function original by replacement, through monkeypatch,
+    under its own name in every loaded glgcomp module that binds it."""
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "glgcomp" and \
+                vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)

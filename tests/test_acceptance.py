@@ -13,11 +13,10 @@ import random
 
 import pytest
 
-import glgcomp.oracle
 import naive_oracle
 from corpus import (complete_bipartite, connected_chordal_graphs,
                     connected_graphs, cycle_graph, atlas_graphs)
-from reference import incident_edge_clique
+from reference import incident_edge_clique, patch_everywhere
 from glgcomp import (BudgetExceeded, Graph, check_conditions, classify,
                      cocktail_party, competition_number, cp_realization,
                      digraph_from_json, find_realization,
@@ -135,7 +134,7 @@ def test_04_line_graph_dichotomy(report, monkeypatch):
             "dichotomy failed on the line graph of %r" % (h,)
         # classify settles every line graph without the exact search.
         with monkeypatch.context() as patched:
-            patched.setattr(glgcomp.oracle, "find_realization", no_search)
+            patch_everywhere(patched, find_realization, no_search)
             verdict = classify(h)
         assert VERDICT_K[verdict.k_value] == k, h
         count += 1

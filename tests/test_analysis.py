@@ -1,23 +1,22 @@
 import itertools
 import json
 import random
-import sys
 import time
 
 import pytest
 
 import glgcomp.analysis
-import glgcomp.oracle
 import glgcomp.realization
 from glgcomp import (EXACTLY_ONE, EXACTLY_TWO, EXACTLY_ZERO, UNDETERMINED,
                      Graph, HypothesisNotMet, SearchBudget,
                      check_conditions, classify, competition_number,
-                     generalized_line_graph, glg_realization, pendant_reduce,
+                     find_realization, generalized_line_graph,
+                     glg_realization, pendant_reduce,
                      simplicial_vertices, single_extra_realization,
                      verify_realization)
 from corpus import (atlas_graphs, connected_chordal_graphs, cycle_graph,
                     random_triangle_free)
-from reference import incident_edge_clique
+from reference import incident_edge_clique, patch_everywhere
 
 
 def path(n):
@@ -163,7 +162,8 @@ class TestClassify:
 
     def test_each_witness_is_verified_once(self, monkeypatch):
         # Count calls of the body check that _certify and verify_realization
-        # share, under every name a glgcomp module holds it by.
+        # share, under every name a glgcomp module holds it by.  The star
+        # is settled by the search, whose witness is checked once too.
         original = glgcomp.realization._check_body
         calls = []
 
@@ -171,12 +171,10 @@ class TestClassify:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "glgcomp" and \
-                    getattr(module, "_check_body", None) is original:
-                monkeypatch.setattr(module, "_check_body", counting)
-        h = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        for weights in ({"a": 1, "c": 1}, {}):
+        patch_everywhere(monkeypatch, original, counting)
+        abc = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        for h, weights in ((abc, {"a": 1, "c": 1}), (abc, {}),
+                           (star(3), {"v2": 2})):
             del calls[:]
             verdict = classify(h, weights)
             assert verdict.k_value == EXACTLY_ONE
@@ -278,13 +276,23 @@ class TestClassify:
         claim, source = verdict.evidence[-1]
         assert source == "oracle" and "combination" in claim
 
+    def test_refused_search_is_seen(self, monkeypatch):
+        # The control for the tests that refuse the exact search: a star
+        # whose verdict the search settles must then fail.
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran the exact search")
+
+        patch_everywhere(monkeypatch, find_realization, refuse)
+        with pytest.raises(AssertionError, match="exact search"):
+            classify(star(3), {"v2": 2})
+
     def test_unit_weight_edge_needs_no_search_budget(self, monkeypatch):
         # Weight two on d leaves the unit edge a-b, whose chain settles the
         # value with no search, under a budget that allows none.
         def refuse(*args, **kwargs):
             raise AssertionError("classify ran the exact search")
 
-        monkeypatch.setattr(glgcomp.oracle, "find_realization", refuse)
+        patch_everywhere(monkeypatch, find_realization, refuse)
         h = Graph(list("abcde"), zip("abcd", "bcde"))
         weights = {"a": 1, "b": 1, "d": 2}
         verdict = classify(h, weights,
@@ -395,7 +403,7 @@ class TestAboveTheSearchCap:
         def refuse(*args, **kwargs):
             raise AssertionError("classify ran the exact search")
 
-        monkeypatch.setattr(glgcomp.oracle, "find_realization", refuse)
+        patch_everywhere(monkeypatch, find_realization, refuse)
 
     @staticmethod
     def assert_value(h, value, weights=None):

@@ -432,10 +432,10 @@ class TestPublicApi:
             "classify", "cocktail_party",
             "competition_graph", "competition_number", "cp_realization",
             "digraph_from_json", "digraph_to_dot", "find_realization",
-            "fresh_labels", "generalized_line_graph", "glg_realization",
+            "generalized_line_graph", "glg_realization",
             "graph_from_json", "graph_json_text", "graph_to_dot",
             "is_connected", "normalize_edge", "opsut_lower_bound",
-            "pendant_reduce", "realization_search", "simplicial_vertices",
+            "pendant_reduce", "simplicial_vertices",
             "single_extra_realization", "verify_realization",
             "weighted_graph_from_json"}
 
@@ -443,6 +443,8 @@ class TestPublicApi:
         assert not {"degree", "has_vertex", "has_edge"} & set(dir(Graph))
         assert "incident_labels" not in dir(CombinedGraph)
         assert SearchBudget.__slots__ == ("max_total_vertices", "max_nodes")
+        assert "ordering" not in dir(glgcomp.RealizationCertificate)
+        assert "edge" not in dir(glgcomp.GlgRealization)
 
 
 class TestInputErrors:

@@ -10,8 +10,9 @@ import glgcomp.oracle
 from glgcomp import (EXACTLY_ONE, BudgetExceeded, Graph,
                      SearchBudget, classify, cocktail_party,
                      competition_graph, competition_number, find_realization,
-                     fresh_labels, generalized_line_graph, opsut_lower_bound,
-                     realization_search, verify_realization)
+                     generalized_line_graph, opsut_lower_bound,
+                     verify_realization)
+from glgcomp.realization import _fresh_labels
 from corpus import (atlas_graphs, complete_bipartite, connected_graphs,
                     cycle_graph, random_chordal, random_connected,
                     random_triangle_free)
@@ -29,7 +30,7 @@ def complete(n):
 
 class TestFreshLabels:
     def test_avoids_taken_names(self):
-        assert fresh_labels({"z1"}, 2) == ["z2", "z3"]
+        assert _fresh_labels({"z1"}, 2) == ["z2", "z3"]
 
 
 class TestFindRealization:
@@ -49,16 +50,17 @@ class TestFindRealization:
 
     def test_witness_is_in_positions(self):
         # The path a-b-c at k = 1, with a, b and c at positions 0, 1 and
-        # 2: c and b come first, a takes {b, c} and the extra {a, b}.
+        # 2 and the extra at 3: c and b come first, a takes {b, c} and the
+        # extra {a, b}.
         g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        assert find_realization(g, 1) == (
-            ((2, frozenset()), (1, frozenset()), (0, frozenset({1, 2}))),
-            (frozenset({0, 1}),))
+        assert find_realization(g, 1).body == [
+            (2, frozenset()), (1, frozenset()), (0, frozenset({1, 2})),
+            (3, frozenset({0, 1}))]
 
     def test_results_verify(self):
         for g in connected_graphs(5, min_edges=1):
             for k in (1, 2):
-                cert = realization_search(g, k)
+                cert = find_realization(g, k)
                 if cert is None:
                     continue
                 assert verify_realization(cert.digraph, g, k).added == \
@@ -137,11 +139,11 @@ class TestClosedForms:
     # Closed forms on 9-14 vertices, beyond the naive oracle's reach: a
     # connected triangle-free graph has k = |E| - |V| + 2, and a connected
     # chordal graph with an edge has k = 1 (Roberts 1978).  The search must
-    # find a witness at k, which realization_search verifies, and refute
+    # find a witness at k, which it certifies, and refute
     # k - 1.
     def check(self, g, k):
-        assert realization_search(g, k).k == k, (g, k)
-        assert realization_search(g, k - 1) is None, (g, k - 1)
+        assert find_realization(g, k).k == k, (g, k)
+        assert find_realization(g, k - 1) is None, (g, k - 1)
 
     def test_triangle_free(self):
         rng = random.Random(601)
@@ -162,19 +164,19 @@ class TestClosedForms:
 
 class TestRealizationSearch:
     def test_witness_is_verified(self):
-        found = realization_search(path(3), 1)
+        found = find_realization(path(3), 1)
         assert found is not None
         cert = verify_realization(found.digraph, path(3), 1)
         assert cert.k == 1
 
     def test_refutation_returns_none(self):
-        assert realization_search(cycle_graph(4), 1) is None
+        assert find_realization(cycle_graph(4), 1) is None
 
     def test_path_deeper_than_the_recursion_limit(self):
         # Each of the 1,200 vertices is placed one level below the last.
-        found = realization_search(path(1200), 1,
-                                   SearchBudget(max_nodes=10 ** 6))
-        assert found.k == 1 and len(found.ordering) == 1201
+        found = find_realization(path(1200), 1,
+                                 SearchBudget(max_nodes=10 ** 6))
+        assert found.k == 1 and len(found.body) == 1201
 
 
 class TestCompetitionNumber:
@@ -222,7 +224,7 @@ class TestCompetitionNumber:
         # from the clique-cover bound.
         for g in atlas_graphs(5):
             k = opsut_lower_bound(g)
-            while (cert := realization_search(g, k)) is None:
+            while (cert := find_realization(g, k)) is None:
                 k += 1
             got_k, got = competition_number(g)
             assert (got_k, got.json_text()) == (k, cert.json_text()), g
