@@ -6,9 +6,8 @@ classifier with checkable evidence.
 """
 
 from .errors import (BudgetExceeded, CompetitionMismatch, ConstructionFailed,
-                     CyclicDigraph, EmptyGraph, GlgError, HypothesisNotMet,
-                     InvalidInput, NonPositiveM, NotAnEdge, SchemaError,
-                     UnknownVertex, VertexCollision)
+                     CyclicDigraph, GlgError, HypothesisNotMet, InvalidInput,
+                     SchemaError, UnknownVertex)
 from .graph_core import (Digraph, Graph, acyclic_ordering, competition_graph,
                          digraph_from_json, digraph_to_dot, graph_from_json,
                          graph_json_text, graph_to_dot, is_connected,

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type is one cause of refusal, and the CLI gives each type one exit
+code: SchemaError (and its UnknownVertex) 2, the three failures that
+verify reports (CyclicDigraph, CompetitionMismatch, InvalidInput) 1,
+HypothesisNotMet 3, ConstructionFailed 4 and BudgetExceeded 5.
+"""
 
 
 class GlgError(Exception):
@@ -6,19 +12,13 @@ class GlgError(Exception):
 
 
 class SchemaError(GlgError):
-    """Malformed input data (JSON instance files, bad labels, loops)."""
+    """Malformed input or a bad value: a JSON document of the wrong shape,
+    a bad label or a loop, edge labels that collide, a pinned pair that is
+    not an edge, or a cocktail-party size below one."""
 
 
 class UnknownVertex(SchemaError):
     """An edge, arc or query referenced a vertex that is not in the graph."""
-
-
-class VertexCollision(GlgError):
-    """Two graphs that must be disjoint share vertex labels."""
-
-
-class NotAnEdge(GlgError):
-    """A vertex pair that must be an edge of the graph is not."""
 
 
 class CyclicDigraph(GlgError):
@@ -52,16 +52,9 @@ class HypothesisNotMet(GlgError):
     that a construction cannot serve."""
 
 
-class EmptyGraph(GlgError):
-    """The operation is undefined on a graph with no vertices."""
-
-
-class NonPositiveM(GlgError):
-    """Cocktail party graphs require m >= 1."""
-
-
 class BudgetExceeded(GlgError):
-    """The exact search ran out of budget before reaching a conclusion.
+    """The exact search is beyond its budget: the graph and its extras
+    exceed the vertex cap, or the node budget ran out before a conclusion.
 
     Carries the best lower bound established so far (or None).
     """

@@ -39,8 +39,7 @@ definitions the tests check the builder against.
 
 import itertools
 
-from .errors import (NonPositiveM, SchemaError, UnknownVertex,
-                     VertexCollision)
+from .errors import SchemaError, UnknownVertex
 from .graph_core import Graph, _read_links
 
 
@@ -67,7 +66,7 @@ def cocktail_party(m):
     pairs in level order, named x1..xm / y1..ym.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise NonPositiveM("cocktail-party size must be a positive integer, got %r" % (m,))
+        raise SchemaError("cocktail-party size must be a positive integer, got %r" % (m,))
     pairs = [("x%d" % l, "y%d" % l) for l in range(1, m + 1)]
     vertices = [v for pair in pairs for v in pair]
     return Graph(vertices, _block_edges(pairs)), pairs
@@ -137,7 +136,7 @@ def generalized_line_graph(h, weights):
     if len(index) != len(vertices):
         # Only edge labels can collide: the edges {"a-b", "c"} and
         # {"a", "b-c"} are both "e:a-b-c".
-        raise VertexCollision("edge labels collide; rename base vertices")
+        raise SchemaError("edge labels collide; rename base vertices")
     at = list(map(index.__getitem__, labels))  # each label's position
     star = [[] for _ in hv]
     for (a, b), p in zip(ends, at):

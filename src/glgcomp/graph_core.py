@@ -49,7 +49,7 @@ import heapq
 import itertools
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .errors import CyclicDigraph, EmptyGraph, SchemaError, UnknownVertex
+from .errors import CyclicDigraph, SchemaError, UnknownVertex
 
 DEFAULT_SIZE_GUARD = 16
 
@@ -410,14 +410,14 @@ def opsut_lower_bound(graph):
 
     A neighborhood above DEFAULT_SIZE_GUARD contributes a greedy independent
     set size instead, which is at most its clique cover number, so the
-    result is still a lower bound on the competition number.
+    result is still a lower bound on the competition number.  It is 0 on
+    the empty graph, whose competition number is 0.
     """
-    if not graph.vertices:
-        raise EmptyGraph("opsut_lower_bound is undefined on the empty graph")
     adj = _bitmasks(graph)
-    return min(_greedy_independent_set_size(adj, nbhd)
-               if nbhd.bit_count() > DEFAULT_SIZE_GUARD
-               else _clique_cover_number(adj, nbhd) for nbhd in adj)
+    return min((_greedy_independent_set_size(adj, nbhd)
+                if nbhd.bit_count() > DEFAULT_SIZE_GUARD
+                else _clique_cover_number(adj, nbhd) for nbhd in adj),
+               default=0)
 
 
 # ---------------------------------------------------------------------------

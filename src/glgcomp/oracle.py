@@ -9,7 +9,7 @@ BudgetExceeded and is never silently treated as evidence.
 
 from .errors import BudgetExceeded
 from .graph_core import _tails, opsut_lower_bound
-from .search import DEFAULT_BUDGET, find_realization
+from .search import DEFAULT_BUDGET, _check_cap, find_realization
 
 
 def competition_number(graph, budget=None):
@@ -28,13 +28,12 @@ def competition_number(graph, budget=None):
     refusal reports this bound, which may be below the other two.
     """
     budget = budget or DEFAULT_BUDGET
-    _check_budget(graph, 1 if graph.vertices and all(graph._rows) else 0,
-                  budget)
-    k = opsut_lower_bound(graph) if graph.vertices else 0
+    _check_cap(graph, 1 if graph.vertices and all(graph._rows) else 0, budget)
+    k = opsut_lower_bound(graph)
     if any(graph._rows):
         k = max(k, _edge_cover_bound(graph))
     while True:
-        _check_budget(graph, k, budget)
+        _check_cap(graph, k, budget)
         try:
             cert = find_realization(graph, k, budget)
         except BudgetExceeded as exc:
@@ -44,15 +43,6 @@ def competition_number(graph, budget=None):
         if cert is not None:
             return k, cert
         k += 1
-
-
-def _check_budget(graph, k, budget):
-    """Raise BudgetExceeded, with lower bound k, unless a search with k
-    extras fits the budget; none with more extras would then either."""
-    if len(graph.vertices) + k > budget.max_total_vertices:
-        raise BudgetExceeded(
-            "competition number is at least %d but the search budget is "
-            "exhausted" % k, lower_bound=k)
 
 
 def _edge_cover_bound(graph):

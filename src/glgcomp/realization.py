@@ -122,7 +122,7 @@ import itertools
 import json
 
 from .errors import (CompetitionMismatch, ConstructionFailed, GlgError,
-                     HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
+                     HypothesisNotMet, InvalidInput, SchemaError,
                      UnknownVertex)
 from .graph_core import (Digraph, _graph_text, _json_string, _pairs_text,
                          acyclic_ordering, normalize_edge)
@@ -452,7 +452,7 @@ def _pinned_edge(h, e):
     e = normalize_edge(*e)
     i, j = map(h._index.get, e)
     if i is None or j is None or j not in rows[i]:
-        raise NotAnEdge("%r is not an edge of the base graph" % (e,))
+        raise SchemaError("%r is not an edge of the base graph" % (e,))
     return i, j
 
 

@@ -89,6 +89,19 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
+def _check_cap(graph, k, budget):
+    """Raise BudgetExceeded, with lower bound k, unless the graph and k
+    extras fit the budget's vertex cap; no search with more extras would
+    then fit either."""
+    n = len(graph.vertices)
+    if n + k > budget.max_total_vertices:
+        raise BudgetExceeded(
+            "competition number is at least %d, but %d vertices and %d "
+            "extra%s exceed the search budget's cap of %d vertices"
+            % (k, n, k, "" if k == 1 else "s", budget.max_total_vertices),
+            lower_bound=k)
+
+
 def find_realization(graph, k, budget=None):
     """Search for a realization of `graph` with k extra vertices.
 

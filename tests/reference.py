@@ -21,7 +21,7 @@ them.
 import itertools
 import sys
 
-from glgcomp import (Graph, UnknownVertex, VertexCollision, cocktail_party,
+from glgcomp import (Graph, SchemaError, UnknownVertex, cocktail_party,
                      normalize_edge)
 
 
@@ -66,7 +66,7 @@ def semi_join(graph, clique, other):
         raise NotAClique("semi-join anchor %r is not a clique" % (clique,))
     shared = set(graph.vertices) & set(other.vertices)
     if shared:
-        raise VertexCollision("graphs share vertices: %r" % (sorted(shared),))
+        raise SchemaError("graphs share vertices: %r" % (sorted(shared),))
     vertices = list(graph.vertices) + list(other.vertices)
     edges = set(graph.edges) | set(other.edges)
     for k in clique:

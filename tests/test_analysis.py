@@ -264,7 +264,9 @@ class TestClassify:
         # 14 combined vertices: above the default cap of 13 with no extra.
         verdict = classify(star(4), {"v2": 5})
         assert verdict.k_value == UNDETERMINED
-        assert any(src == "oracle" for _, src in verdict.evidence)
+        claim, source = verdict.evidence[-1]
+        assert source == "oracle"
+        assert "14 vertices and 1 extra" in claim and "cap of 13" in claim
         # the two-extra witness still bounds the value from above
         cert = verdict.certificates["two_extra"]
         verify_realization(cert.digraph, cert.base, 2)

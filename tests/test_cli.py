@@ -26,8 +26,8 @@ def write(tmp_path, name, doc):
 
 @pytest.fixture
 def heavy_leaf(tmp_path):
-    # A star whose leaf "a" carries an 18-vertex block: the neighborhood of
-    # e:a-c has 20 vertices, above the exact clique-cover size guard.
+    # A star whose leaf "a" carries an 18-vertex block: 21 combined
+    # vertices, above the default 13-vertex search cap.
     return write(tmp_path, "heavy.json",
                  {"kind": "vertex_weighted_graph",
                   "vertices": ["a", "b", "c", "d"],
@@ -58,6 +58,11 @@ class TestBuild:
     def test_build_cp_requires_m(self, capsys):
         code, _, err = run(capsys, "build", "cp")
         assert code == 2 and "--m" in err
+
+    def test_build_glg_requires_an_input(self, capsys):
+        code, out, err = run(capsys, "build", "glg")
+        assert code == 2 and out == ""
+        assert "'build glg' requires an input file" in err
 
     def test_build_cp(self, capsys, tmp_path):
         out = str(tmp_path / "cp.json")
@@ -174,6 +179,28 @@ class TestRealize:
                          "--edge", "u,v")
         assert code == 2
 
+    def test_bad_edge_flags_are_input_errors(self, capsys, star_instance):
+        # Malformed pins, and a well-formed pin that is not an edge.
+        cases = [(edge, "two comma-separated labels")
+                 for edge in ("a", "a,", ",b", "a,b,c")]
+        cases.append(("v2,v3", "is not an edge"))
+        for edge, message in cases:
+            code, out, err = run(capsys, "realize", "two", star_instance,
+                                 "--edge", edge)
+            assert code == 2 and out == "", edge
+            assert err.startswith("input error: ") and message in err
+
+    def test_failed_construction_exits_four(self, capsys, monkeypatch,
+                                            star_instance):
+        def fail(*args, **kwargs):
+            raise glgcomp.ConstructionFailed("two-extra body check failed")
+
+        monkeypatch.setattr(glgcomp.cli, "glg_realization", fail)
+        code, out, err = run(capsys, "realize", "two", star_instance)
+        assert code == 4 and out == ""
+        assert err == ("internal invariant violation: two-extra body check "
+                       "failed\n")
+
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in kilobytes on Linux")
@@ -246,6 +273,9 @@ class TestCompnum:
                                                       heavy_leaf):
         code, _, err = run(capsys, "compnum", heavy_leaf)
         assert code == 5 and "lower bound 1" in err
+        # The refusal names the vertex count, the extras and the cap.
+        assert "21 vertices and 1 extra exceed" in err
+        assert "cap of 13 vertices" in err
 
     def test_many_extras_are_refused_before_their_combinations(
             self, capsys, tmp_path):
@@ -284,10 +314,18 @@ class TestVerify:
         target = str(tmp_path / "target.json")
         run(capsys, "build", "glg", star_instance, "-o", target)
         doc = json.loads(open(star_digraph).read())
-        doc["arcs"] = doc["arcs"][len(doc["arcs"]) // 2:]
-        broken = write(tmp_path, "broken.json", doc)
-        code, _, err = run(capsys, "verify", broken, target, "--k", "1")
-        assert code == 1 and "missing edge" in err
+        arcs = doc["arcs"]
+        # Half the arcs dropped, or a common prey for a block's partners,
+        # which are not adjacent.
+        cases = [(arcs[len(arcs) // 2:], "missing edge: "),
+                 (arcs + [["q:v2:1:x", "z"], ["q:v2:1:y", "z"]],
+                  "extra edge: q:v2:1:x -- q:v2:1:y")]
+        for broken_arcs, line in cases:
+            broken = write(tmp_path, "broken.json",
+                           dict(doc, arcs=broken_arcs))
+            code, out, err = run(capsys, "verify", broken, target, "--k", "1")
+            assert code == 1 and out == "", line
+            assert any(l.startswith(line) for l in err.splitlines()), err
 
     def test_wrong_k(self, capsys, tmp_path, star_instance, star_digraph):
         # Both witnesses that do not realize their target but are acyclic
@@ -370,7 +408,10 @@ class TestClassify:
     def test_large_neighborhood_is_undetermined(self, capsys, heavy_leaf):
         code, out, _ = run(capsys, "classify", heavy_leaf, "--json")
         assert code == 0
-        assert json.loads(out)["k_value"] == "at-most-two-undetermined"
+        verdict = json.loads(out)
+        assert verdict["k_value"] == "at-most-two-undetermined"
+        assert "21 vertices and 1 extra exceed" in \
+            verdict["evidence"][-1]["claim"]
 
 
 class TestWriteJson:
@@ -424,11 +465,10 @@ class TestPublicApi:
             "BudgetExceeded", "CombinedGraph", "CompetitionMismatch",
             "ConditionReport", "ConstructionFailed", "CyclicDigraph",
             "DEFAULT_BUDGET", "Digraph", "EXACTLY_ONE", "EXACTLY_TWO",
-            "EXACTLY_ZERO", "EmptyGraph", "GlgError", "GlgRealization",
-            "Graph", "HypothesisNotMet", "InvalidInput", "NonPositiveM",
-            "NotAnEdge", "RealizationCertificate", "SchemaError",
-            "SearchBudget", "UNDETERMINED", "UnknownVertex", "Verdict",
-            "VertexCollision", "acyclic_ordering", "check_conditions",
+            "EXACTLY_ZERO", "GlgError", "GlgRealization", "Graph",
+            "HypothesisNotMet", "InvalidInput", "RealizationCertificate",
+            "SchemaError", "SearchBudget", "UNDETERMINED", "UnknownVertex",
+            "Verdict", "acyclic_ordering", "check_conditions",
             "classify", "cocktail_party",
             "competition_graph", "competition_number", "cp_realization",
             "digraph_from_json", "digraph_to_dot", "find_realization",

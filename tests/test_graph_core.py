@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glgcomp import (CyclicDigraph, Digraph, EmptyGraph, Graph, SchemaError,
+from glgcomp import (CyclicDigraph, Digraph, Graph, SchemaError,
                      UnknownVertex, acyclic_ordering, classify,
                      competition_graph, digraph_from_json, digraph_to_dot,
                      find_realization, generalized_line_graph,
@@ -81,6 +81,10 @@ class TestGraphBasics:
         assert sub == path_graph(3).induced(set()) or len(sub.edges) == 2
         assert sub.vertices == ("c0", "c1", "c2")
         assert sub.edges == frozenset({("c0", "c1"), ("c1", "c2")})
+
+    def test_induced_refuses_an_unknown_label(self):
+        with pytest.raises(UnknownVertex, match="no vertex 'x'"):
+            cycle_graph(4).induced({"c0", "x"})
 
     def test_equality_and_hash(self):
         g1 = Graph(["a", "b"], [("a", "b")])
@@ -404,9 +408,9 @@ class TestOpsutBound:
         # an isolated vertex has an empty neighborhood: bound collapses to 0
         assert opsut_lower_bound(Graph(["a", "b", "c"], [("a", "b")])) == 0
 
-    def test_empty_graph_raises(self):
-        with pytest.raises(EmptyGraph):
-            opsut_lower_bound(Graph([], []))
+    def test_empty_graph_gives_zero(self):
+        # The empty graph's competition number is 0.
+        assert opsut_lower_bound(Graph([], [])) == 0
 
     def test_triangle_free_graphs_give_the_minimum_degree(self):
         # Every neighbourhood is independent, so its clique cover number
@@ -501,7 +505,7 @@ class TestSemiJoin:
         base = path_graph(3)
         with pytest.raises(NotAClique):
             semi_join(base, ["p0", "p2"], Graph(["x"], []))
-        with pytest.raises(Exception):
+        with pytest.raises(SchemaError, match="graphs share vertices"):
             semi_join(base, ["p0"], Graph(["p1"], []))
 
     @settings(max_examples=30, deadline=None)

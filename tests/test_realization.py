@@ -8,7 +8,7 @@ import pytest
 from glgcomp import cli
 from glgcomp.realization import _certify, _check_body, _positions
 from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
-                     HypothesisNotMet, InvalidInput, NotAnEdge, SchemaError,
+                     HypothesisNotMet, InvalidInput, SchemaError,
                      SearchBudget, UnknownVertex, acyclic_ordering,
                      check_conditions, classify, cocktail_party,
                      competition_graph, competition_number, cp_realization,
@@ -299,7 +299,7 @@ class TestLineGraphRealization:
                 incident_edge_clique(h, endpoint)
 
     def test_rejects_non_edges_and_empty_graphs(self):
-        with pytest.raises(NotAnEdge):
+        with pytest.raises(SchemaError, match="is not an edge"):
             line_graph_realization(path(3), ("p0", "p2"))
         with pytest.raises(HypothesisNotMet):
             line_graph_realization(Graph(["a"], []))
@@ -564,7 +564,7 @@ class TestGlgRealization:
         h = path(4)
         r = glg_realization(h, {"p0": 1}, e=("p2", "p3"))
         assert tuple(r.pinned) == ("p2", "p3")
-        with pytest.raises(NotAnEdge):
+        with pytest.raises(SchemaError, match="is not an edge"):
             glg_realization(h, {}, e=("p0", "p3"))
 
     def test_default_edge(self):
