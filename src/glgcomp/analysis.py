@@ -249,7 +249,9 @@ def classify(h, weights=None, budget=None):
         _check_cap(target, 1, budget)
         cert = find_realization(target, 1, budget)
     except BudgetExceeded as exc:
-        evidence.append(("exact search exhausted its budget (lower bound "
+        # The cap refuses before any search, and its message names the bound.
+        evidence.append((str(exc) if exc.lower_bound is not None else
+                         "exact search exhausted its budget (lower bound "
                          "1): %s" % exc, "oracle"))
         return Verdict(UNDETERMINED, evidence, certificates)
     if cert is None:

@@ -83,8 +83,12 @@ def _add_budget_args(sub):
 
 def cmd_build(args):
     if args.what == "cp":
+        if args.m is None:
+            raise SchemaError("'build cp' requires --m")
         result, _ = cocktail_party(args.m)
     else:
+        if not args.input:
+            raise SchemaError("'build %s' requires an input file" % args.what)
         h, weights = _as_weighted(_load(args.input), args.input)
         result = generalized_line_graph(h, weights).graph
     _write_text(graph_json_text(result) + "\n", args.output)
@@ -218,14 +222,6 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "build":
-        if args.what == "cp" and args.m is None:
-            print("error: 'build cp' requires --m", file=sys.stderr)
-            return 2
-        if args.what != "cp" and not args.input:
-            print("error: 'build %s' requires an input file" % args.what,
-                  file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except HypothesisNotMet as exc:

@@ -4,8 +4,9 @@ Vertices are opaque string labels.  Undirected edges are stored as sorted
 2-tuples; arcs as (tail, head) tuples.  All derived orderings break ties
 lexicographically so every operation is deterministic.
 
-Graph and Digraph check their input one link at a time, in one pass over
-the given edges or arcs, so an error names the first offending one.
+Graph and Digraph are the only link checkers: each checks its edges or
+arcs one at a time, in one pass, so an error names the first bad link (not
+a list or tuple of two items, a loop, or an end that is not a vertex).
 
 A Graph has one representation: its sorted label tuple, the label index
 (each label -> its position) and one row per vertex, the sorted tuple of
@@ -13,11 +14,11 @@ its neighbours' positions, so it takes memory linear in vertices plus
 edges.  Graph(vertices, edges) builds the rows after its checks;
 glg_builder writes them through Graph._from_rows, the only constructor
 that checks nothing.  The simplicial test, equality, hashing, induced
-subgraphs and connectivity read the rows.  The edge set and the neighbour
-sets are views, built from the rows on first use by the public readers
-edges and neighbors (vertices is the label tuple) and by the body check's
-mismatch report only: the constructions, the condition report, pendant
-reduction, the search and the certificates read the rows.
+subgraphs and connectivity read the rows.  The edge set is the one label
+view, built from the rows on first use by the public reader edges
+(vertices is the label tuple) and by the body check's mismatch report
+only: the constructions, the condition report, pendant reduction, the
+search and the certificates read the rows.
 
 One clique machinery works on vertex bitmasks: bit i stands for the i-th
 vertex in label order, and adj[i] holds its neighbours.  A mask is as
@@ -40,8 +41,8 @@ and each first end's row of pairs is one join (_pairs_text), with no list
 or string per pair.  The realization certificate writes its text from the
 same rows.  One reader, _read_links, checks the shape of every JSON
 document, for graph_from_json, digraph_from_json and
-glg_builder.weighted_graph_from_json alike; the Graph or Digraph
-constructor then checks the labels and links.
+glg_builder.weighted_graph_from_json alike, and hands its vertices and
+links unchanged to the Graph or Digraph constructor, which checks them.
 """
 
 import bisect
@@ -75,10 +76,16 @@ def _label_set(vertices):
     return vset
 
 
+def _ends(pair, key):
+    """The two ends of a link under `key`, a list or tuple of two items."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise SchemaError("field %r contains a non-pair entry: %r" % (key, pair))
+    return pair
+
+
 def _checked_edge(pair, vset):
     """One edge, normalized, after the checks Graph makes on it."""
-    a, b = pair
-    e = normalize_edge(a, b)
+    e = normalize_edge(*_ends(pair, "edges"))
     if e[0] not in vset:
         raise UnknownVertex("edge endpoint %r is not a vertex" % (e[0],))
     if e[1] not in vset:
@@ -87,13 +94,14 @@ def _checked_edge(pair, vset):
 
 
 def _checked_arc(pair, vset):
-    """One arc, as a tuple, after the checks Digraph makes on it."""
-    t, h = pair
+    """One arc, as a tuple, after the checks Digraph makes on it.  The
+    labels are strings, so an end that is not one is not a vertex."""
+    t, h = _ends(pair, "arcs")
     if t == h:
         raise SchemaError("loop arc at %r is not allowed" % (t,))
-    if t not in vset:
+    if not (isinstance(t, str) and t in vset):
         raise UnknownVertex("arc tail %r is not a vertex" % (t,))
-    if h not in vset:
+    if not (isinstance(h, str) and h in vset):
         raise UnknownVertex("arc head %r is not a vertex" % (h,))
     return (t, h)
 
@@ -101,10 +109,10 @@ def _checked_arc(pair, vset):
 class Graph:
     """Simple undirected graph, held as rows: the i-th vertex's row is the
     sorted tuple of its neighbours' positions in the label order.  The edge
-    set and the neighbour sets are views, each built from the rows on first
-    use."""
+    set is its one label view, built from the rows on first use.  The
+    constructor checks each edge in turn (see _checked_edge)."""
 
-    __slots__ = ("vertices", "_index", "_rows", "_edges", "_adj")
+    __slots__ = ("vertices", "_index", "_rows", "_edges")
 
     def __init__(self, vertices, edges=()):
         vset = _label_set(vertices)
@@ -117,7 +125,7 @@ class Graph:
             rows[i].append(j)
             rows[j].append(i)
         self._rows = tuple([tuple(sorted(row)) for row in rows])
-        self._edges = self._adj = None
+        self._edges = None
 
     @classmethod
     def _from_rows(cls, vertices, index, rows):
@@ -129,7 +137,7 @@ class Graph:
         graph.vertices = vertices
         graph._index = index
         graph._rows = rows
-        graph._edges = graph._adj = None
+        graph._edges = None
         return graph
 
     @property
@@ -138,14 +146,6 @@ class Graph:
         if self._edges is None:
             self._edges = frozenset(_edge_pairs(self))
         return self._edges
-
-    def _adjacency(self):
-        """Each label -> the frozenset of its neighbours' labels."""
-        if self._adj is None:
-            vs = self.vertices
-            self._adj = {v: frozenset(map(vs.__getitem__, row))
-                         for v, row in zip(vs, self._rows)}
-        return self._adj
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -158,12 +158,6 @@ class Graph:
     def __repr__(self):
         return "Graph(%d vertices, %d edges)" % (
             len(self.vertices), sum(map(len, self._rows)) // 2)
-
-    def neighbors(self, v):
-        try:
-            return (self._adj or self._adjacency())[v]
-        except KeyError:
-            raise UnknownVertex("no vertex %r" % (v,)) from None
 
     def induced(self, subset):
         sub = set(subset)
@@ -453,30 +447,21 @@ def graph_json_text(graph):
 
 
 def _read_links(obj, kind, key):
-    """The vertices and the `key` pairs of a JSON document of this kind.
-
-    The document must be an object whose kind, if it names one, is this
-    kind, with a list of string labels under "vertices" and, unless the
-    key is missing (no links), a list of two-string lists under `key`.
-    """
+    """The vertices and the `key` links of a JSON document of this kind:
+    an object whose kind, if it names one, is this kind, with a list under
+    "vertices" and, unless the key is missing (no links), a list under
+    `key`.  The constructor checks the labels and links."""
     if not isinstance(obj, dict):
         raise SchemaError("%s document must be a JSON object" % kind)
     if obj.get("kind", kind) != kind:
         raise SchemaError("expected kind %r, got %r" % (kind, obj.get("kind")))
     vertices = obj.get("vertices")
-    if not isinstance(vertices, list) \
-            or not all(isinstance(x, str) for x in vertices):
+    if not isinstance(vertices, list):
         raise SchemaError("field 'vertices' must be a list of strings")
     links = obj.get(key, [])
     if not isinstance(links, list):
         raise SchemaError("field %r must be a list of vertex pairs" % (key,))
-    pairs = []
-    for item in links:
-        if (not isinstance(item, list)) or len(item) != 2 \
-                or not all(isinstance(x, str) for x in item):
-            raise SchemaError("field %r contains a non-pair entry: %r" % (key, item))
-        pairs.append((item[0], item[1]))
-    return vertices, pairs
+    return vertices, links
 
 
 def graph_from_json(obj):

@@ -10,6 +10,8 @@ adjacency directly.  Failure states are memoized per ordering on
 
 import itertools
 
+from reference import neighbors
+
 
 def has_realization(graph, k):
     verts = list(graph.vertices)
@@ -19,7 +21,7 @@ def has_realization(graph, k):
     target = (1 << len(edges)) - 1
     if target == 0:
         return True
-    adj = {v: graph.neighbors(v) for v in verts}
+    adj = {v: neighbors(graph, v) for v in verts}
 
     def clique_mask(subset):
         # edge mask covered by this subset, or None if it is not a clique

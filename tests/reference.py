@@ -5,7 +5,8 @@ writer of its labels in the package.  These are the textbook steps it
 replaces: the naming of an edge's vertex (edge_label) and of a block's
 vertices (cocktail_label), the edge bundle of a base vertex, read off its
 neighbours, and the semi-join of a graph with a block along a clique,
-which is_clique tests pair by pair against the edge set.  The line graph
+which is_clique tests pair by pair against the edge set.  Graph keeps
+no neighbour sets; neighbors reads a vertex's from its row.  The line graph
 semi-joined with one cocktail-party block per weighted vertex, in turn,
 is the combined graph (combined_graph).
 
@@ -48,12 +49,20 @@ class NotAClique(Exception):
     """A semi-join anchor that is not a clique of its graph."""
 
 
+def neighbors(graph, v):
+    """The labels of v's neighbours in graph, read off v's row."""
+    if v not in graph._index:
+        raise UnknownVertex("no vertex %r" % (v,))
+    return frozenset(map(graph.vertices.__getitem__,
+                         graph._rows[graph._index[v]]))
+
+
 def incident_edge_clique(h, v):
     """Line-graph vertices arising from edges of h incident to v.
 
     Always a clique of the line graph: these edges pairwise share v.
     """
-    return frozenset(edge_label(v, w) for w in h.neighbors(v))
+    return frozenset(edge_label(v, w) for w in neighbors(h, v))
 
 
 def semi_join(graph, clique, other):

@@ -267,6 +267,9 @@ class TestClassify:
         claim, source = verdict.evidence[-1]
         assert source == "oracle"
         assert "14 vertices and 1 extra" in claim and "cap of 13" in claim
+        # No search ran, and the claim states its bound once.
+        assert "exhausted" not in claim and "lower bound" not in claim
+        assert claim.count("at least 1") == 1
         # the two-extra witness still bounds the value from above
         cert = verdict.certificates["two_extra"]
         verify_realization(cert.digraph, cert.base, 2)
@@ -333,13 +336,12 @@ class TestClassify:
 class TestNoLabelViews:
     """The constructions, the condition report and the classifier read
     the base, and the combined graph, by their rows: each graph is left
-    as it was found, with neither its edge set nor its neighbour sets
-    built."""
+    as it was found, with its edge set, its one label view, not built."""
 
     @staticmethod
     def assert_no_views(*graphs):
         for g in graphs:
-            assert g._edges is None and g._adj is None
+            assert g._edges is None
 
     @staticmethod
     def two_paths():

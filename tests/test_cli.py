@@ -480,7 +480,8 @@ class TestPublicApi:
             "weighted_graph_from_json"}
 
     def test_graph_readers_and_budget_fields(self):
-        assert not {"degree", "has_vertex", "has_edge"} & set(dir(Graph))
+        assert not {"degree", "has_vertex", "has_edge", "neighbors",
+                    "_adjacency", "_adj"} & set(dir(Graph))
         assert "incident_labels" not in dir(CombinedGraph)
         assert SearchBudget.__slots__ == ("max_total_vertices", "max_nodes")
         assert "ordering" not in dir(glgcomp.RealizationCertificate)
@@ -537,6 +538,24 @@ class TestInputErrors:
             code, out, err = run(capsys, "classify", str(p))
             assert code == 2 and out == "", junk[:10]
             assert "not valid JSON" in err
+
+    def test_malformed_documents_name_the_offender(self, capsys, tmp_path):
+        # The reader checks the document's fields; the graph constructor
+        # checks each label and link.
+        cases = [
+            ({"vertices": "ab"}, "field 'vertices'"),
+            ({"vertices": ["a", 1]}, "got 1"),
+            ({"edges": {"a": "b"}}, "field 'edges'"),
+            ({"edges": [["a", "b", "c"]]}, "['a', 'b', 'c']"),
+        ]
+        for fields, offender in cases:
+            doc = {"kind": "graph", "vertices": ["a", "b"],
+                   "edges": [["a", "b"]]}
+            src = write(tmp_path, "bad.json", dict(doc, **fields))
+            for command in ("classify", "compnum"):
+                code, out, err = run(capsys, command, src)
+                assert code == 2 and out == "", (command, fields)
+                assert offender in err, (command, fields, err)
 
     def test_graph_document_as_the_digraph(self, capsys, tmp_path,
                                            star_instance):

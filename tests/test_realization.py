@@ -17,7 +17,8 @@ from glgcomp import (CompetitionMismatch, ConstructionFailed, Digraph, Graph,
                      simplicial_vertices,
                      single_extra_realization, verify_realization)
 from corpus import atlas_graphs, connected_graphs, cycle_graph, grid
-from reference import digraph_doc, incident_edge_clique, patch_everywhere
+from reference import (digraph_doc, incident_edge_clique, neighbors,
+                       patch_everywhere)
 
 
 def path(n):
@@ -334,7 +335,7 @@ class TestLineGraphRealization:
                     d, z1, z2 = line_graph_realization(h, e)
                 except HypothesisNotMet:
                     refused += 1
-                    assert len(h.neighbors(e[0])) == len(h.neighbors(e[1])) == 1
+                    assert len(neighbors(h, e[0])) == len(neighbors(h, e[1])) == 1
                     assert find_realization(lg, 0) is None
                     continue
                 verify_realization(d, lg, 2)
@@ -398,10 +399,11 @@ class TestGraphBuilds:
         assert len(built) == 1
 
     def test_construction_builds_no_adjacency(self):
-        # Adjacency is built on first use, and neither the combined graph
-        # nor the certificate digraph of a construction needs it.
+        # Label views are built on first use, and neither the combined
+        # graph's edge set nor the certificate digraph's adjacency is
+        # needed by a construction.
         r = glg_realization(path(4), {"p0": 1, "p2": 2, "p3": 3})
-        assert r.combined.graph._adj is None
+        assert r.combined.graph._edges is None
         assert r.digraph._in is None and r.digraph._out is None
 
     def test_check_conditions_builds_no_graph(self, monkeypatch):
